@@ -51,6 +51,6 @@ from .statechart import (
     dispatch,
     initialize,
 )
-from .streetlight import StreetLightScenario, build_streetlight_scenario, streetlight_score
+from .streetlight import StreetLightScenario, streetlight_score
 
 __version__ = "0.1.0"

@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+from .body import configure_body
 from .config import LoadedScenario, load_scenario
-from .errors import ConfigError, InvalidParams, RangeError
+from .errors import ConfigError, RangeError, UnknownDevice
 from .evaluation import Genotype, SearchResult, genotype_digest, run_episode, run_search
 from .serialize import canonical_json, topology_from_dict, topology_to_dict
 
@@ -53,9 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(path: str, ticks: int | None) -> LoadedScenario:
     loaded = load_scenario(path)
     if ticks is not None:
-        if ticks < 1:
-            raise RangeError("--ticks must be >= 1")
-        loaded.scenario.episode_ticks = ticks
+        loaded.scenario = replace(loaded.scenario, episode_ticks=ticks)
         loaded.resolved["episode_ticks"] = ticks
     return loaded
 
@@ -120,8 +120,12 @@ def write_outputs(out: Path, args, loaded: LoadedScenario, result: SearchResult)
 
 def cmd_replay(args) -> int:
     loaded = _load(args.scenario, args.ticks)
-    data = json.loads(Path(args.agent).read_text())
-    genotype = Genotype(dict(data["selection"]), topology_from_dict(data["controller"]))
+    try:
+        data = json.loads(Path(args.agent).read_text())
+        genotype = Genotype(dict(data["selection"]), topology_from_dict(data["controller"]))
+        configure_body(list(loaded.scenario.devices), genotype.selection)  # undeclared devices
+    except (OSError, ValueError, LookupError, TypeError, UnknownDevice) as exc:
+        raise ConfigError(f"{args.agent}: not a saved agent: {exc!r}") from exc
     record, _ = run_episode(loaded.scenario, genotype, args.seed)
     digest = genotype_digest(loaded.scenario, genotype)
     print(f"score={record.score!r}")
@@ -143,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (RangeError, InvalidParams) as exc:
+    except RangeError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

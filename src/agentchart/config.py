@@ -1,67 +1,37 @@
 """Scenario configuration files: strict JSON loading with defaults.
 
-Unknown keys are hard errors so that a typo in a scenario file can
-never silently change an experiment.  Every default is materialized
+Unknown keys, wrong types and non-finite numbers are hard errors so that
+a typo in a scenario file can never silently change an experiment.  The
+scenario and search dataclasses own every default and range: the default
+tree is read off their default instances, and building them from the
+resolved tree range-checks every value.  Every default is materialized
 into the resolved dictionary that run manifests echo back.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .controller import MutationPolicy
-from .errors import ConfigError, RangeError, UnknownKey
-from .evaluation import SearchPolicy, StructuralPolicy
+from .errors import ConfigError, UnknownKey
+from .evaluation import SearchPolicy
 from .streetlight import AmbientProfile, PeopleProcess, StreetLightScenario, StreetlightRules
 
-_SCHEMA = {
-    "n_lights": int,
-    "episode_ticks": int,
-    "neighbor_radius": int,
-    "spillover": float,
-    "dusk_threshold": float,
-    "ambient": {"kind": str, "value": float, "period": int},
-    "people": {"kind": str, "rate": float},
-    "light_contribution": {"OFF": float, "DIM": float, "ON": float},
-    "score": {
-        "w_energy": {"day": float, "night": float},
-        "w_dark": {"day": float, "night": float},
-        "energy_on": float,
-        "target_brightness": float,
-    },
-    "search": {
-        "patience": int,
-        "budget": int,
-        "mutation": {"weight_sigma": float, "toggle_prob": float, "add_prob": float},
-    },
-}
+_SECTIONS = ("ambient", "people", "score", "search")
 
 
 def default_config() -> dict:
     """Every documented default, fully materialized."""
-    return {
-        "n_lights": 10,
-        "episode_ticks": 200,
-        "neighbor_radius": 1,
-        "spillover": 0.5,
-        "dusk_threshold": 0.5,
-        "ambient": {"kind": "cosine", "value": 1.0, "period": 0},
-        "people": {"kind": "random", "rate": 0.3},
-        "light_contribution": {"OFF": 0.0, "DIM": 0.35, "ON": 0.7},
-        "score": {
-            "w_energy": {"day": 2.0, "night": 1.0},
-            "w_dark": {"day": 0.5, "night": 2.0},
-            "energy_on": 1.0,
-            "target_brightness": 0.6,
-        },
-        "search": {
-            "patience": 10,
-            "budget": 200,
-            "mutation": {"weight_sigma": 0.5, "toggle_prob": 0.05, "add_prob": 0.1},
-        },
-    }
+    cfg = asdict(StreetLightScenario())
+    # the device inventory and the structural policy are fixed, not scenario keys
+    del cfg["devices"]
+    cfg["score"] = cfg.pop("rules")
+    cfg["search"] = asdict(SearchPolicy())
+    del cfg["search"]["structural"]
+    return cfg
 
 
 def _merge(defaults: dict, data: dict, path: str = "") -> dict:
@@ -75,12 +45,12 @@ def _merge(defaults: dict, data: dict, path: str = "") -> dict:
                     raise ConfigError(f"{here}: expected an object, got {type(value).__name__}")
                 out[key] = _merge(default, value, here)
             else:
-                schema_type = _schema_at(here)
-                if schema_type is float and isinstance(value, int) and not isinstance(value, bool):
+                expected = type(default)
+                if expected is float and type(value) is int:
                     value = float(value)
-                if not isinstance(value, schema_type) or isinstance(value, bool):
+                if type(value) is not expected:
                     raise ConfigError(
-                        f"{here}: expected {schema_type.__name__}, got {type(value).__name__}"
+                        f"{here}: expected {expected.__name__}, got {type(value).__name__}"
                     )
                 out[key] = value
         else:
@@ -92,58 +62,6 @@ def _merge(defaults: dict, data: dict, path: str = "") -> dict:
     return out
 
 
-def _schema_at(dotted: str):
-    node = _SCHEMA
-    for part in dotted.split("."):
-        node = node[part]
-    return node
-
-
-def resolve_config(data: dict) -> dict:
-    """Apply defaults, reject unknown keys, then range-check."""
-    resolved = _merge(default_config(), data)
-    _check_ranges(resolved)
-    return resolved
-
-
-def _check_ranges(cfg: dict) -> None:
-    if cfg["n_lights"] < 1:
-        raise RangeError("n_lights must be >= 1")
-    if cfg["episode_ticks"] < 1:
-        raise RangeError("episode_ticks must be >= 1")
-    if cfg["neighbor_radius"] < 1:
-        raise RangeError("neighbor_radius must be >= 1")
-    if cfg["spillover"] < 0:
-        raise RangeError("spillover must be >= 0")
-    if cfg["ambient"]["kind"] not in ("cosine", "constant"):
-        raise RangeError("ambient.kind must be 'cosine' or 'constant'")
-    if not 0.0 <= cfg["ambient"]["value"] <= 1.0:
-        raise RangeError("ambient.value must lie in [0, 1]")
-    if cfg["people"]["kind"] not in ("random", "none"):
-        raise RangeError("people.kind must be 'random' or 'none'")
-    if not 0.0 <= cfg["people"]["rate"] <= 1.0:
-        raise RangeError("people.rate must lie in [0, 1]")
-    c = cfg["light_contribution"]
-    if not (0.0 == c["OFF"] <= c["DIM"] <= c["ON"]):
-        raise RangeError("light_contribution must satisfy 0 = OFF <= DIM <= ON")
-    for group in ("w_energy", "w_dark"):
-        for ctx, w in cfg["score"][group].items():
-            if w < 0:
-                raise RangeError(f"score.{group}.{ctx} must be >= 0")
-    if cfg["score"]["energy_on"] < 0:
-        raise RangeError("score.energy_on must be >= 0")
-    if cfg["search"]["patience"] < 1:
-        raise RangeError("search.patience must be >= 1")
-    if cfg["search"]["budget"] < 1:
-        raise RangeError("search.budget must be >= 1")
-    m = cfg["search"]["mutation"]
-    if m["weight_sigma"] <= 0:
-        raise RangeError("search.mutation.weight_sigma must be > 0")
-    for p in ("toggle_prob", "add_prob"):
-        if not 0.0 <= m[p] <= 1.0:
-            raise RangeError(f"search.mutation.{p} must lie in [0, 1]")
-
-
 @dataclass
 class LoadedScenario:
     scenario: StreetLightScenario
@@ -151,47 +69,52 @@ class LoadedScenario:
     resolved: dict
 
 
-def scenario_from_config(cfg: dict) -> LoadedScenario:
-    ambient = AmbientProfile(
-        kind=cfg["ambient"]["kind"],
-        value=cfg["ambient"]["value"],
-        period=cfg["ambient"]["period"] or None,
-    )
-    people = PeopleProcess(kind=cfg["people"]["kind"], rate=cfg["people"]["rate"])
-    rules = StreetlightRules(
-        w_energy=dict(cfg["score"]["w_energy"]),
-        w_dark=dict(cfg["score"]["w_dark"]),
-        energy_on=cfg["score"]["energy_on"],
-        target_brightness=cfg["score"]["target_brightness"],
-    )
+def build_scenario(data: dict) -> LoadedScenario:
+    """Apply defaults, reject unknown keys and wrong types, then build the
+    scenario and search policy, whose constructors raise RangeError."""
+    cfg = _merge(default_config(), data)
     scenario = StreetLightScenario(
-        n_lights=cfg["n_lights"],
-        episode_ticks=cfg["episode_ticks"],
-        ambient=ambient,
-        people=people,
-        light_contribution=dict(cfg["light_contribution"]),
-        neighbor_radius=cfg["neighbor_radius"],
-        spillover=cfg["spillover"],
-        dusk_threshold=cfg["dusk_threshold"],
-        rules=rules,
+        **{key: value for key, value in cfg.items() if key not in _SECTIONS},
+        ambient=AmbientProfile(**cfg["ambient"]),
+        people=PeopleProcess(**cfg["people"]),
+        rules=StreetlightRules(**cfg["score"]),
     )
-    mutation = MutationPolicy(**cfg["search"]["mutation"])
+    search = cfg["search"]
     policy = SearchPolicy(
-        patience=cfg["search"]["patience"],
-        budget=cfg["search"]["budget"],
-        mutation=mutation,
-        structural=StructuralPolicy(),
+        patience=search["patience"],
+        budget=search["budget"],
+        mutation=MutationPolicy(**search["mutation"]),
     )
     return LoadedScenario(scenario, policy, cfg)
 
 
+def resolve_config(data: dict) -> dict:
+    """The fully defaulted and checked configuration tree."""
+    return build_scenario(data).resolved
+
+
+def _finite_number(parse):
+    def hook(token: str):
+        if not math.isfinite(float(token)):
+            raise ValueError(f"number {token} does not fit a finite double")
+        return parse(token)
+
+    return hook
+
+
 def load_scenario(path: str | Path) -> LoadedScenario:
     """Read, default, validate.  ConfigError carries location info."""
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(
+            Path(path).read_text(),
+            parse_int=_finite_number(int),
+            parse_float=_finite_number(float),
+            parse_constant=_finite_number(float),
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    return scenario_from_config(resolve_config(data))
+    return build_scenario(data)

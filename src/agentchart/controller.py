@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonFiniteInput
+from .errors import NonFiniteInput, require
 
 INPUT = "input"
 HIDDEN = "hidden"
@@ -62,6 +62,13 @@ class MutationPolicy:
     weight_sigma: float = 0.5
     toggle_prob: float = 0.05
     add_prob: float = 0.1
+
+    def __post_init__(self):
+        require(self.weight_sigma > 0, "search.mutation.weight_sigma must be > 0")
+        for name in ("toggle_prob", "add_prob"):
+            require(
+                0.0 <= getattr(self, name) <= 1.0, f"search.mutation.{name} must lie in [0, 1]"
+            )
 
 
 _EPS_LO = math.ulp(0.0)

@@ -69,5 +69,11 @@ class UnknownKey(ConfigError):
     pass
 
 
-class RangeError(AgentChartError):
+class RangeError(InvalidParams):
     """A configuration value is outside its permitted range."""
+
+
+def require(ok: bool, message: str) -> None:
+    """Raise RangeError(message) unless ok.  Write each rule so that NaN fails it."""
+    if not ok:
+        raise RangeError(message)

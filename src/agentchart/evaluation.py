@@ -19,7 +19,7 @@ import numpy as np
 from .body import AgentRuntime, AgentSpec, BodyConfig, DeviceSpec, configure_body, derive_controller, step_agent
 from .controller import ControllerTopology, MutationPolicy, mutate_connections
 from .environment import Environment, EpisodeTrace, TickSnapshot, snapshot_row
-from .errors import MissingContextWeight, UnknownVariable
+from .errors import MissingContextWeight, UnknownVariable, require
 from .serialize import config_digest
 from .statechart import TraceEvent
 
@@ -74,6 +74,10 @@ class SearchPolicy:
     budget: int = 200  # episode budget across the whole run
     mutation: MutationPolicy = field(default_factory=MutationPolicy)
     structural: StructuralPolicy = field(default_factory=StructuralPolicy)
+
+    def __post_init__(self):
+        require(self.patience >= 1, "search.patience must be >= 1")
+        require(self.budget >= 1, "search.budget must be >= 1")
 
 
 def evaluate_episode(
@@ -277,8 +281,9 @@ def run_search(
     ``exhaustive`` the single search generation instead sweeps every
     enabled-set, deriving each controller from the incumbent's weights.
     """
-    if generations < 1:
-        raise ValueError("generations must be >= 1")
+    require(generations >= 1, "generations must be >= 1")
+    require(lam >= 1, "lambda must be >= 1")
+    require(jobs >= 1, "jobs must be >= 1")
     policy = policy or SearchPolicy()
     episode_seed = seed  # constant across episodes: scores stay comparable
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .body import AgentSpec, BodyConfig, DeviceSpec
+from .body import BodyConfig, DeviceSpec
 from .controller import Connection, ControllerTopology, Neuron
 
 
@@ -22,22 +22,11 @@ def device_to_dict(d: DeviceSpec) -> dict:
     }
 
 
-def device_from_dict(data: dict) -> DeviceSpec:
-    return DeviceSpec(
-        data["id"], data["direction"], data["channel"], tuple(data.get("output_levels", ()))
-    )
-
-
 def body_to_dict(body: BodyConfig) -> dict:
     return {
         "devices": [device_to_dict(d) for d in body.devices],
         "enabled": {d.id: bool(body.enabled[d.id]) for d in body.devices},
     }
-
-
-def body_from_dict(data: dict) -> BodyConfig:
-    devices = tuple(device_from_dict(d) for d in data["devices"])
-    return BodyConfig(devices, {d.id: bool(data["enabled"][d.id]) for d in devices})
 
 
 def topology_to_dict(topology: ControllerTopology) -> dict:
@@ -63,20 +52,6 @@ def topology_from_dict(data: dict) -> ControllerTopology:
         for c in data["connections"]
     )
     return ControllerTopology(neurons, connections)
-
-
-def spec_to_dict(spec: AgentSpec) -> dict:
-    return {
-        "agent_id": spec.agent_id,
-        "body": body_to_dict(spec.body),
-        "controller": topology_to_dict(spec.controller),
-    }
-
-
-def spec_from_dict(data: dict) -> AgentSpec:
-    return AgentSpec(
-        data["agent_id"], body_from_dict(data["body"]), topology_from_dict(data["controller"])
-    )
 
 
 def canonical_json(data) -> str:

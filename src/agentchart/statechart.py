@@ -10,7 +10,7 @@ before the macrostep returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -500,7 +500,3 @@ def check_configuration(chart: Statechart, config: Configuration) -> None:
         elif node.kind == AND:
             live = [c for c in node.children if c in active]
             assert len(live) == len(node.children), f"and-composite {sid} missing regions"
-
-
-def with_history(config: Configuration, **updates) -> Configuration:
-    return replace(config, **updates)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .body import BodyConfig, DeviceSpec, configure_body
 from .environment import ContextRule, Environment, EnvVariable, EpisodeTrace
-from .errors import InvalidParams
+from .errors import require
 from .evaluation import EvaluationRecord
 
 LEVELS = ("OFF", "DIM", "ON")
@@ -36,7 +36,12 @@ class AmbientProfile:
 
     kind: str = "cosine"  # cosine | constant
     value: float = 1.0  # constant only
-    period: int | None = None  # cosine only; default episode_ticks / 2
+    period: int = 0  # cosine only; 0 means episode_ticks // 2
+
+    def __post_init__(self):
+        require(self.kind in ("cosine", "constant"), "ambient.kind must be 'cosine' or 'constant'")
+        require(0.0 <= self.value <= 1.0, "ambient.value must lie in [0, 1]")
+        require(self.period >= 0, "ambient.period must be >= 0")
 
     def __call__(self, tick: int, episode_ticks: int) -> float:
         if self.kind == "constant":
@@ -51,6 +56,10 @@ class PeopleProcess:
 
     kind: str = "random"  # random | none
     rate: float = 0.3
+
+    def __post_init__(self):
+        require(self.kind in ("random", "none"), "people.kind must be 'random' or 'none'")
+        require(0.0 <= self.rate <= 1.0, "people.rate must lie in [0, 1]")
 
     def sample(self, seed: int, ticks: int, n_lights: int) -> np.ndarray:
         if self.kind == "none":
@@ -70,6 +79,15 @@ class StreetlightRules:
     energy_on: float = 1.0
     target_brightness: float = 0.6
 
+    def __post_init__(self):
+        for group, weights in (("w_energy", self.w_energy), ("w_dark", self.w_dark)):
+            for ctx, w in weights.items():
+                require(w >= 0, f"score.{group}.{ctx} must be >= 0")
+        require(self.energy_on >= 0, "score.energy_on must be >= 0")
+        require(
+            0.0 <= self.target_brightness <= 1.0, "score.target_brightness must lie in [0, 1]"
+        )
+
     def energy_of(self, level: str) -> float:
         # DIM draws half of ON
         return {LEVELS[0]: 0.0, LEVELS[1]: 0.5 * self.energy_on, LEVELS[2]: self.energy_on}[level]
@@ -77,7 +95,7 @@ class StreetlightRules:
 
 @dataclass
 class StreetLightScenario:
-    n_lights: int
+    n_lights: int = 10
     episode_ticks: int = 200
     ambient: AmbientProfile = field(default_factory=AmbientProfile)
     people: PeopleProcess = field(default_factory=PeopleProcess)
@@ -91,15 +109,24 @@ class StreetLightScenario:
     devices: tuple[DeviceSpec, ...] = ()
 
     def __post_init__(self):
-        if self.n_lights < 1:
-            raise InvalidParams("n_lights must be positive")
-        if self.episode_ticks < 1:
-            raise InvalidParams("episode_ticks must be positive")
-        if self.neighbor_radius < 1:
-            raise InvalidParams("neighbor_radius must be positive")
+        require(self.n_lights >= 1, "n_lights must be >= 1")
+        require(self.episode_ticks >= 1, "episode_ticks must be >= 1")
+        require(self.neighbor_radius >= 1, "neighbor_radius must be >= 1")
+        require(self.spillover >= 0, "spillover must be >= 0")
+        require(0.0 <= self.dusk_threshold <= 1.0, "dusk_threshold must lie in [0, 1]")
         c = self.light_contribution
-        if not (0.0 == c.get("OFF", 0.0) <= c["DIM"] <= c["ON"]):
-            raise InvalidParams("light contributions must satisfy 0 = OFF <= DIM <= ON")
+        require(
+            0.0 == c.get("OFF", 0.0) <= c["DIM"] <= c["ON"],
+            "light_contribution must satisfy 0 = OFF <= DIM <= ON",
+        )
+        # per light and tick, energy is at most energy_on and the darkness
+        # deficit at most 1, so this bounds the episode score
+        r = self.rules
+        worst_tick = max(r.w_energy.values()) * r.energy_on + max(r.w_dark.values())
+        require(
+            math.isfinite(worst_tick * self.n_lights * self.episode_ticks),
+            "score weights are too large: the episode score would overflow",
+        )
         if not self.devices:
             self.devices = device_template()
 
@@ -212,10 +239,6 @@ def device_template() -> tuple[DeviceSpec, ...]:
         DeviceSpec(WIRELESS_SPEAKER, "output", "comm"),
         DeviceSpec(LIGHT_SWITCH, "output", "light@self", LEVELS),
     )
-
-
-def build_streetlight_scenario(**params) -> StreetLightScenario:
-    return StreetLightScenario(**params)
 
 
 def streetlight_score(

@@ -1,10 +1,14 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from agentchart.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
-from agentchart.config import default_config, resolve_config
+from agentchart.config import default_config, load_scenario, resolve_config
 from agentchart.errors import ConfigError, RangeError, UnknownKey
+from agentchart.evaluation import initial_genotype, run_episode
 
 SMALL = {
     "n_lights": 2,
@@ -20,8 +24,57 @@ def scenario_file(tmp_path):
     return path
 
 
+EMPTY_CONTROLLER = {"neurons": [], "connections": []}
+
+
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def _paths(tree, prefix=()):
+    for key, value in tree.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+OTHER_TYPES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+SAME_TYPE = {
+    float: st.one_of(st.floats(), NON_FINITE, st.integers()),
+    int: st.one_of(st.integers(), st.floats()),
+    str: st.text(max_size=8),
+}
+
+
+@st.composite
+def mutated_configs(draw):
+    """The default scenario with keys dropped or misspelt, or with values
+    of the wrong type, non-finite or out of range."""
+    cfg = default_config()
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(cfg))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        node = cfg
+        for part in parents:
+            node = node[part]
+        action = draw(st.sampled_from(["drop", "misspell", "retype", "perturb"]))
+        if action == "drop":
+            del node[key]
+        elif action == "misspell":
+            node[key + draw(st.sampled_from(["s", "_", "X"]))] = node.pop(key)
+        elif action == "retype" or type(node[key]) not in SAME_TYPE:
+            node[key] = draw(OTHER_TYPES)
+        else:
+            node[key] = draw(SAME_TYPE[type(node[key])])
+    return cfg
 
 
 class TestConfig:
@@ -61,12 +114,23 @@ class TestValidateCommand:
         assert run_cli("validate", "--scenario", scenario_file) == EXIT_OK
         assert "ok:" in capsys.readouterr().out
 
-    def test_bad_json_exits_2_with_location(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            pytest.param('{"n_lights": 2,}', "line 1", id="trailing_comma"),
+            pytest.param('{"spillover": NaN}', "NaN", id="nan"),
+            pytest.param('{"spillover": Infinity}', "Infinity", id="inf"),
+            pytest.param('{"ambient": {"value": -Infinity}}', "-Infinity", id="minus_inf"),
+            pytest.param('{"spillover": 1e999}', "1e999", id="float_overflow"),
+            pytest.param('{"spillover": 1%s}' % ("0" * 400), "1000", id="int_overflow"),
+        ],
+    )
+    def test_bad_json_exits_2(self, tmp_path, capsys, text, shown):
         path = tmp_path / "broken.json"
-        path.write_text('{"n_lights": 2,}')
+        path.write_text(text)
         assert run_cli("validate", "--scenario", path) == EXIT_PARSE
         err = capsys.readouterr().err
-        assert "line 1" in err
+        assert shown in err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "typo.json"
@@ -74,11 +138,40 @@ class TestValidateCommand:
         assert run_cli("validate", "--scenario", path) == EXIT_PARSE
         assert "n_ligths" in capsys.readouterr().err
 
-    def test_range_error_exits_3(self, tmp_path, capsys):
-        path = tmp_path / "zero.json"
-        path.write_text('{"n_lights": 0}')
+    @pytest.mark.parametrize(
+        "data, shown",
+        [
+            pytest.param({"n_lights": 0}, "n_lights", id="n_lights"),
+            pytest.param({"dusk_threshold": 1.5}, "dusk_threshold", id="dusk_threshold"),
+            pytest.param(
+                {"score": {"target_brightness": -0.1}}, "score.target_brightness",
+                id="target_brightness",
+            ),
+            pytest.param({"ambient": {"period": -1}}, "ambient.period", id="period"),
+            pytest.param(
+                {"score": {"w_energy": {"day": 1e308}}}, "overflow", id="score_overflow"
+            ),
+        ],
+    )
+    def test_range_error_exits_3(self, tmp_path, capsys, data, shown):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
         assert run_cli("validate", "--scenario", path) == EXIT_VALIDATION
-        assert "n_lights" in capsys.readouterr().err
+        assert shown in capsys.readouterr().err
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=mutated_configs())
+    def test_mutated_scenarios_exit_cleanly(self, tmp_path, data):
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(data))
+        code = run_cli("validate", "--scenario", path)
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION)
+        if code == EXIT_OK:
+            scenario = replace(load_scenario(path).scenario, n_lights=2, episode_ticks=3)
+            record, _ = run_episode(scenario, initial_genotype(scenario, 0), 0)
+            assert math.isfinite(record.score)
 
 
 def run_small_search(scenario_file, out_dir, *extra):
@@ -152,6 +245,14 @@ class TestRunCommand:
         )
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("flag", ["--generations", "--lambda", "--jobs"])
+    def test_bad_count_exits_3(self, scenario_file, tmp_path, capsys, flag):
+        code = run_cli(
+            "run", "--scenario", scenario_file, "--seed", 1, flag, 0, "--out", tmp_path / "out",
+        )
+        assert code == EXIT_VALIDATION
+        assert flag.lstrip("-") in capsys.readouterr().err
+
 
 class TestReplayCommand:
     def test_replay_reproduces_recorded_score(self, scenario_file, tmp_path, capsys):
@@ -169,3 +270,22 @@ class TestReplayCommand:
         best = json.loads((out / "best_agent.json").read_text())
         assert f"score={best['score']!r}" in printed
         assert f"config_digest={best['config_digest']}" in printed
+
+    @pytest.mark.parametrize(
+        "agent",
+        [
+            pytest.param({"selection": {}}, id="no_controller"),
+            pytest.param({"controller": EMPTY_CONTROLLER}, id="no_selection"),
+            pytest.param(
+                {"selection": {"laser": True}, "controller": EMPTY_CONTROLLER},
+                id="undeclared_device",
+            ),
+            pytest.param([], id="not_an_object"),
+        ],
+    )
+    def test_bad_agent_file_exits_2(self, scenario_file, tmp_path, capsys, agent):
+        path = tmp_path / "agent.json"
+        path.write_text(json.dumps(agent))
+        code = run_cli("replay", "--agent", path, "--scenario", scenario_file, "--seed", 5)
+        assert code == EXIT_PARSE
+        assert str(path) in capsys.readouterr().err
