@@ -32,11 +32,9 @@ from .evaluation import (
     EvaluationRecord,
     Genotype,
     ReconfigurationCommand,
-    ScoreRule,
     SearchPolicy,
     Stop,
     decide,
-    evaluate_episode,
     run_episode,
     run_search,
 )

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import statechart as sc
 from .controller import (
+    HIDDEN,
     INPUT,
     OUTPUT,
     Connection,
@@ -117,7 +118,7 @@ def derive_controller(
 
     neurons: list[Neuron] = [Neuron(nid, INPUT) for nid in input_ids]
     neurons += [Neuron(nid, OUTPUT) for nid in output_ids]
-    prior_hidden = [n for n in (prior.neurons if prior else ()) if n.layer == "hidden"]
+    prior_hidden = [n for n in (prior.neurons if prior else ()) if n.layer == HIDDEN]
     prior_by_id = {n.id: n for n in (prior.neurons if prior else ())}
     # keep prior biases for surviving io neurons
     neurons = [

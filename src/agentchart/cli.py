@@ -8,13 +8,13 @@ run can be reproduced from its artifacts alone.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .body import configure_body
-from .config import LoadedScenario, load_scenario
+from .config import LoadedScenario, load_scenario, read_json
+from .controller import INPUT, OUTPUT
 from .errors import ConfigError, RangeError, UnknownDevice
 from .evaluation import Genotype, SearchResult, genotype_digest, run_episode, run_search
 from .serialize import canonical_json, topology_from_dict, topology_to_dict
@@ -120,11 +120,15 @@ def write_outputs(out: Path, args, loaded: LoadedScenario, result: SearchResult)
 
 def cmd_replay(args) -> int:
     loaded = _load(args.scenario, args.ticks)
+    data = read_json(args.agent)
     try:
-        data = json.loads(Path(args.agent).read_text())
         genotype = Genotype(dict(data["selection"]), topology_from_dict(data["controller"]))
-        configure_body(list(loaded.scenario.devices), genotype.selection)  # undeclared devices
-    except (OSError, ValueError, LookupError, TypeError, UnknownDevice) as exc:
+        body = configure_body(list(loaded.scenario.devices), genotype.selection)
+        # the controller must mirror the body, as derive_controller builds it
+        for layer, devices in ((INPUT, body.enabled_inputs()), (OUTPUT, body.enabled_outputs())):
+            if set(genotype.topology.ids(layer)) != {d.id for d in devices}:
+                raise ValueError(f"{layer} neurons do not match the enabled {layer} devices")
+    except (ValueError, LookupError, TypeError, UnknownDevice) as exc:
         raise ConfigError(f"{args.agent}: not a saved agent: {exc!r}") from exc
     record, _ = run_episode(loaded.scenario, genotype, args.seed)
     digest = genotype_digest(loaded.scenario, genotype)

@@ -102,10 +102,11 @@ def _finite_number(parse):
     return hook
 
 
-def load_scenario(path: str | Path) -> LoadedScenario:
-    """Read, default, validate.  ConfigError carries location info."""
+def read_json(path: str | Path):
+    """Strict JSON: every number must fit a finite double.  ConfigError
+    carries location info."""
     try:
-        data = json.loads(
+        return json.loads(
             Path(path).read_text(),
             parse_int=_finite_number(int),
             parse_float=_finite_number(float),
@@ -115,6 +116,11 @@ def load_scenario(path: str | Path) -> LoadedScenario:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def load_scenario(path: str | Path) -> LoadedScenario:
+    """Read, default, validate."""
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return build_scenario(data)

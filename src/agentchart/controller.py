@@ -230,21 +230,3 @@ def _fresh_connection_id(topology: ControllerTopology) -> str:
         k += 1
     return f"c{k}"
 
-
-def full_bipartite(
-    input_ids: list[str],
-    output_ids: list[str],
-    rng: np.random.Generator,
-    weight_sigma: float = 1.0,
-) -> ControllerTopology:
-    """Default topology: direct input->output graph, Gaussian weights."""
-    neurons = tuple(
-        [Neuron(nid, INPUT) for nid in input_ids] + [Neuron(nid, OUTPUT) for nid in output_ids]
-    )
-    connections = []
-    k = 0
-    for i in input_ids:
-        for o in output_ids:
-            connections.append(Connection(f"c{k}", i, o, float(rng.normal(0.0, weight_sigma))))
-            k += 1
-    return ControllerTopology(neurons, tuple(connections))

@@ -23,7 +23,7 @@ UpdateRule = Callable[[int, Mapping[str, float], Mapping[str, list[tuple[str, ob
 @dataclass
 class EnvVariable:
     name: str
-    value: float
+    value: float  # initial value; the current one lives in Environment.values
     update_rule: UpdateRule
 
 
@@ -54,15 +54,15 @@ class Environment:
         self.pending_effects: list[tuple[str, str, object]] = []
         self._comm_outbox: list[tuple[str, object]] = []
         self.comm_mailbox: dict[str, list[tuple[str, object]]] = {}
-        self.context = self._select_context(self.snapshot())
+        # current values; step() replaces this mapping and never mutates it,
+        # so snapshots and update rules may hold on to it
+        self.values: dict[str, float] = {name: var.value for name, var in self.variables.items()}
+        self.context = self._select_context(self.values)
 
     def register_agent(self, agent_id: str, body: BodyConfig) -> None:
         self.bodies[agent_id] = body
         self.neighbors.setdefault(agent_id, [])
         self.comm_mailbox.setdefault(agent_id, [])
-
-    def snapshot(self) -> dict[str, float]:
-        return {name: var.value for name, var in self.variables.items()}
 
     def _select_context(self, snapshot: Mapping[str, float]) -> str:
         for rule in self.context_rules:
@@ -107,7 +107,7 @@ class Environment:
     def step(self, trace: list[TraceEvent] | None = None) -> None:
         """Advance one tick: simultaneous variable update, mailbox swap,
         context re-selection."""
-        snapshot = MappingProxyType(self.snapshot())
+        previous = self.values
         effects: dict[str, list[tuple[str, object]]] = {}
         for agent_id, channel, value in self.pending_effects:
             effects.setdefault(channel, []).append((agent_id, value))
@@ -116,15 +116,18 @@ class Environment:
         new_tick = self.tick + 1
         new_values: dict[str, float] = {}
         for name, var in self.variables.items():
-            value = float(var.update_rule(new_tick, snapshot, effects_view))
+            value = float(var.update_rule(new_tick, previous, effects_view))
             if not math.isfinite(value):
                 raise NonFiniteVariable(f"variable {name!r} became non-finite: {value}")
             new_values[name] = value
-        for name, value in new_values.items():
-            old = self.variables[name].value
-            self.variables[name].value = value
-            if trace is not None and value != old:
-                trace.append(TraceEvent(new_tick, "env", "perturbed", name, f"{old!r}->{value!r}"))
+        if trace is not None:
+            for name, value in new_values.items():
+                old = previous[name]
+                if value != old:
+                    trace.append(
+                        TraceEvent(new_tick, "env", "perturbed", name, f"{old!r}->{value!r}")
+                    )
+        self.values = new_values
 
         # messages sent at tick t are readable at t+1 and gone at t+2
         mailbox: dict[str, list[tuple[str, object]]] = {aid: [] for aid in self.bodies}
@@ -136,7 +139,7 @@ class Environment:
         self._comm_outbox = []
         self.pending_effects = []
         self.tick = new_tick
-        self.context = self._select_context(self.snapshot())
+        self.context = self._select_context(new_values)
 
     def perceive(self, agent_id: str) -> Percept:
         """One value per enabled input device of the agent.
@@ -156,11 +159,11 @@ class Environment:
                 else:
                     percept[device.id] = 0.0
             else:
-                if device.channel not in self.variables:
+                if device.channel not in self.values:
                     raise UnknownChannel(
                         f"sensor {device.id!r} reads unknown variable {device.channel!r}"
                     )
-                percept[device.id] = self.variables[device.channel].value
+                percept[device.id] = self.values[device.channel]
         return percept
 
 
@@ -174,7 +177,7 @@ class TickSnapshot:
 
 
 def snapshot_row(env: Environment) -> TickSnapshot:
-    return TickSnapshot(env.tick, env.snapshot(), env.context)
+    return TickSnapshot(env.tick, env.values, env.context)
 
 
 @dataclass

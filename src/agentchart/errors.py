@@ -49,14 +49,6 @@ class UnknownChannel(AgentChartError):
     pass
 
 
-class UnknownVariable(AgentChartError):
-    pass
-
-
-class MissingContextWeight(AgentChartError):
-    pass
-
-
 class InvalidParams(AgentChartError):
     pass
 

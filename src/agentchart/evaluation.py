@@ -1,9 +1,10 @@
-"""Task evaluation and the reconfiguration cycle.
+"""Episodes and the reconfiguration cycle.
 
-Episodes are scored with context-weighted sums over the environment
-trace; a patience-based policy picks between "adjust" (connection-only
-mutation) and "reconfigure" (structural body search), driving a (1+λ)
-hill climb over a homogeneous controller genotype.
+An episode runs every agent of a scenario under one shared genotype and
+hands the trace to the scenario's own score (for the street lights,
+``agentchart.streetlight.streetlight_score``).  A patience-based policy
+picks between "adjust" (connection-only mutation) and "reconfigure"
+(structural body search), driving a (1+λ) hill climb over the genotype.
 """
 
 from __future__ import annotations
@@ -19,22 +20,12 @@ import numpy as np
 from .body import AgentRuntime, AgentSpec, BodyConfig, DeviceSpec, configure_body, derive_controller, step_agent
 from .controller import ControllerTopology, MutationPolicy, mutate_connections
 from .environment import Environment, EpisodeTrace, TickSnapshot, snapshot_row
-from .errors import MissingContextWeight, UnknownVariable, require
+from .errors import require
 from .serialize import config_digest
 from .statechart import TraceEvent
 
-MINIMIZE = "minimize"
-MAXIMIZE = "maximize"
-
 ADJUST = "adjust"
 RECONFIGURE = "reconfigure"
-
-
-@dataclass(frozen=True)
-class ScoreRule:
-    variable: str
-    weight: dict[str, float]  # context id -> weight >= 0
-    direction: str = MINIMIZE
 
 
 @dataclass(frozen=True)
@@ -78,33 +69,6 @@ class SearchPolicy:
     def __post_init__(self):
         require(self.patience >= 1, "search.patience must be >= 1")
         require(self.budget >= 1, "search.budget must be >= 1")
-
-
-def evaluate_episode(
-    snapshots: list[TickSnapshot],
-    rules: list[ScoreRule],
-    episode: int = 0,
-    digest: str = "",
-) -> EvaluationRecord:
-    """Context-weighted linear score over an episode trace.
-
-    Maximize-rules are negated so that lower is always better.
-    """
-    if not snapshots:
-        raise UnknownVariable("episode trace must cover at least one tick")
-    breakdown: dict[str, float] = {}
-    for snap in snapshots:
-        for rule in rules:
-            if rule.variable not in snap.variables:
-                raise UnknownVariable(f"score rule names unknown variable {rule.variable!r}")
-            if snap.context not in rule.weight:
-                raise MissingContextWeight(
-                    f"rule on {rule.variable!r} has no weight for context {snap.context!r}"
-                )
-            sign = -1.0 if rule.direction == MAXIMIZE else 1.0
-            term = sign * rule.weight[snap.context] * snap.variables[rule.variable]
-            breakdown[snap.context] = breakdown.get(snap.context, 0.0) + term
-    return EvaluationRecord(episode, sum(breakdown.values()), breakdown, digest)
 
 
 def decide(history: list[EvaluationRecord], policy: SearchPolicy) -> ReconfigurationCommand | Stop:
@@ -263,6 +227,23 @@ def all_selections(devices: tuple[DeviceSpec, ...]) -> list[dict[str, bool]]:
     return [dict(zip(ids, bits)) for bits in itertools.product([False, True], repeat=len(ids))]
 
 
+def _sweep(scenario: Scenario, seed: int, incumbent: Genotype) -> list[Genotype]:
+    """One candidate per enabled-set.  Every controller is derived from one
+    fully-enabled base topology and inherits its weights, so all 2^d
+    configurations are compared on equal terms."""
+    base_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
+    all_on = {d.id: True for d in scenario.devices}
+    base = derive_controller(
+        configure_body(list(scenario.devices), all_on),
+        prior=incumbent.topology,
+        rng=base_rng,
+    )
+    return [
+        Genotype(sel, derive_controller(configure_body(list(scenario.devices), sel), prior=base))
+        for sel in all_selections(scenario.devices)
+    ]
+
+
 def run_search(
     scenario: Scenario,
     seed: int,
@@ -305,47 +286,21 @@ def run_search(
                 return list(pool.map(one, items))
         return [one(item) for item in items]
 
-    if exhaustive:
-        # one fully-enabled base topology; every enabled-set inherits its
-        # weights, so all 2^d configurations are compared on equal terms
-        base_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
-        all_on = {d.id: True for d in scenario.devices}
-        base = derive_controller(
-            configure_body(list(scenario.devices), all_on),
-            prior=incumbent.topology,
-            rng=base_rng,
-        )
-        candidates = [
-            Genotype(
-                sel,
-                derive_controller(configure_body(list(scenario.devices), sel), prior=base),
-            )
-            for sel in all_selections(scenario.devices)
-        ]
-        records = evaluate_all(candidates, len(history))
-        history.extend(records)
+    # an exhaustive run is one generation, the sweep, without the policy
+    for generation in range(1, 2 if exhaustive else generations):
+        if exhaustive:
+            kind, candidates = RECONFIGURE, _sweep(scenario, seed, incumbent)
+        else:
+            command = decide(history, policy)
+            if isinstance(command, Stop):
+                break
+            kind = command.kind
+            candidates = [
+                _mutate(scenario, incumbent, command, _candidate_rng(seed, generation, k))
+                for k in range(lam)
+            ]
         if on_generation:
-            on_generation(1, RECONFIGURE, incumbent, candidates)
-        finite = [r.score for r in records if math.isfinite(r.score)]
-        mean = sum(finite) / len(finite) if finite else math.inf
-        best_k = min(range(len(records)), key=lambda k: (records[k].score, k))
-        if records[best_k].score < best_record.score:
-            incumbent, best_record = candidates[best_k], records[best_k]
-        metrics.append(
-            MetricsRow(1, best_record.score, mean, RECONFIGURE, best_record.config_digest)
-        )
-        return SearchResult(incumbent, best_record, history, metrics)
-
-    for generation in range(1, generations):
-        command = decide(history, policy)
-        if isinstance(command, Stop):
-            break
-        candidates = [
-            _mutate(scenario, incumbent, command, _candidate_rng(seed, generation, k))
-            for k in range(lam)
-        ]
-        if on_generation:
-            on_generation(generation, command.kind, incumbent, candidates)
+            on_generation(generation, kind, incumbent, candidates)
         records = evaluate_all(candidates, len(history))
         history.extend(records)
         finite = [r.score for r in records if math.isfinite(r.score)]
@@ -354,8 +309,6 @@ def run_search(
         if records[best_k].score < best_record.score:
             incumbent, best_record = candidates[best_k], records[best_k]
         metrics.append(
-            MetricsRow(
-                generation, best_record.score, mean, command.kind, best_record.config_digest
-            )
+            MetricsRow(generation, best_record.score, mean, kind, best_record.config_digest)
         )
     return SearchResult(incumbent, best_record, history, metrics)

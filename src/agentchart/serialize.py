@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from .body import BodyConfig, DeviceSpec
-from .controller import Connection, ControllerTopology, Neuron
+from .controller import HIDDEN, INPUT, OUTPUT, Connection, ControllerTopology, Neuron
 
 
 def device_to_dict(d: DeviceSpec) -> dict:
@@ -42,15 +43,36 @@ def topology_to_dict(topology: ControllerTopology) -> dict:
     }
 
 
+def _finite(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"weights and biases must be finite numbers, not {value!r}")
+    return float(value)
+
+
 def topology_from_dict(data: dict) -> ControllerTopology:
+    """Inverse of topology_to_dict.  Raises ValueError for a controller
+    that eval_net could not evaluate: an unknown layer, a duplicate id, a
+    connection to no neuron, or a weight or bias that is not finite."""
     neurons = tuple(
-        Neuron(n["id"], n["layer"], bool(n.get("enabled", True)), float(n.get("bias", 0.0)))
+        Neuron(n["id"], n["layer"], bool(n.get("enabled", True)), _finite(n.get("bias", 0.0)))
         for n in data["neurons"]
     )
     connections = tuple(
-        Connection(c["id"], c["from"], c["to"], float(c["weight"]), bool(c.get("enabled", True)))
+        Connection(
+            c["id"], c["from"], c["to"], _finite(c["weight"]), bool(c.get("enabled", True))
+        )
         for c in data["connections"]
     )
+    neuron_ids = [n.id for n in neurons]
+    for n in neurons:
+        if n.layer not in (INPUT, HIDDEN, OUTPUT):
+            raise ValueError(f"neuron {n.id!r} has unknown layer {n.layer!r}")
+    for ids in (neuron_ids, [c.id for c in connections]):
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate id in {ids!r}")
+    for c in connections:
+        if c.from_id not in neuron_ids or c.to_id not in neuron_ids:
+            raise ValueError(f"connection {c.id!r} names no neuron")
     return ControllerTopology(neurons, connections)
 
 

@@ -16,12 +16,10 @@ from test_controller import oracle_eval, random_topology
 from agentchart.body import AgentRuntime, AgentSpec, configure_body, derive_controller, step_agent
 from agentchart.cli import EXIT_OK, main as cli_main
 from agentchart.controller import ControllerState, Neuron, ControllerTopology, eval_net
-from agentchart.environment import TickSnapshot
+from agentchart.environment import EpisodeTrace, TickSnapshot
 from agentchart.evaluation import (
     ADJUST,
     Genotype,
-    ScoreRule,
-    evaluate_episode,
     run_episode,
     run_search,
 )
@@ -31,7 +29,9 @@ from agentchart.streetlight import (
     AmbientProfile,
     PeopleProcess,
     StreetLightScenario,
+    StreetlightRules,
     device_template,
+    streetlight_score,
 )
 from conftest import EVENT_ALPHABET, history_motif_chart, random_chart
 from test_body import street_devices
@@ -178,7 +178,7 @@ def test_criterion_4_embodiment_loop():
     ok = (
         percept_t0 == {"lighting_sensor": 0.0}
         and actions_t0 == {"light_switch": "ON"}
-        and env.snapshot()["brightness_0"] == 0.7
+        and env.values["brightness_0"] == 0.7
         and percept_t1 == {"lighting_sensor": 0.7}
         and actions_t1 == {"light_switch": "ON"}
     )
@@ -294,30 +294,37 @@ def test_criterion_8_cli_determinism(tmp_path):
 
 
 def test_criterion_9_scoring_linearity():
+    """The street-light score, which every run uses: scaling both weight
+    tables by c scales every score by c and keeps the argmin."""
     rng = random.Random(31)
     contexts = ["day", "night"]
+    n_lights = 3
     ok = True
 
     def random_trace():
-        return [
-            TickSnapshot(
-                t + 1,
-                {f"v{j}": rng.uniform(-3, 3) for j in range(3)},
-                rng.choice(contexts),
-            )
-            for t in range(6)
-        ]
+        snapshots = []
+        for t in range(6):
+            variables = {}
+            for i in range(n_lights):
+                variables[f"energy_{i}"] = rng.choice([0.0, 0.5, 1.0])
+                variables[f"people_flow_{i}"] = rng.random()
+                variables[f"brightness_{i}"] = rng.random()
+            snapshots.append(TickSnapshot(t + 1, variables, rng.choice(contexts)))
+        return EpisodeTrace(snapshots)
 
     for trial in range(30):
-        rules = [
-            ScoreRule(f"v{j}", {c: rng.uniform(0.1, 2.0) for c in contexts})
-            for j in range(3)
-        ]
+        rules = StreetlightRules(
+            w_energy={ctx: rng.uniform(0.1, 2.0) for ctx in contexts},
+            w_dark={ctx: rng.uniform(0.1, 2.0) for ctx in contexts},
+        )
         c = rng.uniform(0.1, 10.0)
-        scaled = [ScoreRule(r.variable, {k: c * w for k, w in r.weight.items()}) for r in rules]
+        scaled = StreetlightRules(
+            w_energy={k: c * w for k, w in rules.w_energy.items()},
+            w_dark={k: c * w for k, w in rules.w_dark.items()},
+        )
         candidates = [random_trace() for _ in range(8)]
-        base = [evaluate_episode(t, rules).score for t in candidates]
-        big = [evaluate_episode(t, scaled).score for t in candidates]
+        base = [streetlight_score(t, rules, n_lights).score for t in candidates]
+        big = [streetlight_score(t, scaled, n_lights).score for t in candidates]
         for s0, s1 in zip(base, big):
             scale = abs(s0) if s0 != 0 else 1.0
             if abs(s1 - c * s0) > 1e-12 * max(1.0, c * scale):

@@ -25,6 +25,19 @@ def scenario_file(tmp_path):
 
 
 EMPTY_CONTROLLER = {"neurons": [], "connections": []}
+SENSOR_SWITCH_NEURONS = [
+    {"id": "lighting_sensor", "layer": "input"},
+    {"id": "light_switch", "layer": "output"},
+]
+SENSOR_SWITCH_EDGE = {"id": "c0", "from": "lighting_sensor", "to": "light_switch", "weight": 1.5}
+
+
+def sensor_switch_agent(neurons=SENSOR_SWITCH_NEURONS, connections=(SENSOR_SWITCH_EDGE,)):
+    """A hand-written agent: lighting sensor wired to the light switch."""
+    return {
+        "selection": {"lighting_sensor": True, "light_switch": True},
+        "controller": {"neurons": list(neurons), "connections": list(connections)},
+    }
 
 
 def run_cli(*argv):
@@ -281,6 +294,28 @@ class TestReplayCommand:
                 id="undeclared_device",
             ),
             pytest.param([], id="not_an_object"),
+            pytest.param(
+                sensor_switch_agent(connections=[{**SENSOR_SWITCH_EDGE, "to": "ghost"}]),
+                id="dangling_connection",
+            ),
+            pytest.param(
+                sensor_switch_agent(SENSOR_SWITCH_NEURONS + [{"id": "h0", "layer": "cortex"}]),
+                id="unknown_layer",
+            ),
+            pytest.param(
+                sensor_switch_agent(SENSOR_SWITCH_NEURONS[1:], connections=[]),
+                id="dropped_neuron",
+            ),
+            pytest.param(
+                sensor_switch_agent(
+                    [{**SENSOR_SWITCH_NEURONS[0], "bias": "Infinity"}, SENSOR_SWITCH_NEURONS[1]]
+                ),
+                id="infinite_bias",
+            ),
+            pytest.param(
+                sensor_switch_agent(connections=[{**SENSOR_SWITCH_EDGE, "weight": "NaN"}]),
+                id="nan_weight",
+            ),
         ],
     )
     def test_bad_agent_file_exits_2(self, scenario_file, tmp_path, capsys, agent):
@@ -289,3 +324,11 @@ class TestReplayCommand:
         code = run_cli("replay", "--agent", path, "--scenario", scenario_file, "--seed", 5)
         assert code == EXIT_PARSE
         assert str(path) in capsys.readouterr().err
+
+    def test_hand_written_agent_replays(self, scenario_file, tmp_path, capsys):
+        # the valid agent that the bad cases above are edited from
+        path = tmp_path / "agent.json"
+        path.write_text(json.dumps(sensor_switch_agent()))
+        code = run_cli("replay", "--agent", path, "--scenario", scenario_file, "--seed", 5)
+        assert code == EXIT_OK
+        assert "score=" in capsys.readouterr().out

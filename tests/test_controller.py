@@ -11,12 +11,23 @@ from agentchart.controller import (
     MutationPolicy,
     Neuron,
     eval_net,
-    full_bipartite,
     mutate_connections,
     sigmoid,
 )
 from agentchart.errors import NonFiniteInput
 from agentchart.serialize import canonical_json, topology_to_dict
+
+
+def bipartite(input_ids, output_ids, rng):
+    """Direct input->output topology with standard-normal weights."""
+    neurons = tuple(
+        [Neuron(nid, "input") for nid in input_ids] + [Neuron(nid, "output") for nid in output_ids]
+    )
+    pairs = [(i, o) for i in input_ids for o in output_ids]
+    connections = tuple(
+        Connection(f"c{k}", i, o, float(rng.normal())) for k, (i, o) in enumerate(pairs)
+    )
+    return ControllerTopology(neurons, connections)
 
 
 def oracle_eval(topology, state, inputs):
@@ -117,7 +128,7 @@ class TestEvalNet:
             assert outputs["o0"] == pytest.approx(expected["o0"], abs=1e-12)
 
     def test_non_finite_input_rejected(self):
-        topo = full_bipartite(["i0"], ["o0"], np.random.default_rng(0))
+        topo = bipartite(["i0"], ["o0"], np.random.default_rng(0))
         with pytest.raises(NonFiniteInput):
             eval_net(topo, ControllerState(), {"i0": float("nan")})
 
@@ -155,7 +166,7 @@ class TestEvalNet:
 
     def test_feedforward_net_is_state_independent(self):
         rng = np.random.default_rng(3)
-        topo = full_bipartite(["i0", "i1"], ["o0"], rng)
+        topo = bipartite(["i0", "i1"], ["o0"], rng)
         inputs = {"i0": 0.4, "i1": 0.9}
         out_empty, _ = eval_net(topo, ControllerState(), inputs)
         out_loaded, _ = eval_net(topo, ControllerState({"o0": 0.99, "i0": 0.1}), inputs)
@@ -165,7 +176,7 @@ class TestEvalNet:
 class TestMutateConnections:
     def test_weights_only_when_toggle_and_add_off(self):
         rng = np.random.default_rng(42)
-        topo = full_bipartite(["i0", "i1"], ["o0", "o1"], rng)
+        topo = bipartite(["i0", "i1"], ["o0", "o1"], rng)
         policy = MutationPolicy(weight_sigma=0.3, toggle_prob=0.0, add_prob=0.0)
         mutated = mutate_connections(topo, np.random.default_rng(1), policy)
         assert mutated.neurons == topo.neurons
@@ -180,7 +191,7 @@ class TestMutateConnections:
         assert mutated == topo
 
     def test_seed_determinism(self):
-        topo = full_bipartite(["i0", "i1", "i2"], ["o0", "o1"], np.random.default_rng(9))
+        topo = bipartite(["i0", "i1", "i2"], ["o0", "o1"], np.random.default_rng(9))
         policy = MutationPolicy(weight_sigma=0.4, toggle_prob=0.3, add_prob=0.9)
         a = mutate_connections(topo, np.random.default_rng(77), policy)
         b = mutate_connections(topo, np.random.default_rng(77), policy)

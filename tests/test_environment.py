@@ -44,7 +44,7 @@ class TestApplyEffects:
         env.register_agent("a0", body)
         env.apply_effects([("a0", {"lamp": 0.25})])
         env.step()
-        assert env.variables["bright"].value == pytest.approx(0.35)
+        assert env.values["bright"] == pytest.approx(0.35)
         assert seen == {"bright": [("a0", 0.25)]}
 
     def test_unknown_channel_rejected(self):
@@ -59,7 +59,7 @@ class TestApplyEffects:
         env.apply_effects([])
         env.step()
         assert env.tick == 1
-        assert env.variables["x"].value == 0.4
+        assert env.values["x"] == 0.4
 
     def test_comm_delivered_to_both_neighbors_next_tick(self):
         env, ids = line_env(3)
@@ -88,7 +88,7 @@ class TestStepEnv:
         )
         for _ in range(10):
             env.step()
-        assert env.snapshot() == {"a": 1.5, "b": -2.0}
+        assert env.values == {"a": 1.5, "b": -2.0}
 
     def test_simultaneous_update_order_independent(self):
         # each variable reads the other's previous value; any declaration
@@ -104,7 +104,7 @@ class TestStepEnv:
             variables = make_vars()
             env = Environment([variables[k] for k in order], CATCH_ALL)
             env.step()
-            results.append(env.snapshot())
+            results.append(env.values)
         assert results[0] == results[1] == {"u": 11.0, "v": 2.0}
 
     def test_context_flips_in_same_step(self):

@@ -4,19 +4,15 @@ import random
 import pytest
 
 from agentchart.body import configure_body
-from agentchart.environment import TickSnapshot
-from agentchart.errors import MissingContextWeight, UnknownVariable
+from agentchart.environment import EpisodeTrace, TickSnapshot
 from agentchart.evaluation import (
     ADJUST,
-    MAXIMIZE,
     RECONFIGURE,
     EvaluationRecord,
-    ScoreRule,
     SearchPolicy,
     Stop,
     all_selections,
     decide,
-    evaluate_episode,
     genotype_digest,
     run_episode,
     run_search,
@@ -26,13 +22,24 @@ from agentchart.streetlight import (
     AmbientProfile,
     PeopleProcess,
     StreetLightScenario,
+    StreetlightRules,
     device_template,
+    streetlight_score,
 )
 
 
-def snaps(rows):
-    """rows: list of (context, {var: value}) at ticks 1..len(rows)."""
-    return [TickSnapshot(t + 1, dict(vals), ctx) for t, (ctx, vals) in enumerate(rows)]
+def lights_trace(rows):
+    """rows: one (context, [(energy, people_flow, brightness) per light])
+    per tick, at ticks 1..len(rows)."""
+    snapshots = []
+    for t, (ctx, lights) in enumerate(rows):
+        variables = {}
+        for i, (energy, flow, brightness) in enumerate(lights):
+            variables[f"energy_{i}"] = energy
+            variables[f"people_flow_{i}"] = flow
+            variables[f"brightness_{i}"] = brightness
+        snapshots.append(TickSnapshot(t + 1, variables, ctx))
+    return EpisodeTrace(snapshots)
 
 
 def small_scenario(**overrides):
@@ -47,64 +54,60 @@ def small_scenario(**overrides):
 
 
 class TestEvaluateEpisode:
+    """Episodes are scored by the scenario's own score, streetlight_score."""
+
     def test_day_night_weighted_sum(self):
-        # hand-computed: 2*10 + 2*10 + 1*50 = 90
-        rules = [ScoreRule("consumption", {"day": 2.0, "night": 1.0})]
-        trace = snaps(
-            [("day", {"consumption": 10.0}),
-             ("day", {"consumption": 10.0}),
-             ("night", {"consumption": 50.0})]
+        # hand-computed, one light, target 0.75:
+        # day   2*1.0 + 0.5*(0.0*0.5)                = 2.0
+        # day   2*0.5 + 0.5*(1.0*(0.75-0.25))        = 1.25
+        # night 1*1.0 + 2.0*(0.5*(0.75-0.25))        = 1.5
+        rules = StreetlightRules(
+            w_energy={"day": 2.0, "night": 1.0},
+            w_dark={"day": 0.5, "night": 2.0},
+            target_brightness=0.75,
         )
-        record = evaluate_episode(trace, rules)
-        assert record.score == 90.0
-        assert record.breakdown == {"day": 40.0, "night": 50.0}
+        trace = lights_trace(
+            [("day", [(1.0, 0.0, 1.0)]),
+             ("day", [(0.5, 1.0, 0.25)]),
+             ("night", [(1.0, 0.5, 0.25)])]
+        )
+        record = streetlight_score(trace, rules, 1)
+        assert record.score == 4.75
+        assert record.breakdown == {"day": 3.25, "night": 1.5}
 
     def test_zero_weights_give_zero(self):
-        rules = [ScoreRule("x", {"day": 0.0})]
-        trace = snaps([("day", {"x": 123.4})] * 5)
-        assert evaluate_episode(trace, rules).score == 0.0
-
-    def test_maximize_rule_negates(self):
-        rules = [ScoreRule("service", {"day": 3.0}, direction=MAXIMIZE)]
-        trace = snaps([("day", {"service": 2.0})])
-        assert evaluate_episode(trace, rules).score == -6.0
-
-    def test_unknown_variable_rejected(self):
-        rules = [ScoreRule("ghost", {"day": 1.0})]
-        with pytest.raises(UnknownVariable):
-            evaluate_episode(snaps([("day", {"x": 0.0})]), rules)
-
-    def test_missing_context_weight_rejected(self):
-        rules = [ScoreRule("x", {"day": 1.0})]
-        with pytest.raises(MissingContextWeight):
-            evaluate_episode(snaps([("night", {"x": 0.0})]), rules)
+        rules = StreetlightRules(w_energy={"day": 0.0}, w_dark={"day": 0.0})
+        trace = lights_trace([("day", [(1.0, 0.9, 0.0), (0.5, 1.0, 0.1)])] * 5)
+        assert streetlight_score(trace, rules, 2).score == 0.0
 
     def test_matches_double_loop_oracle_on_random_traces(self):
         rng = random.Random(17)
         contexts = ["day", "night", "storm"]
         for _ in range(40):
-            names = [f"v{k}" for k in range(rng.randint(1, 4))]
-            rules = [
-                ScoreRule(
-                    name,
-                    {c: rng.uniform(0, 3) for c in contexts},
-                    direction=rng.choice(["minimize", MAXIMIZE]),
-                )
-                for name in names
-            ]
-            trace = snaps(
-                [
-                    (rng.choice(contexts), {name: rng.uniform(-5, 5) for name in names})
-                    for _ in range(5)
-                ]
+            n = rng.randint(1, 4)
+            rules = StreetlightRules(
+                w_energy={c: rng.uniform(0, 3) for c in contexts},
+                w_dark={c: rng.uniform(0, 3) for c in contexts},
+                energy_on=rng.uniform(0, 2),
+                target_brightness=rng.uniform(0, 1),
             )
+            rows = [
+                (
+                    rng.choice(contexts),
+                    [
+                        (rng.choice([0.0, 0.5, 1.0]) * rules.energy_on, rng.random(), rng.random())
+                        for _ in range(n)
+                    ],
+                )
+                for _ in range(5)
+            ]
             expected = 0.0
-            for snap in trace:
-                for rule in rules:
-                    sign = -1.0 if rule.direction == MAXIMIZE else 1.0
-                    expected += sign * rule.weight[snap.context] * snap.variables[rule.variable]
-            got = evaluate_episode(trace, rules).score
-            assert got == pytest.approx(expected, abs=1e-12)
+            for ctx, lights in rows:
+                for energy, flow, brightness in lights:
+                    deficit = flow * max(0.0, rules.target_brightness - brightness)
+                    expected += rules.w_energy[ctx] * energy + rules.w_dark[ctx] * deficit
+            got = streetlight_score(lights_trace(rows), rules, n).score
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def records(scores):

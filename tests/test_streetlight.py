@@ -157,7 +157,7 @@ class TestEnvironmentWiring:
         env, _ = self.build(scenario, {"lighting_sensor": True, "light_switch": True})
         env.apply_effects([("light_1", {"light_switch": "ON"})])
         env.step()
-        snap = env.snapshot()
+        snap = env.values
         assert snap["brightness_1"] == pytest.approx(0.7)
         assert snap["brightness_0"] == pytest.approx(0.5 * 0.7)
         assert snap["brightness_2"] == pytest.approx(0.5 * 0.7)
@@ -173,7 +173,7 @@ class TestEnvironmentWiring:
             [("light_0", {"light_switch": "ON"}), ("light_1", {"light_switch": "ON"})]
         )
         env.step()
-        assert env.snapshot()["brightness_0"] == 1.0
+        assert env.values["brightness_0"] == 1.0
 
     def test_constant_darkness_selects_night_context(self):
         scenario = dark_scenario()
