@@ -6,6 +6,7 @@ effector behavior loop driven by a statechart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,14 +51,16 @@ class BodyConfig:
                 return d
         raise UnknownDevice(did)
 
-    def enabled_inputs(self) -> list[DeviceSpec]:
-        return [d for d in self.devices if d.direction == "input" and self.enabled.get(d.id)]
+    @cached_property
+    def enabled_inputs(self) -> tuple[DeviceSpec, ...]:
+        return tuple(d for d in self.devices if d.direction == "input" and self.enabled.get(d.id))
 
-    def enabled_outputs(self) -> list[DeviceSpec]:
-        return [d for d in self.devices if d.direction == "output" and self.enabled.get(d.id)]
+    @cached_property
+    def enabled_outputs(self) -> tuple[DeviceSpec, ...]:
+        return tuple(d for d in self.devices if d.direction == "output" and self.enabled.get(d.id))
 
     def is_operable(self) -> bool:
-        return bool(self.enabled_inputs()) and bool(self.enabled_outputs())
+        return bool(self.enabled_inputs) and bool(self.enabled_outputs)
 
 
 @dataclass
@@ -72,29 +75,14 @@ Percept = dict[str, float]
 ActionSet = dict[str, object]
 
 
-def configure_body(
-    devices: list[DeviceSpec],
-    selection: dict[str, bool],
-    prior: BodyConfig | None = None,
-) -> BodyConfig:
-    """Apply an enable/disable selection over the inventory.
-
-    Devices absent from the selection keep their prior state when one is
-    given (shallow-history semantics); on first entry they default to
-    disabled.
-    """
+def configure_body(devices: list[DeviceSpec], selection: dict[str, bool]) -> BodyConfig:
+    """Apply an enable/disable selection over the inventory.  Devices
+    absent from the selection are disabled."""
     declared = {d.id for d in devices}
     for did in selection:
         if did not in declared:
             raise UnknownDevice(f"selection names undeclared device {did!r}")
-    enabled: dict[str, bool] = {}
-    for d in devices:
-        if d.id in selection:
-            enabled[d.id] = bool(selection[d.id])
-        elif prior is not None:
-            enabled[d.id] = bool(prior.enabled.get(d.id, False))
-        else:
-            enabled[d.id] = False
+    enabled = {d.id: bool(selection.get(d.id, False)) for d in devices}
     return BodyConfig(tuple(devices), enabled)
 
 
@@ -113,8 +101,8 @@ def derive_controller(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    input_ids = [d.id for d in body.enabled_inputs()]
-    output_ids = [d.id for d in body.enabled_outputs()]
+    input_ids = [d.id for d in body.enabled_inputs]
+    output_ids = [d.id for d in body.enabled_outputs]
 
     neurons: list[Neuron] = [Neuron(nid, INPUT) for nid in input_ids]
     neurons += [Neuron(nid, OUTPUT) for nid in output_ids]
@@ -273,7 +261,7 @@ def step_agent(
         raise BehaviorNotConfigured(
             f"agent {agent.spec.agent_id}: needs at least one enabled input and output"
         )
-    enabled_inputs = {d.id for d in body.enabled_inputs()}
+    enabled_inputs = {d.id for d in body.enabled_inputs}
     if set(percept) != enabled_inputs:
         raise BehaviorNotConfigured(
             f"percept keys {sorted(percept)} do not match enabled inputs "
@@ -286,7 +274,7 @@ def step_agent(
 
     config = _behavior_dispatch(chart, config, EV_SENSE, tick, aid, trace)
     if trace is not None:
-        for d in body.enabled_inputs():
+        for d in body.enabled_inputs:
             trace.append(sc.TraceEvent(tick, aid, "fired", f"sensed:{d.id}", repr(percept[d.id])))
 
     config = _behavior_dispatch(chart, config, EV_DECIDE, tick, aid, trace)
@@ -296,7 +284,7 @@ def step_agent(
 
     config = _behavior_dispatch(chart, config, EV_ACT, tick, aid, trace)
     actions: ActionSet = {}
-    for d in body.enabled_outputs():
+    for d in body.enabled_outputs:
         value = outputs.get(d.id, 0.0)
         if d.output_levels:
             actions[d.id] = quantize(value, d.output_levels)

@@ -17,7 +17,7 @@ from .config import LoadedScenario, load_scenario, read_json
 from .controller import INPUT, OUTPUT
 from .errors import ConfigError, RangeError, UnknownDevice
 from .evaluation import Genotype, SearchResult, genotype_digest, run_episode, run_search
-from .serialize import canonical_json, topology_from_dict, topology_to_dict
+from .serialize import canonical_json, flag, topology_from_dict, topology_to_dict
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -122,10 +122,11 @@ def cmd_replay(args) -> int:
     loaded = _load(args.scenario, args.ticks)
     data = read_json(args.agent)
     try:
-        genotype = Genotype(dict(data["selection"]), topology_from_dict(data["controller"]))
+        selection = {did: flag(on) for did, on in dict(data["selection"]).items()}
+        genotype = Genotype(selection, topology_from_dict(data["controller"]))
         body = configure_body(list(loaded.scenario.devices), genotype.selection)
         # the controller must mirror the body, as derive_controller builds it
-        for layer, devices in ((INPUT, body.enabled_inputs()), (OUTPUT, body.enabled_outputs())):
+        for layer, devices in ((INPUT, body.enabled_inputs), (OUTPUT, body.enabled_outputs)):
             if set(genotype.topology.ids(layer)) != {d.id for d in devices}:
                 raise ValueError(f"{layer} neurons do not match the enabled {layer} devices")
     except (ValueError, LookupError, TypeError, UnknownDevice) as exc:

@@ -26,11 +26,10 @@ _SECTIONS = ("ambient", "people", "score", "search")
 def default_config() -> dict:
     """Every documented default, fully materialized."""
     cfg = asdict(StreetLightScenario())
-    # the device inventory and the structural policy are fixed, not scenario keys
+    # the device inventory is fixed, not a scenario key
     del cfg["devices"]
     cfg["score"] = cfg.pop("rules")
     cfg["search"] = asdict(SearchPolicy())
-    del cfg["search"]["structural"]
     return cfg
 
 

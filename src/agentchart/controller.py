@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +48,22 @@ class ControllerTopology:
 
     def ids(self, layer: str | None = None) -> list[str]:
         return [n.id for n in self.neurons if layer is None or n.layer == layer]
+
+    @cached_property
+    def eval_plan(self):
+        """Evaluation order, incoming-edge table, enabled neurons by id, and
+        enabled input and output ids; built on first use, once per topology."""
+        forward, recurrent = split_edges(self)
+        incoming: dict[str, list[tuple[str, float, bool]]] = {}
+        for c in forward:
+            incoming.setdefault(c.to_id, []).append((c.from_id, c.weight, False))
+        for c in recurrent:
+            incoming.setdefault(c.to_id, []).append((c.from_id, c.weight, True))
+        order = _topo_order(self, forward)
+        by_id = {n.id: n for n in self.neurons if n.enabled}
+        inputs = [nid for nid, n in by_id.items() if n.layer == INPUT]
+        outputs = [nid for nid, n in by_id.items() if n.layer == OUTPUT]
+        return order, incoming, by_id, inputs, outputs
 
 
 @dataclass(frozen=True)
@@ -140,21 +156,6 @@ def _topo_order(topology: ControllerTopology, forward: list[Connection]) -> list
     return order
 
 
-@lru_cache(maxsize=512)
-def _eval_plan(topology: ControllerTopology):
-    """Per-topology evaluation order and incoming-edge table."""
-    forward, recurrent = split_edges(topology)
-    incoming: dict[str, list[tuple[str, float, bool]]] = {}
-    for c in forward:
-        incoming.setdefault(c.to_id, []).append((c.from_id, c.weight, False))
-    for c in recurrent:
-        incoming.setdefault(c.to_id, []).append((c.from_id, c.weight, True))
-    order = _topo_order(topology, forward)
-    by_id = {n.id: n for n in topology.neurons if n.enabled}
-    outputs = [n.id for n in topology.neurons if n.enabled and n.layer == OUTPUT]
-    return order, incoming, by_id, outputs
-
-
 def eval_net(
     topology: ControllerTopology,
     state: ControllerState,
@@ -170,9 +171,9 @@ def eval_net(
     for nid, value in inputs.items():
         if not math.isfinite(value):
             raise NonFiniteInput(f"input for neuron {nid!r} is not finite: {value}")
-    order, incoming, by_id, output_ids = _eval_plan(topology)
-    for nid, neuron in by_id.items():
-        if neuron.layer == INPUT and nid not in inputs:
+    order, incoming, by_id, input_ids, output_ids = topology.eval_plan
+    for nid in input_ids:
+        if nid not in inputs:
             raise NonFiniteInput(f"missing input for enabled input neuron {nid!r}")
 
     previous = state.activation

@@ -151,7 +151,7 @@ class Environment:
         if body is None:
             raise UnknownChannel(f"agent {agent_id!r} is not registered")
         percept: Percept = {}
-        for device in body.enabled_inputs():
+        for device in body.enabled_inputs:
             if device.channel == COMM_CHANNEL:
                 messages = self.comm_mailbox.get(agent_id, [])
                 if messages:

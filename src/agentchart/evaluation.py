@@ -37,16 +37,9 @@ class EvaluationRecord:
 
 
 @dataclass(frozen=True)
-class StructuralPolicy:
-    """Reconfigure payload: how many enabled bits one candidate flips."""
-
-    flips: int = 1
-
-
-@dataclass(frozen=True)
 class ReconfigurationCommand:
     kind: str  # adjust | reconfigure
-    payload: MutationPolicy | StructuralPolicy = None
+    payload: MutationPolicy | None = None  # adjust only; reconfigure flips one device
 
 
 class Stop:
@@ -64,7 +57,6 @@ class SearchPolicy:
     patience: int = 10
     budget: int = 200  # episode budget across the whole run
     mutation: MutationPolicy = field(default_factory=MutationPolicy)
-    structural: StructuralPolicy = field(default_factory=StructuralPolicy)
 
     def __post_init__(self):
         require(self.patience >= 1, "search.patience must be >= 1")
@@ -84,7 +76,7 @@ def decide(history: list[EvaluationRecord], policy: SearchPolicy) -> Reconfigura
         window = range(len(scores) - policy.patience, len(scores))
         improved = any(t > 0 and scores[t] < min(scores[:t]) for t in window)
         if not improved:
-            return ReconfigurationCommand(RECONFIGURE, policy.structural)
+            return ReconfigurationCommand(RECONFIGURE)
     return ReconfigurationCommand(ADJUST, policy.mutation)
 
 
@@ -214,9 +206,8 @@ def _mutate(
         return replace(genotype, topology=mutate_connections(genotype.topology, rng, command.payload))
     selection = dict(genotype.selection)
     device_ids = [d.id for d in scenario.devices]
-    for _ in range(command.payload.flips):
-        flip = device_ids[int(rng.integers(len(device_ids)))]
-        selection[flip] = not selection[flip]
+    flip = device_ids[int(rng.integers(len(device_ids)))]
+    selection[flip] = not selection[flip]
     body = configure_body(list(scenario.devices), selection)
     topology = derive_controller(body, prior=genotype.topology, rng=rng)
     return Genotype(selection, topology)

@@ -49,17 +49,25 @@ def _finite(value) -> float:
     return float(value)
 
 
+def flag(value) -> bool:
+    """A JSON boolean as read; anything else is a ValueError, never coerced."""
+    if not isinstance(value, bool):
+        raise ValueError(f"flags must be true or false, not {value!r}")
+    return value
+
+
 def topology_from_dict(data: dict) -> ControllerTopology:
     """Inverse of topology_to_dict.  Raises ValueError for a controller
     that eval_net could not evaluate: an unknown layer, a duplicate id, a
-    connection to no neuron, or a weight or bias that is not finite."""
+    connection to no neuron, a weight or bias that is not finite, or an
+    ``enabled`` flag that is not a boolean."""
     neurons = tuple(
-        Neuron(n["id"], n["layer"], bool(n.get("enabled", True)), _finite(n.get("bias", 0.0)))
+        Neuron(n["id"], n["layer"], flag(n.get("enabled", True)), _finite(n.get("bias", 0.0)))
         for n in data["neurons"]
     )
     connections = tuple(
         Connection(
-            c["id"], c["from"], c["to"], _finite(c["weight"]), bool(c.get("enabled", True))
+            c["id"], c["from"], c["to"], _finite(c["weight"]), flag(c.get("enabled", True))
         )
         for c in data["connections"]
     )

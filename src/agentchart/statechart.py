@@ -96,7 +96,11 @@ class ActionContext:
 
 
 class Statechart:
-    """Validated, immutable chart. Build through :func:`build_chart`."""
+    """Validated, immutable chart. Build through :func:`build_chart`.
+
+    What a macrostep needs of the structure is resolved here once, per
+    transition index: its domain, its exit scope and its entry path.
+    """
 
     def __init__(self, nodes: dict[str, StateNode], transitions: list[Transition], root: str):
         self.nodes = nodes
@@ -108,35 +112,64 @@ class Statechart:
                 self.parent[child] = node.id
         self.depth: dict[str, int] = {}
         self.ancestors: dict[str, frozenset[str]] = {}
-        self.doc_order: dict[str, int] = {}
-        self._index_tree()
-        # transition lookup: event id -> [(decl_index, transition)]
+        doc_order = self._index_tree()
+        # innermost first; the stable sort keeps document order among equals
+        exit_order = sorted(doc_order, key=lambda s: -self.depth[s])
+        self.domain = [self._domain(tr) for tr in transitions]
+        # the states each transition exits, when they are active, in exit order
+        self.exit_scope = [
+            tuple(s for s in exit_order if (s != root if d is None else d in self.ancestors[s]))
+            for d in self.domain
+        ]
+        # from the domain (exclusive) down to the target; from the root itself
+        # when the domain is None
+        self.entry_path = [self._path_down(tr.target, d) for tr, d in zip(transitions, self.domain)]
+        # event id -> [(decl_index, transition)] in conflict priority: deeper
+        # source first, ties by declaration order
+        source_depth = [max(self.depth[s] for s in tr.sources) for tr in transitions]
         self.by_event: dict[str | None, list[tuple[int, Transition]]] = {}
-        for i, tr in enumerate(transitions):
-            self.by_event.setdefault(tr.event, []).append((i, tr))
-        self._tr_priority = {
-            i: (max(self.depth[s] for s in tr.sources), i) for i, tr in enumerate(transitions)
-        }
+        for i in sorted(range(len(transitions)), key=lambda i: -source_depth[i]):
+            self.by_event.setdefault(transitions[i].event, []).append((i, transitions[i]))
 
-    def _index_tree(self) -> None:
-        order = 0
+    def _index_tree(self) -> list[str]:
+        """Record depths and ancestors; return the states in document order."""
+        order = []
         stack = [(self.root, 0, frozenset())]
         while stack:
             sid, depth, anc = stack.pop()
             self.depth[sid] = depth
             self.ancestors[sid] = anc
-            self.doc_order[sid] = order
-            order += 1
+            order.append(sid)
             child_anc = anc | {sid}
             for child in reversed(self.nodes[sid].children):
                 stack.append((child, depth + 1, child_anc))
+        return order
+
+    def _domain(self, tr: Transition) -> str | None:
+        """Deepest xor-composite that properly contains every source and the
+        target.  And-composites cannot scope a transition: crossing between
+        regions exits and re-enters the whole orthogonal component.
+
+        None means the transition is scoped to the whole chart (restarts the
+        root's interior).
+        """
+        anc = self.parent.get(tr.target)
+        while anc is not None:
+            if self.nodes[anc].kind == XOR and all(anc in self.ancestors[s] for s in tr.sources):
+                return anc
+            anc = self.parent.get(anc)
+        return None
+
+    def _path_down(self, target: str, domain: str | None) -> tuple[str, ...]:
+        path = []
+        sid = target
+        while sid != domain:
+            path.append(sid)
+            sid = self.parent.get(sid)
+        return tuple(reversed(path))
 
     def label_of(self, index: int) -> str:
         return self.transitions[index].label or f"t{index}"
-
-    def is_ancestor(self, a: str, s: str) -> bool:
-        """True iff ``a`` is a proper ancestor of ``s``."""
-        return a in self.ancestors[s]
 
 
 def build_chart(nodes: list[StateNode], transitions: list[Transition] = ()) -> Statechart:
@@ -197,9 +230,8 @@ def build_chart(nodes: list[StateNode], transitions: list[Transition] = ()) -> S
                 f"{node.id!r}: only shallow history is supported, got {node.history!r}"
             )
 
-    chart = Statechart(by_id, list(transitions), root)
-
-    for i, tr in enumerate(chart.transitions):
+    transitions = list(transitions)
+    for i, tr in enumerate(transitions):
         if not tr.sources:
             raise MalformedComposite(f"transition {i} has no sources")
         for sid in tuple(tr.sources) + (tr.target,):
@@ -212,6 +244,9 @@ def build_chart(nodes: list[StateNode], transitions: list[Transition] = ()) -> S
                     f"transition {i}: history target {tr.target!r} is not a "
                     "shallow-history xor-composite"
                 )
+
+    chart = Statechart(by_id, transitions, root)
+    for i, tr in enumerate(transitions):
         if len(tr.sources) > 1:
             _check_join(chart, i, tr)
     return chart
@@ -219,27 +254,21 @@ def build_chart(nodes: list[StateNode], transitions: list[Transition] = ()) -> S
 
 def _check_join(chart: Statechart, index: int, tr: Transition) -> None:
     """Join sources must sit in distinct regions of a common and-composite."""
-    common = None
-    for anc in sorted(
-        frozenset.intersection(*(chart.ancestors[s] for s in tr.sources)),
-        key=lambda a: -chart.depth[a],
-    ):
-        if chart.nodes[anc].kind == AND:
-            regions = set()
-            for s in tr.sources:
-                region = next(
-                    (c for c in chart.nodes[anc].children if c == s or chart.is_ancestor(c, s)),
-                    None,
-                )
-                regions.add(region)
-            if None not in regions and len(regions) == len(tr.sources):
-                common = anc
-                break
-    if common is None:
-        raise IllegalJoin(
-            f"transition {index}: join sources {sorted(tr.sources)} do not lie in "
-            "distinct orthogonal regions of a common and-composite"
-        )
+    anc = chart.parent.get(tr.sources[0])
+    while anc is not None:
+        node = chart.nodes[anc]
+        if node.kind == AND and all(anc in chart.ancestors[s] for s in tr.sources):
+            regions = {
+                next(c for c in node.children if c == s or c in chart.ancestors[s])
+                for s in tr.sources
+            }
+            if len(regions) == len(tr.sources):
+                return
+        anc = chart.parent.get(anc)
+    raise IllegalJoin(
+        f"transition {index}: join sources {sorted(tr.sources)} do not lie in "
+        "distinct orthogonal regions of a common and-composite"
+    )
 
 
 def initialize(
@@ -331,79 +360,40 @@ def _microstep(
     least one transition fired.
     """
     event_id = event.id if event is not None else None
-    candidates = []
+    fired: list[tuple[int, Transition, list[str]]] = []
+    exited: set[str] = set()
     for index, tr in chart.by_event.get(event_id, ()):
         if not all(s in active for s in tr.sources):
             continue
         if tr.guard is not None and not tr.guard(ctx.snapshot):
             continue
-        candidates.append((index, tr))
-    if not candidates:
-        return False
+        exits = [s for s in chart.exit_scope[index] if s in active]
+        if exited.isdisjoint(exits):
+            fired.append((index, tr, exits))
+            exited.update(exits)
 
-    # deeper source wins, ties by declaration order
-    candidates.sort(key=lambda it: (-chart._tr_priority[it[0]][0], it[0]))
-
-    fired: list[tuple[int, Transition, set[str]]] = []
-    exited_union: set[str] = set()
-    for index, tr in candidates:
-        domain = _domain(chart, tr)
-        exit_set = _exit_set(chart, active, domain)
-        if exit_set & exited_union:
-            continue
-        fired.append((index, tr, exit_set))
-        exited_union |= exit_set
-
-    any_fired = False
-    for index, tr, _ in fired:
-        domain = _domain(chart, tr)
-        exit_set = _exit_set(chart, active, domain)
-        if not all(s in active for s in tr.sources):
-            continue  # an earlier transition of this set removed a source
-        any_fired = True
-        _perform_exit(chart, active, history, exit_set, ctx, trace, tick, agent)
+    # every source lies in its transition's exit set (the never-exited root
+    # aside), and the fired exit sets are disjoint: no firing disables another
+    for index, tr, exits in fired:
+        _perform_exit(chart, active, history, exits, ctx, trace, tick, agent)
         trace.append(TraceEvent(tick, agent, "fired", chart.label_of(index), "->" + tr.target))
         for action in tr.actions:
             action(ctx)
-        _perform_entry(chart, tr, domain, active, history, ctx, trace, tick, agent)
-    return any_fired
-
-
-def _domain(chart: Statechart, tr: Transition) -> str | None:
-    """Deepest xor-composite that properly contains every source and the
-    target.  And-composites cannot scope a transition: crossing between
-    regions exits and re-enters the whole orthogonal component.
-
-    None means the transition is scoped to the whole chart (restarts the
-    root's interior).
-    """
-    for anc in sorted(chart.ancestors[tr.target], key=lambda a: -chart.depth[a]):
-        if chart.nodes[anc].kind != XOR:
-            continue
-        if all(anc in chart.ancestors[s] for s in tr.sources):
-            return anc
-    return None
-
-
-def _exit_set(chart: Statechart, active: set[str], domain: str | None) -> set[str]:
-    if domain is None:
-        return {s for s in active if s != chart.root}
-    return {s for s in active if domain in chart.ancestors[s]}
+        _perform_entry(chart, index, active, history, ctx, trace, tick, agent)
+    return bool(fired)
 
 
 def _perform_exit(
     chart: Statechart,
     active: set[str],
     history: dict[str, str],
-    exit_set: set[str],
+    exits: list[str],
     ctx: ActionContext,
     trace: list[TraceEvent],
     tick: int,
     agent: str,
 ) -> None:
-    # innermost-first, document order as a deterministic tie-break
-    ordered = sorted(exit_set, key=lambda s: (-chart.depth[s], chart.doc_order[s]))
-    for sid in ordered:
+    for sid in exits:
         parent = chart.parent.get(sid)
         if parent is not None:
             pnode = chart.nodes[parent]
@@ -417,8 +407,7 @@ def _perform_exit(
 
 def _perform_entry(
     chart: Statechart,
-    tr: Transition,
-    domain: str | None,
+    index: int,
     active: set[str],
     history: dict[str, str],
     ctx: ActionContext,
@@ -426,36 +415,19 @@ def _perform_entry(
     tick: int,
     agent: str,
 ) -> None:
-    target = tr.target
-    path: list[str] = []
-    sid = target
-    while sid is not None and sid != domain:
-        path.append(sid)
-        sid = chart.parent.get(sid)
-    path.reverse()
-    if domain is None and path and path[0] == chart.root:
-        path = path[1:]  # root never exits, so never re-enters
-        if not path:
-            _complete_interior(
-                chart, chart.root, active, history, ctx, trace, tick, agent, tr.to_history
-            )
-            return
-        root_node = chart.nodes[chart.root]
-        if root_node.kind == AND:
-            for child in root_node.children:
-                if child != path[0]:
-                    _default_complete(chart, child, active, history, ctx, trace, tick, agent)
-
+    tr = chart.transitions[index]
+    path = chart.entry_path[index]
     for i, sid in enumerate(path):
-        _enter_state(chart, sid, active, ctx, trace, tick, agent)
+        if sid not in active:  # the root never exits
+            _enter_state(chart, sid, active, ctx, trace, tick, agent)
         node = chart.nodes[sid]
-        nxt = path[i + 1] if i + 1 < len(path) else None
-        if node.kind == AND:
+        # the regions of the target itself are entered by _complete_interior
+        if node.kind == AND and i + 1 < len(path):
             for child in node.children:
-                if child != nxt:
+                if child != path[i + 1]:
                     _default_complete(chart, child, active, history, ctx, trace, tick, agent)
 
-    _complete_interior(chart, target, active, history, ctx, trace, tick, agent, tr.to_history)
+    _complete_interior(chart, tr.target, active, history, ctx, trace, tick, agent, tr.to_history)
 
 
 def _enter_state(chart, sid, active, ctx, trace, tick, agent) -> None:

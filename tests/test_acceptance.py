@@ -104,9 +104,9 @@ def test_criterion_2_body_controller_mapping():
         selection = {d.id: rng.random() < 0.5 for d in devices}
         body = configure_body(devices, selection)
         topo = derive_controller(body, rng=np.random.default_rng(k))
-        if len(topo.ids("input")) != len(body.enabled_inputs()):
+        if len(topo.ids("input")) != len(body.enabled_inputs):
             violations += 1
-        if len(topo.ids("output")) != len(body.enabled_outputs()):
+        if len(topo.ids("output")) != len(body.enabled_outputs):
             violations += 1
 
     # and the same invariant for every candidate a live search produces
@@ -116,9 +116,9 @@ def test_criterion_2_body_controller_mapping():
         nonlocal violations
         for cand in candidates:
             body = configure_body(list(scenario.devices), cand.selection)
-            if len(cand.topology.ids("input")) != len(body.enabled_inputs()):
+            if len(cand.topology.ids("input")) != len(body.enabled_inputs):
                 violations += 1
-            if len(cand.topology.ids("output")) != len(body.enabled_outputs()):
+            if len(cand.topology.ids("output")) != len(body.enabled_outputs):
                 violations += 1
 
     run_search(scenario, seed=0, generations=15, lam=3, on_generation=spy)

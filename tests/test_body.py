@@ -33,23 +33,12 @@ class TestConfigureBody:
         body = configure_body(
             street_devices(), {"lighting_sensor": True, "light_switch": True}
         )
-        assert [d.id for d in body.enabled_inputs()] == ["lighting_sensor"]
-        assert [d.id for d in body.enabled_outputs()] == ["light_switch"]
+        assert [d.id for d in body.enabled_inputs] == ["lighting_sensor"]
+        assert [d.id for d in body.enabled_outputs] == ["light_switch"]
 
     def test_empty_selection_defaults_disabled(self):
         body = configure_body(street_devices(), {})
         assert not any(body.enabled.values())
-
-    def test_prior_acts_as_history(self):
-        prior = configure_body(street_devices(), {"motion_sensor": True})
-        body = configure_body(street_devices(), {}, prior=prior)
-        assert body.enabled["motion_sensor"]
-        assert not body.enabled["lighting_sensor"]
-
-    def test_selection_overrides_prior(self):
-        prior = configure_body(street_devices(), {"motion_sensor": True})
-        body = configure_body(street_devices(), {"motion_sensor": False}, prior=prior)
-        assert not body.enabled["motion_sensor"]
 
     def test_unknown_device_rejected(self):
         with pytest.raises(UnknownDevice):
@@ -93,8 +82,8 @@ class TestDeriveController:
         )
         topo = derive_controller(new_body, prior=prior, rng=np.random.default_rng(1))
 
-        survivors = {d.id for d in new_body.enabled_inputs()} | {
-            d.id for d in new_body.enabled_outputs()
+        survivors = {d.id for d in new_body.enabled_inputs} | {
+            d.id for d in new_body.enabled_outputs
         }
         expected_neurons = {n.id for n in prior.neurons if n.id in survivors}
         expected_edges = {
@@ -117,8 +106,8 @@ class TestDeriveController:
         selection = {d.id: rng.random() < 0.5 for d in devices}
         body = configure_body(devices, selection)
         topo = derive_controller(body, rng=np.random.default_rng(seed))
-        assert len(topo.ids("input")) == len(body.enabled_inputs())
-        assert len(topo.ids("output")) == len(body.enabled_outputs())
+        assert len(topo.ids("input")) == len(body.enabled_inputs)
+        assert len(topo.ids("output")) == len(body.enabled_outputs)
 
 
 class TestQuantizer:
@@ -141,8 +130,8 @@ class TestQuantizer:
 
 def make_agent(selection, weights=None):
     body = configure_body(street_devices(), selection)
-    input_ids = [d.id for d in body.enabled_inputs()]
-    output_ids = [d.id for d in body.enabled_outputs()]
+    input_ids = [d.id for d in body.enabled_inputs]
+    output_ids = [d.id for d in body.enabled_outputs]
     neurons = tuple(
         [Neuron(i, "input") for i in input_ids] + [Neuron(o, "output") for o in output_ids]
     )

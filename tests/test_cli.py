@@ -316,6 +316,23 @@ class TestReplayCommand:
                 sensor_switch_agent(connections=[{**SENSOR_SWITCH_EDGE, "weight": "NaN"}]),
                 id="nan_weight",
             ),
+            pytest.param(
+                {
+                    "selection": {"lighting_sensor": True, "light_switch": 1},
+                    "controller": sensor_switch_agent()["controller"],
+                },
+                id="non_boolean_selection",
+            ),
+            pytest.param(
+                sensor_switch_agent(
+                    [{**SENSOR_SWITCH_NEURONS[0], "enabled": "no"}, SENSOR_SWITCH_NEURONS[1]]
+                ),
+                id="non_boolean_neuron_flag",
+            ),
+            pytest.param(
+                sensor_switch_agent(connections=[{**SENSOR_SWITCH_EDGE, "enabled": "false"}]),
+                id="non_boolean_connection_flag",
+            ),
         ],
     )
     def test_bad_agent_file_exits_2(self, scenario_file, tmp_path, capsys, agent):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,15 @@ class TestEvalNet:
             out_a, _ = eval_net(disabled, state, inputs)
             out_b, _ = eval_net(deleted, state, inputs)
             assert out_a == pytest.approx(out_b, abs=1e-15)
+
+    def test_replaced_topology_gets_its_own_plan(self):
+        topo = bipartite(["a"], ["o"], np.random.default_rng(0))
+        weight = topo.connections[0].weight
+        assert eval_net(topo, ControllerState(), {"a": 1.0})[0] == {"o": sigmoid(weight)}
+        negated = replace(topo, connections=(replace(topo.connections[0], weight=-weight),))
+        assert "eval_plan" not in vars(negated)
+        assert eval_net(negated, ControllerState(), {"a": 1.0})[0] == {"o": sigmoid(-weight)}
+        assert negated.eval_plan is not topo.eval_plan
 
     def test_feedforward_net_is_state_independent(self):
         rng = np.random.default_rng(3)

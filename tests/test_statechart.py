@@ -11,6 +11,7 @@ from agentchart.errors import (
 )
 from agentchart.statechart import (
     AND,
+    BASIC,
     XOR,
     Configuration,
     Event,
@@ -100,9 +101,21 @@ class TestBuildChart:
                 ]
             )
 
-    def test_dangling_transition(self):
+    @pytest.mark.parametrize(
+        "sources, target",
+        [
+            pytest.param(("only",), "ghost", id="unknown_target"),
+            pytest.param(("ghost",), "only", id="unknown_source"),
+            pytest.param(("only", "ghost"), "only", id="join_with_unknown_source"),
+        ],
+    )
+    def test_dangling_transition(self, sources, target):
         with pytest.raises(DanglingReference):
-            build_chart([StateNode("only")], [Transition(("only",), "ghost", event="e")])
+            build_chart([StateNode("only")], [Transition(sources, target, event="e")])
+
+    def test_transition_without_sources(self):
+        with pytest.raises(MalformedComposite):
+            build_chart([StateNode("only")], [Transition((), "only", event="e")])
 
     def test_join_in_same_region_rejected(self):
         nodes = [
@@ -188,6 +201,29 @@ class TestDispatch:
         config, _, _ = dispatch(chart, config, Event("park"))
         config, _, _ = dispatch(chart, config, Event("resume"))
         assert "disabled" in config.active
+
+    def test_and_target_enters_each_region_once(self):
+        entered_by_action = []
+
+        def counting(sid, kind=BASIC, children=(), initial=None):
+            action = (lambda ctx: entered_by_action.append(sid),)
+            return StateNode(sid, kind, children, initial, entry_actions=action)
+
+        nodes = [
+            StateNode("root", XOR, ("A", "B"), initial="B"),
+            counting("A", AND, ("R1", "R2")),
+            counting("R1", XOR, ("x",), "x"),
+            counting("x"),
+            counting("R2", XOR, ("y",), "y"),
+            counting("y"),
+            StateNode("B"),
+        ]
+        chart = build_chart(nodes, [Transition(("B",), "A", event="go")])
+        config, _, trace = dispatch(chart, initialize(chart), Event("go"))
+        entered = [t.subject for t in trace if t.kind == "entered"]
+        assert entered == ["A", "R1", "x", "R2", "y"]
+        assert entered_by_action == entered
+        check_configuration(chart, config)
 
     def test_join_requires_all_sources(self):
         nodes = [
@@ -341,6 +377,59 @@ class TestProperties:
                 event = Event(rng.choice(EVENT_ALPHABET))
                 config, _, _ = dispatch(chart, config, event)
                 check_configuration(chart, config)
+
+    def test_resolved_tables_match_definitions(self):
+        rng = random.Random(4321)
+        for _ in range(1000):
+            chart = random_chart(rng)
+            parent = {c: n.id for n in chart.nodes.values() for c in n.children}
+
+            def ancestors(sid):
+                """Proper ancestors, nearest first."""
+                out = []
+                while sid in parent:
+                    sid = parent[sid]
+                    out.append(sid)
+                return out
+
+            preorder, stack = [], [chart.root]
+            while stack:
+                sid = stack.pop()
+                preorder.append(sid)
+                stack.extend(reversed(chart.nodes[sid].children))
+
+            def source_depth(i):
+                return max(len(ancestors(s)) for s in chart.transitions[i].sources)
+
+            for event, ranked in chart.by_event.items():
+                indices = [i for i, _ in ranked]
+                assert indices == sorted(indices, key=lambda i: (-source_depth(i), i))
+                assert all(chart.transitions[i].event == event for i in indices)
+            assert sorted(i for ranked in chart.by_event.values() for i, _ in ranked) == list(
+                range(len(chart.transitions))
+            )
+
+            for i, tr in enumerate(chart.transitions):
+                domain = next(
+                    (
+                        a
+                        for a in ancestors(tr.target)
+                        if chart.nodes[a].kind == XOR
+                        and all(a in ancestors(s) for s in tr.sources)
+                    ),
+                    None,
+                )
+                assert chart.domain[i] == domain
+                scope = [
+                    s
+                    for s in preorder
+                    if s != chart.root and (domain is None or domain in ancestors(s))
+                ]
+                scope.sort(key=lambda s: (-len(ancestors(s)), preorder.index(s)))
+                assert chart.exit_scope[i] == tuple(scope)
+                up = [tr.target] + ancestors(tr.target)
+                path = up[: up.index(domain)] if domain is not None else up
+                assert chart.entry_path[i] == tuple(reversed(path))
 
     def test_history_round_trip_random_motifs(self):
         rng = random.Random(99)
