@@ -27,7 +27,7 @@ from .controller import (
     eval_net,
     mutate_connections,
 )
-from .environment import ContextRule, Environment, EnvVariable, EpisodeTrace, TickSnapshot
+from .environment import ContextRule, Environment, EpisodeTrace, TickSnapshot
 from .evaluation import (
     EvaluationRecord,
     Genotype,

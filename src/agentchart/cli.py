@@ -17,11 +17,14 @@ from .config import LoadedScenario, load_scenario, read_json
 from .controller import INPUT, OUTPUT
 from .errors import ConfigError, RangeError, UnknownDevice
 from .evaluation import Genotype, SearchResult, genotype_digest, run_episode, run_search
-from .serialize import canonical_json, flag, topology_from_dict, topology_to_dict
+from .serialize import canonical_json, flag, known_keys, topology_from_dict, topology_to_dict
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
+
+# the keys write_outputs writes to best_agent.json
+AGENT_KEYS = ("seed", "config_digest", "score", "episode", "selection", "controller")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,9 +125,13 @@ def cmd_replay(args) -> int:
     loaded = _load(args.scenario, args.ticks)
     data = read_json(args.agent)
     try:
-        selection = {did: flag(on) for did, on in dict(data["selection"]).items()}
-        genotype = Genotype(selection, topology_from_dict(data["controller"]))
-        body = configure_body(list(loaded.scenario.devices), genotype.selection)
+        known_keys(data, AGENT_KEYS, "agent")
+        devices = list(loaded.scenario.devices)
+        selection = known_keys(data["selection"], [d.id for d in devices], "selection")
+        genotype = Genotype(
+            {did: flag(on) for did, on in selection.items()}, topology_from_dict(data["controller"])
+        )
+        body = configure_body(devices, genotype.selection)
         # the controller must mirror the body, as derive_controller builds it
         for layer, devices in ((INPUT, body.enabled_inputs), (OUTPUT, body.enabled_outputs)):
             if set(genotype.topology.ids(layer)) != {d.id for d in devices}:

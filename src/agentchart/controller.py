@@ -40,12 +40,6 @@ class ControllerTopology:
     neurons: tuple[Neuron, ...] = ()
     connections: tuple[Connection, ...] = ()
 
-    def neuron(self, nid: str) -> Neuron:
-        for n in self.neurons:
-            if n.id == nid:
-                return n
-        raise KeyError(nid)
-
     def ids(self, layer: str | None = None) -> list[str]:
         return [n.id for n in self.neurons if layer is None or n.layer == layer]
 

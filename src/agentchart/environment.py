@@ -1,8 +1,8 @@
 """Perturbable environment: orthogonal scalar variables, first-match
 context selection, actuation routing and next-tick neighbor messaging.
 
-Variables update simultaneously from a previous-tick snapshot, so the
-order in which they are declared or updated never changes the result.
+One update function computes every variable from the previous tick's
+values, so the order in which it computes them never changes the result.
 """
 
 from __future__ import annotations
@@ -16,15 +16,11 @@ from .body import COMM_CHANNEL, BodyConfig, Percept
 from .errors import NonFiniteVariable, UnknownChannel
 from .statechart import TraceEvent
 
-# update rule: (new_tick, previous snapshot, effects by channel) -> value
-UpdateRule = Callable[[int, Mapping[str, float], Mapping[str, list[tuple[str, object]]]], float]
-
-
-@dataclass
-class EnvVariable:
-    name: str
-    value: float  # initial value; the current one lives in Environment.values
-    update_rule: UpdateRule
+# update: (new_tick, previous values, effects by channel) -> a new dict of
+# every variable's value; it never mutates the previous mapping
+Update = Callable[
+    [int, Mapping[str, float], Mapping[str, list[tuple[str, object]]]], dict[str, float]
+]
 
 
 @dataclass(frozen=True)
@@ -38,25 +34,22 @@ class Environment:
 
     def __init__(
         self,
-        variables: list[EnvVariable],
+        initial: dict[str, float],
+        update: Update,
         context_rules: list[ContextRule],
         neighbors: dict[str, list[str]] | None = None,
     ):
-        self.variables: dict[str, EnvVariable] = {}
-        for var in variables:
-            if var.name in self.variables:
-                raise UnknownChannel(f"variable {var.name!r} declared twice")
-            self.variables[var.name] = var
+        self.update = update
         self.context_rules = list(context_rules)
         self.neighbors = dict(neighbors or {})
         self.bodies: dict[str, BodyConfig] = {}
         self.tick = 0
-        self.pending_effects: list[tuple[str, str, object]] = []
+        self.pending_effects: dict[str, list[tuple[str, object]]] = {}
         self._comm_outbox: list[tuple[str, object]] = []
         self.comm_mailbox: dict[str, list[tuple[str, object]]] = {}
         # current values; step() replaces this mapping and never mutates it,
-        # so snapshots and update rules may hold on to it
-        self.values: dict[str, float] = {name: var.value for name, var in self.variables.items()}
+        # so snapshots and the update function may hold on to it
+        self.values: dict[str, float] = dict(initial)
         self.context = self._select_context(self.values)
 
     def register_agent(self, agent_id: str, body: BodyConfig) -> None:
@@ -82,8 +75,8 @@ class Environment:
         """Route this tick's actuation values onto their channels.
 
         Communication values are staged for delivery to the sender's
-        neighbors at the next step; everything else accumulates for the
-        variable update rules.
+        neighbors at the next step; everything else accumulates, grouped by
+        channel, for the update function.
         """
         for agent_id, action_set in actions:
             body = self.bodies.get(agent_id)
@@ -98,28 +91,21 @@ class Environment:
                             TraceEvent(self.tick, agent_id, "emitted", COMM_CHANNEL, repr(value))
                         )
                 else:
-                    if channel not in self.variables:
+                    if channel not in self.values:
                         raise UnknownChannel(
                             f"device {device_id!r} targets unknown channel {channel!r}"
                         )
-                    self.pending_effects.append((agent_id, channel, value))
+                    self.pending_effects.setdefault(channel, []).append((agent_id, value))
 
     def step(self, trace: list[TraceEvent] | None = None) -> None:
         """Advance one tick: simultaneous variable update, mailbox swap,
         context re-selection."""
         previous = self.values
-        effects: dict[str, list[tuple[str, object]]] = {}
-        for agent_id, channel, value in self.pending_effects:
-            effects.setdefault(channel, []).append((agent_id, value))
-        effects_view = MappingProxyType(effects)
-
         new_tick = self.tick + 1
-        new_values: dict[str, float] = {}
-        for name, var in self.variables.items():
-            value = float(var.update_rule(new_tick, previous, effects_view))
+        new_values = self.update(new_tick, previous, MappingProxyType(self.pending_effects))
+        for name, value in new_values.items():
             if not math.isfinite(value):
                 raise NonFiniteVariable(f"variable {name!r} became non-finite: {value}")
-            new_values[name] = value
         if trace is not None:
             for name, value in new_values.items():
                 old = previous[name]
@@ -137,7 +123,7 @@ class Environment:
                     mailbox[neighbor].append((sender, value))
         self.comm_mailbox = mailbox
         self._comm_outbox = []
-        self.pending_effects = []
+        self.pending_effects = {}
         self.tick = new_tick
         self.context = self._select_context(new_values)
 

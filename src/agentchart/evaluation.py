@@ -13,16 +13,19 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .body import AgentRuntime, AgentSpec, BodyConfig, DeviceSpec, configure_body, derive_controller, step_agent
+from .body import AgentRuntime, AgentSpec, DeviceSpec, configure_body, derive_controller, step_agent
 from .controller import ControllerTopology, MutationPolicy, mutate_connections
-from .environment import Environment, EpisodeTrace, TickSnapshot, snapshot_row
+from .environment import EpisodeTrace, TickSnapshot, snapshot_row
 from .errors import require
 from .serialize import config_digest
 from .statechart import TraceEvent
+
+if TYPE_CHECKING:  # streetlight imports this module
+    from .streetlight import StreetLightScenario
 
 ADJUST = "adjust"
 RECONFIGURE = "reconfigure"
@@ -80,7 +83,7 @@ def decide(history: list[EvaluationRecord], policy: SearchPolicy) -> Reconfigura
     return ReconfigurationCommand(ADJUST, policy.mutation)
 
 
-# --- scenario protocol and episode runner --------------------------------
+# --- genotype and episode runner ----------------------------------------
 
 
 @dataclass(frozen=True)
@@ -91,31 +94,17 @@ class Genotype:
     topology: ControllerTopology
 
 
-class Scenario(Protocol):
-    devices: tuple[DeviceSpec, ...]
-    n_agents: int
-    episode_ticks: int
-
-    def agent_ids(self) -> list[str]: ...
-
-    def body_for(self, index: int, selection: dict[str, bool]) -> BodyConfig: ...
-
-    def build_env(self, seed: int, bodies: dict[str, BodyConfig]) -> Environment: ...
-
-    def score(self, trace: EpisodeTrace, episode: int, digest: str) -> EvaluationRecord: ...
-
-
-def genotype_digest(scenario: Scenario, genotype: Genotype) -> str:
+def genotype_digest(scenario: StreetLightScenario, genotype: Genotype) -> str:
     body = configure_body(list(scenario.devices), genotype.selection)
     return config_digest(body, genotype.topology)
 
 
-def genotype_operable(scenario: Scenario, genotype: Genotype) -> bool:
+def genotype_operable(scenario: StreetLightScenario, genotype: Genotype) -> bool:
     return configure_body(list(scenario.devices), genotype.selection).is_operable()
 
 
 def run_episode(
-    scenario: Scenario,
+    scenario: StreetLightScenario,
     genotype: Genotype,
     seed: int,
     episode: int = 0,
@@ -183,7 +172,7 @@ def _candidate_rng(seed: int, generation: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, generation, k)))
 
 
-def initial_genotype(scenario: Scenario, seed: int) -> Genotype:
+def initial_genotype(scenario: StreetLightScenario, seed: int) -> Genotype:
     """Random operable selection with a full input->output topology."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     devices = list(scenario.devices)
@@ -197,7 +186,7 @@ def initial_genotype(scenario: Scenario, seed: int) -> Genotype:
 
 
 def _mutate(
-    scenario: Scenario,
+    scenario: StreetLightScenario,
     genotype: Genotype,
     command: ReconfigurationCommand,
     rng: np.random.Generator,
@@ -218,7 +207,7 @@ def all_selections(devices: tuple[DeviceSpec, ...]) -> list[dict[str, bool]]:
     return [dict(zip(ids, bits)) for bits in itertools.product([False, True], repeat=len(ids))]
 
 
-def _sweep(scenario: Scenario, seed: int, incumbent: Genotype) -> list[Genotype]:
+def _sweep(scenario: StreetLightScenario, seed: int, incumbent: Genotype) -> list[Genotype]:
     """One candidate per enabled-set.  Every controller is derived from one
     fully-enabled base topology and inherits its weights, so all 2^d
     configurations are compared on equal terms."""
@@ -236,7 +225,7 @@ def _sweep(scenario: Scenario, seed: int, incumbent: Genotype) -> list[Genotype]
 
 
 def run_search(
-    scenario: Scenario,
+    scenario: StreetLightScenario,
     seed: int,
     generations: int,
     lam: int = 4,

@@ -56,11 +56,28 @@ def flag(value) -> bool:
     return value
 
 
+def known_keys(data, allowed, what: str) -> dict:
+    """``data`` as read if it is a JSON object holding only ``allowed`` keys;
+    anything else is a ValueError, so a misspelled key is never ignored."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {data!r}")
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown!r}")
+    return data
+
+
 def topology_from_dict(data: dict) -> ControllerTopology:
     """Inverse of topology_to_dict.  Raises ValueError for a controller
     that eval_net could not evaluate: an unknown layer, a duplicate id, a
     connection to no neuron, a weight or bias that is not finite, or an
-    ``enabled`` flag that is not a boolean."""
+    ``enabled`` flag that is not a boolean; and for a key that
+    topology_to_dict does not write."""
+    known_keys(data, ("neurons", "connections"), "controller")
+    for n in data["neurons"]:
+        known_keys(n, ("id", "layer", "enabled", "bias"), "neuron")
+    for c in data["connections"]:
+        known_keys(c, ("id", "from", "to", "weight", "enabled"), "connection")
     neurons = tuple(
         Neuron(n["id"], n["layer"], flag(n.get("enabled", True)), _finite(n.get("bias", 0.0)))
         for n in data["neurons"]

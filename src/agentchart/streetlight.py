@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import BodyConfig, DeviceSpec, configure_body
-from .environment import ContextRule, Environment, EnvVariable, EpisodeTrace
+from .environment import ContextRule, Environment, EpisodeTrace
 from .errors import require
 from .evaluation import EvaluationRecord
 
@@ -156,68 +156,49 @@ class StreetLightScenario:
         }
 
     def build_env(self, seed: int, bodies: dict[str, BodyConfig]) -> Environment:
-        flows = self.people.sample(seed, self.episode_ticks, self.n_lights)
+        flows = self.people.sample(seed, self.episode_ticks, self.n_lights).tolist()
         ambient = self.ambient
         ticks = self.episode_ticks
         contribution = dict(self.light_contribution)
+        energy_of = {level: self.rules.energy_of(level) for level in LEVELS}
         spill = self.spillover
         radius = self.neighbor_radius
         n = self.n_lights
-        rules = self.rules
-
-        def contrib_at(effects, i: int) -> float:
-            return sum(contribution[level] for _, level in effects.get(f"light_{i}", ()))
-
-        variables = [
-            EnvVariable("daylight", ambient(0, ticks), lambda t, snap, eff: ambient(t, ticks))
+        names = [
+            (f"light_{i}", f"brightness_{i}", f"people_flow_{i}", f"energy_{i}")
+            for i in range(n)
         ]
-        for i in range(n):
-            variables.append(
-                EnvVariable(
-                    f"light_{i}",
-                    0.0,
-                    lambda t, snap, eff, i=i: contrib_at(eff, i),
-                )
-            )
-            variables.append(
-                EnvVariable(
-                    f"brightness_{i}",
-                    min(1.0, ambient(0, ticks)),
-                    lambda t, snap, eff, i=i: min(
-                        1.0,
-                        ambient(t, ticks)
-                        + contrib_at(eff, i)
-                        + spill
-                        * sum(
-                            contrib_at(eff, j)
-                            for j in range(max(0, i - radius), min(n, i + radius + 1))
-                            if j != i
-                        ),
-                    ),
-                )
-            )
-            variables.append(
-                EnvVariable(
-                    f"people_flow_{i}",
-                    float(flows[0, i]),
-                    lambda t, snap, eff, i=i: float(flows[min(t, ticks), i]),
-                )
-            )
-            variables.append(
-                EnvVariable(
-                    f"energy_{i}",
-                    0.0,
-                    lambda t, snap, eff, i=i: sum(
-                        rules.energy_of(level) for _, level in eff.get(f"light_{i}", ())
-                    ),
-                )
-            )
+
+        def update(t, previous, effects) -> dict[str, float]:
+            daylight = float(ambient(t, ticks))
+            light = []
+            energy = []
+            for light_name, *_ in names:
+                own = spent = 0.0
+                for _, level in effects.get(light_name, ()):
+                    own += contribution[level]
+                    spent += energy_of[level]
+                light.append(own)
+                energy.append(spent)
+            flow = flows[min(t, ticks)]
+            values = {"daylight": daylight}
+            for i, (light_name, brightness_name, flow_name, energy_name) in enumerate(names):
+                # in index order, skipping i: a window sum minus light[i] rounds differently
+                spilled = 0.0
+                for j in range(max(0, i - radius), min(n, i + radius + 1)):
+                    if j != i:
+                        spilled += light[j]
+                values[light_name] = light[i]
+                values[brightness_name] = min(1.0, daylight + light[i] + spill * spilled)
+                values[flow_name] = flow[i]
+                values[energy_name] = energy[i]
+            return values
 
         contexts = [
             ContextRule(DAY, lambda snap: snap["daylight"] >= self.dusk_threshold),
             ContextRule(NIGHT, lambda snap: True),  # catch-all
         ]
-        env = Environment(variables, contexts, self.neighbor_map())
+        env = Environment(update(0, {}, {}), update, contexts, self.neighbor_map())
         for aid, body in bodies.items():
             env.register_agent(aid, body)
         return env

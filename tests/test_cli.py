@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -235,6 +236,20 @@ class TestRunCommand:
         for name in ("metrics.csv", "best_agent.json", "trace.log", "episode.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    def test_artifacts_match_golden_digests(self, scenario_file, tmp_path):
+        # a change meant to alter the artifacts updates these digests and
+        # says so in CHANGES.md; any other change must leave them as they are
+        golden = {
+            "metrics.csv": "4e41a13023eb42018850fcd99479b34a2a42656bd96ca239d0264c28671ffc4c",
+            "best_agent.json": "f9fb5e47f11a1a2395950f7ce5743d2ac91f17b78af0854ff0d509ce7178164d",
+            "trace.log": "aa7141700bfcd4f71c4a4e94ba341577e93b8f1cd1ac78a21e1f80c2155ba9c5",
+            "episode.csv": "5b0aef77d5ff6cd9011de2f3f0bec5f30a524bb7698ca6f86cc8ea1a34c5a79c",
+        }
+        out = tmp_path / "out"
+        run_small_search(scenario_file, out, "--trace")
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in golden}
+        assert digests == golden
+
     def test_jobs_do_not_change_results(self, scenario_file, tmp_path):
         out_a, out_b = tmp_path / "serial", tmp_path / "parallel"
         run_small_search(scenario_file, out_a)
@@ -332,6 +347,24 @@ class TestReplayCommand:
             pytest.param(
                 sensor_switch_agent(connections=[{**SENSOR_SWITCH_EDGE, "enabled": "false"}]),
                 id="non_boolean_connection_flag",
+            ),
+            pytest.param(
+                sensor_switch_agent(connections=[{**SENSOR_SWITCH_EDGE, "enable": False}]),
+                id="misspelled_connection_flag",
+            ),
+            pytest.param(
+                sensor_switch_agent(
+                    [{**SENSOR_SWITCH_NEURONS[0], "weight": 1.0}, SENSOR_SWITCH_NEURONS[1]]
+                ),
+                id="unknown_neuron_key",
+            ),
+            pytest.param({**sensor_switch_agent(), "notes": "hand-written"}, id="unknown_top_level_key"),
+            pytest.param(
+                {
+                    "selection": [["lighting_sensor", True], ["light_switch", True]],
+                    "controller": sensor_switch_agent()["controller"],
+                },
+                id="selection_as_pairs",
             ),
         ],
     )

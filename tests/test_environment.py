@@ -3,14 +3,15 @@ import itertools
 import pytest
 
 from agentchart.body import DeviceSpec, configure_body
-from agentchart.environment import ContextRule, Environment, EnvVariable
+from agentchart.environment import ContextRule, Environment
 from agentchart.errors import NonFiniteVariable, UnknownChannel
 
 CATCH_ALL = [ContextRule("default", lambda snap: True)]
 
 
-def constant(value):
-    return lambda t, snap, eff: value
+def constant_env(**values):
+    """An environment whose update keeps every variable at its initial value."""
+    return Environment(values, lambda t, snap, eff: dict(values), CATCH_ALL)
 
 
 def comm_body(extra=()):
@@ -23,7 +24,7 @@ def comm_body(extra=()):
 
 def line_env(n=3):
     """n agents on a line, radius-1 neighbors, one constant variable."""
-    env = Environment([EnvVariable("x", 0.0, constant(0.0))], CATCH_ALL)
+    env = constant_env(x=0.0)
     ids = [f"a{i}" for i in range(n)]
     for i, aid in enumerate(ids):
         env.register_agent(aid, comm_body())
@@ -35,11 +36,11 @@ class TestApplyEffects:
     def test_effects_accumulate_for_update_rules(self):
         seen = {}
 
-        def rule(t, snap, eff):
+        def update(t, snap, eff):
             seen.update(eff)
-            return snap["bright"] + sum(v for _, v in eff.get("bright", ()))
+            return {"bright": snap["bright"] + sum(v for _, v in eff.get("bright", ()))}
 
-        env = Environment([EnvVariable("bright", 0.1, rule)], CATCH_ALL)
+        env = Environment({"bright": 0.1}, update, CATCH_ALL)
         body = configure_body([DeviceSpec("lamp", "output", "bright")], {"lamp": True})
         env.register_agent("a0", body)
         env.apply_effects([("a0", {"lamp": 0.25})])
@@ -48,14 +49,14 @@ class TestApplyEffects:
         assert seen == {"bright": [("a0", 0.25)]}
 
     def test_unknown_channel_rejected(self):
-        env = Environment([EnvVariable("x", 0.0, constant(0.0))], CATCH_ALL)
+        env = constant_env(x=0.0)
         body = configure_body([DeviceSpec("dev", "output", "ghost_channel")], {"dev": True})
         env.register_agent("a0", body)
         with pytest.raises(UnknownChannel):
             env.apply_effects([("a0", {"dev": 1.0})])
 
     def test_empty_actions_only_tick_bookkeeping(self):
-        env = Environment([EnvVariable("x", 0.4, lambda t, s, e: s["x"])], CATCH_ALL)
+        env = Environment({"x": 0.4}, lambda t, s, e: {"x": s["x"]}, CATCH_ALL)
         env.apply_effects([])
         env.step()
         assert env.tick == 1
@@ -82,27 +83,22 @@ class TestApplyEffects:
 
 class TestStepEnv:
     def test_constant_rules_are_fixed_points(self):
-        env = Environment(
-            [EnvVariable("a", 1.5, constant(1.5)), EnvVariable("b", -2.0, constant(-2.0))],
-            CATCH_ALL,
-        )
+        env = constant_env(a=1.5, b=-2.0)
         for _ in range(10):
             env.step()
         assert env.values == {"a": 1.5, "b": -2.0}
 
     def test_simultaneous_update_order_independent(self):
-        # each variable reads the other's previous value; any declaration
-        # order must give the same snapshot
-        def make_vars():
-            return {
-                "u": EnvVariable("u", 1.0, lambda t, s, e: s["v"] + 1.0),
-                "v": EnvVariable("v", 10.0, lambda t, s, e: s["u"] * 2.0),
-            }
+        # each variable reads the other's previous value; whatever order the
+        # update writes its keys in, it must give the same snapshot
+        formulas = {"u": lambda s: s["v"] + 1.0, "v": lambda s: s["u"] * 2.0}
+
+        def update_in(order):
+            return lambda t, s, e: {k: formulas[k](s) for k in order}
 
         results = []
         for order in itertools.permutations(["u", "v"]):
-            variables = make_vars()
-            env = Environment([variables[k] for k in order], CATCH_ALL)
+            env = Environment({"u": 1.0, "v": 10.0}, update_in(order), CATCH_ALL)
             env.step()
             results.append(env.values)
         assert results[0] == results[1] == {"u": 11.0, "v": 2.0}
@@ -112,7 +108,7 @@ class TestStepEnv:
             ContextRule("day", lambda snap: snap["daylight"] >= 0.5),
             ContextRule("night", lambda snap: True),
         ]
-        env = Environment([EnvVariable("daylight", 1.0, lambda t, s, e: 0.1)], rules)
+        env = Environment({"daylight": 1.0}, lambda t, s, e: {"daylight": 0.1}, rules)
         assert env.context == "day"
         env.step()
         assert env.context == "night"
@@ -122,23 +118,23 @@ class TestStepEnv:
             ContextRule("first", lambda snap: True),
             ContextRule("second", lambda snap: True),
         ]
-        env = Environment([EnvVariable("x", 0.0, constant(0.0))], rules)
+        env = Environment({"x": 0.0}, lambda t, s, e: {"x": 0.0}, rules)
         assert env.context == "first"
 
     def test_missing_catch_all_rejected(self):
         rules = [ContextRule("never", lambda snap: False)]
         with pytest.raises(UnknownChannel):
-            Environment([EnvVariable("x", 0.0, constant(0.0))], rules)
+            Environment({"x": 0.0}, lambda t, s, e: {"x": 0.0}, rules)
 
     def test_non_finite_variable_rejected(self):
-        env = Environment([EnvVariable("x", 0.0, constant(float("inf")))], CATCH_ALL)
+        env = Environment({"x": 0.0}, lambda t, s, e: {"x": float("inf")}, CATCH_ALL)
         with pytest.raises(NonFiniteVariable):
             env.step()
 
 
 class TestPerceive:
     def test_sensor_reads_channel_variable(self):
-        env = Environment([EnvVariable("brightness", 0.3, constant(0.3))], CATCH_ALL)
+        env = constant_env(brightness=0.3)
         body = configure_body(
             [DeviceSpec("lighting_sensor", "input", "brightness"),
              DeviceSpec("lamp", "output", "brightness")],
@@ -148,7 +144,7 @@ class TestPerceive:
         assert env.perceive("a0") == {"lighting_sensor": 0.3}
 
     def test_all_sensors_disabled_gives_empty_percept(self):
-        env = Environment([EnvVariable("brightness", 0.3, constant(0.3))], CATCH_ALL)
+        env = constant_env(brightness=0.3)
         body = configure_body([DeviceSpec("lighting_sensor", "input", "brightness")], {})
         env.register_agent("a0", body)
         assert env.perceive("a0") == {}
@@ -167,10 +163,10 @@ class TestEmbodimentLoop:
     def test_action_perturbs_variable_which_perturbs_next_percept(self):
         # closed two-tick loop: actuation raises brightness, which the
         # same agent senses on the following tick
-        def brightness_rule(t, snap, eff):
-            return 0.1 + sum(v for _, v in eff.get("brightness", ()))
+        def update(t, snap, eff):
+            return {"brightness": 0.1 + sum(v for _, v in eff.get("brightness", ()))}
 
-        env = Environment([EnvVariable("brightness", 0.1, brightness_rule)], CATCH_ALL)
+        env = Environment({"brightness": 0.1}, update, CATCH_ALL)
         body = configure_body(
             [DeviceSpec("lighting_sensor", "input", "brightness"),
              DeviceSpec("lamp", "output", "brightness")],

@@ -9,6 +9,7 @@ from agentchart.errors import InvalidParams
 from agentchart.evaluation import Genotype, run_episode
 from agentchart.streetlight import (
     DAY,
+    LEVELS,
     NIGHT,
     AmbientProfile,
     PeopleProcess,
@@ -174,6 +175,50 @@ class TestEnvironmentWiring:
         )
         env.step()
         assert env.values["brightness_0"] == 1.0
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_step_matches_per_light_oracle(self, radius):
+        # a constant 0.3 ambient saturates a light switched ON (0.7) with a lit
+        # neighbour and leaves dimmer ones unclamped, where the neighbour sum's
+        # rounding shows; None means the light sent nothing this tick
+        scenario = StreetLightScenario(
+            n_lights=6,
+            episode_ticks=12,
+            ambient=AmbientProfile(kind="constant", value=0.3),
+            people=PeopleProcess(rate=0.5),
+            neighbor_radius=radius,
+            spillover=0.5,
+        )
+        env, _ = self.build(scenario, {"lighting_sensor": True, "light_switch": True})
+        flows = scenario.people.sample(0, scenario.episode_ticks, scenario.n_lights)
+        contribution = scenario.light_contribution
+        n = scenario.n_lights
+
+        def oracle(t, levels):
+            own = [contribution[level] if level else 0.0 for level in levels]
+            values = {"daylight": 0.3}
+            for i in range(n):
+                spilled = sum(own[j] for j in range(n) if j != i and abs(j - i) <= radius)
+                values[f"light_{i}"] = own[i]
+                values[f"brightness_{i}"] = min(1.0, 0.3 + own[i] + scenario.spillover * spilled)
+                values[f"people_flow_{i}"] = float(flows[t, i])
+                values[f"energy_{i}"] = scenario.rules.energy_of(levels[i]) if levels[i] else 0.0
+            return values
+
+        assert list(env.values.items()) == list(oracle(0, [None] * n).items())
+        rng = np.random.default_rng(11)
+        saturated = 0
+        for t in range(1, scenario.episode_ticks + 1):
+            levels = [((None,) + LEVELS)[k] for k in rng.integers(4, size=n)]
+            env.apply_effects(
+                [(f"light_{i}", {"light_switch": level}) for i, level in enumerate(levels) if level]
+            )
+            env.step()
+            expected = oracle(t, levels)
+            # exact equality, in the order trace.log writes its perturbed lines
+            assert list(env.values.items()) == list(expected.items())
+            saturated += sum(expected[f"brightness_{i}"] == 1.0 for i in range(n))
+        assert 0 < saturated < n * scenario.episode_ticks
 
     def test_constant_darkness_selects_night_context(self):
         scenario = dark_scenario()
