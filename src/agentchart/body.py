@@ -1,6 +1,6 @@
 """Embodied-agent layer: device inventory with enable/disable history,
 controller derivation from the body, and the perception -> decision ->
-effector behavior loop driven by a statechart.
+effector step, whose behavior statechart is walked to record a trace.
 """
 
 from __future__ import annotations
@@ -45,12 +45,6 @@ class BodyConfig:
     devices: tuple[DeviceSpec, ...]
     enabled: dict[str, bool]
 
-    def device(self, did: str) -> DeviceSpec:
-        for d in self.devices:
-            if d.id == did:
-                return d
-        raise UnknownDevice(did)
-
     @cached_property
     def enabled_inputs(self) -> tuple[DeviceSpec, ...]:
         return tuple(d for d in self.devices if d.direction == "input" and self.enabled.get(d.id))
@@ -58,6 +52,10 @@ class BodyConfig:
     @cached_property
     def enabled_outputs(self) -> tuple[DeviceSpec, ...]:
         return tuple(d for d in self.devices if d.direction == "output" and self.enabled.get(d.id))
+
+    @cached_property
+    def input_ids(self) -> frozenset[str]:
+        return frozenset(d.id for d in self.enabled_inputs)
 
     def is_operable(self) -> bool:
         return bool(self.enabled_inputs) and bool(self.enabled_outputs)
@@ -185,14 +183,8 @@ def build_behavior_chart() -> sc.Statechart:
     return sc.build_chart(nodes, transitions)
 
 
-_BEHAVIOR_CHART: sc.Statechart | None = None
-
-
-def behavior_chart() -> sc.Statechart:
-    global _BEHAVIOR_CHART
-    if _BEHAVIOR_CHART is None:
-        _BEHAVIOR_CHART = build_behavior_chart()
-    return _BEHAVIOR_CHART
+BEHAVIOR_CHART = build_behavior_chart()
+BEHAVIOR_START = sc.initialize(BEHAVIOR_CHART)
 
 
 @dataclass
@@ -200,38 +192,8 @@ class AgentRuntime:
     """One live agent: spec plus behavior-chart and controller state."""
 
     spec: AgentSpec
-    config: sc.Configuration = None
+    config: sc.Configuration = BEHAVIOR_START
     controller_state: ControllerState = field(default_factory=ControllerState)
-
-    def __post_init__(self):
-        if self.config is None:
-            self.config = sc.initialize(behavior_chart())
-
-
-# The behavior chart has no guards, actions or history, so a macrostep
-# is a pure function of (active set, event); untraced steps hit a memo.
-_DISPATCH_CACHE: dict[tuple[frozenset[str], str], sc.Configuration] = {}
-
-
-def _behavior_dispatch(
-    chart: sc.Statechart,
-    config: sc.Configuration,
-    event_id: str,
-    tick: int,
-    agent_id: str,
-    trace: list[sc.TraceEvent] | None,
-) -> sc.Configuration:
-    if trace is not None:
-        cfg, _, _ = sc.dispatch(
-            chart, config, sc.Event(event_id), tick=tick, agent=agent_id, trace=trace
-        )
-        return cfg
-    key = (config.active, event_id)
-    cached = _DISPATCH_CACHE.get(key)
-    if cached is None:
-        cached, _, _ = sc.dispatch(chart, config, sc.Event(event_id))
-        _DISPATCH_CACHE[key] = cached
-    return cached
 
 
 def quantize(value: float, levels: tuple[str, ...]) -> str:
@@ -251,49 +213,56 @@ def step_agent(
     tick: int = 0,
     trace: list[sc.TraceEvent] | None = None,
 ) -> ActionSet:
-    """One sense -> decide -> act pass through the behavior chart.
+    """One sense -> decide -> act pass: the controller maps the percept to
+    the ActionSet and its state is updated in place on ``agent``.
 
-    Returns the ActionSet; the controller state and chart configuration
-    are updated in place on ``agent``.
+    The behavior chart has no guards, actions or history and every pass
+    returns it to its initial configuration, so it never changes an
+    action; it is walked only to record ``trace``.
     """
     body = agent.spec.body
     if not body.is_operable():
         raise BehaviorNotConfigured(
             f"agent {agent.spec.agent_id}: needs at least one enabled input and output"
         )
-    enabled_inputs = {d.id for d in body.enabled_inputs}
-    if set(percept) != enabled_inputs:
+    if percept.keys() != body.input_ids:
         raise BehaviorNotConfigured(
             f"percept keys {sorted(percept)} do not match enabled inputs "
-            f"{sorted(enabled_inputs)}"
+            f"{sorted(body.input_ids)}"
         )
-
-    chart = behavior_chart()
-    aid = agent.spec.agent_id
-    config = agent.config
-
-    config = _behavior_dispatch(chart, config, EV_SENSE, tick, aid, trace)
-    if trace is not None:
-        for d in body.enabled_inputs:
-            trace.append(sc.TraceEvent(tick, aid, "fired", f"sensed:{d.id}", repr(percept[d.id])))
-
-    config = _behavior_dispatch(chart, config, EV_DECIDE, tick, aid, trace)
     outputs, agent.controller_state = eval_net(
-        agent.spec.controller, agent.controller_state, dict(percept)
+        agent.spec.controller, agent.controller_state, percept
     )
-
-    config = _behavior_dispatch(chart, config, EV_ACT, tick, aid, trace)
     actions: ActionSet = {}
     for d in body.enabled_outputs:
         value = outputs.get(d.id, 0.0)
-        if d.output_levels:
-            actions[d.id] = quantize(value, d.output_levels)
-        else:
-            actions[d.id] = value
+        actions[d.id] = quantize(value, d.output_levels) if d.output_levels else value
     if trace is not None:
-        for did in actions:
-            trace.append(sc.TraceEvent(tick, aid, "fired", f"actuated:{did}", repr(actions[did])))
-
-    config = _behavior_dispatch(chart, config, EV_TICK_DONE, tick, aid, trace)
-    agent.config = config
+        _walk_behavior_chart(agent, percept, actions, tick, trace)
     return actions
+
+
+def _walk_behavior_chart(
+    agent: AgentRuntime,
+    percept: Percept,
+    actions: ActionSet,
+    tick: int,
+    trace: list[sc.TraceEvent],
+) -> None:
+    """Dispatch the pass's four events, each followed by the devices it
+    reads or drives, and leave the agent in the chart's new configuration."""
+    aid = agent.spec.agent_id
+    events = (
+        (EV_SENSE, [(f"sensed:{d.id}", percept[d.id]) for d in agent.spec.body.enabled_inputs]),
+        (EV_DECIDE, ()),
+        (EV_ACT, [(f"actuated:{did}", value) for did, value in actions.items()]),
+        (EV_TICK_DONE, ()),
+    )
+    config = agent.config
+    for event_id, devices in events:
+        config, _, _ = sc.dispatch(
+            BEHAVIOR_CHART, config, sc.Event(event_id), tick=tick, agent=aid, trace=trace
+        )
+        for subject, value in devices:
+            trace.append(sc.TraceEvent(tick, aid, "fired", subject, repr(value)))
+    agent.config = config

@@ -132,10 +132,14 @@ def cmd_replay(args) -> int:
             {did: flag(on) for did, on in selection.items()}, topology_from_dict(data["controller"])
         )
         body = configure_body(devices, genotype.selection)
-        # the controller must mirror the body, as derive_controller builds it
+        if not body.is_operable():
+            raise ValueError("the selection enables no input or no output device")
+        # the controller mirrors the body as derive_controller builds it: one
+        # enabled neuron per enabled device
         for layer, devices in ((INPUT, body.enabled_inputs), (OUTPUT, body.enabled_outputs)):
-            if set(genotype.topology.ids(layer)) != {d.id for d in devices}:
-                raise ValueError(f"{layer} neurons do not match the enabled {layer} devices")
+            neurons = {n.id: n.enabled for n in genotype.topology.neurons if n.layer == layer}
+            if neurons != {d.id: True for d in devices}:
+                raise ValueError(f"{layer} neurons must mirror the enabled {layer} devices")
     except (ValueError, LookupError, TypeError, UnknownDevice) as exc:
         raise ConfigError(f"{args.agent}: not a saved agent: {exc!r}") from exc
     record, _ = run_episode(loaded.scenario, genotype, args.seed)

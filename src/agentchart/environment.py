@@ -13,7 +13,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .body import COMM_CHANNEL, BodyConfig, Percept
-from .errors import NonFiniteVariable, UnknownChannel
+from .errors import NonFiniteVariable, UnknownChannel, UnknownDevice
 from .statechart import TraceEvent
 
 # update: (new_tick, previous values, effects by channel) -> a new dict of
@@ -43,6 +43,8 @@ class Environment:
         self.context_rules = list(context_rules)
         self.neighbors = dict(neighbors or {})
         self.bodies: dict[str, BodyConfig] = {}
+        # per agent, each enabled output's id -> the channel it drives
+        self.effect_channels: dict[str, dict[str, str]] = {}
         self.tick = 0
         self.pending_effects: dict[str, list[tuple[str, object]]] = {}
         self._comm_outbox: list[tuple[str, object]] = []
@@ -53,7 +55,15 @@ class Environment:
         self.context = self._select_context(self.values)
 
     def register_agent(self, agent_id: str, body: BodyConfig) -> None:
+        """Add an agent; every enabled device must read or drive a declared
+        variable or the comm channel."""
+        for device in body.enabled_inputs + body.enabled_outputs:
+            if device.channel != COMM_CHANNEL and device.channel not in self.values:
+                raise UnknownChannel(
+                    f"device {device.id!r} uses unknown channel {device.channel!r}"
+                )
         self.bodies[agent_id] = body
+        self.effect_channels[agent_id] = {d.id: d.channel for d in body.enabled_outputs}
         self.neighbors.setdefault(agent_id, [])
         self.comm_mailbox.setdefault(agent_id, [])
 
@@ -79,11 +89,13 @@ class Environment:
         channel, for the update function.
         """
         for agent_id, action_set in actions:
-            body = self.bodies.get(agent_id)
-            if body is None:
+            channels = self.effect_channels.get(agent_id)
+            if channels is None:
                 raise UnknownChannel(f"agent {agent_id!r} is not registered")
             for device_id, value in action_set.items():
-                channel = body.device(device_id).channel
+                channel = channels.get(device_id)
+                if channel is None:
+                    raise UnknownDevice(f"agent {agent_id!r} has no enabled output {device_id!r}")
                 if channel == COMM_CHANNEL:
                     self._comm_outbox.append((agent_id, value))
                     if trace is not None:
@@ -91,10 +103,6 @@ class Environment:
                             TraceEvent(self.tick, agent_id, "emitted", COMM_CHANNEL, repr(value))
                         )
                 else:
-                    if channel not in self.values:
-                        raise UnknownChannel(
-                            f"device {device_id!r} targets unknown channel {channel!r}"
-                        )
                     self.pending_effects.setdefault(channel, []).append((agent_id, value))
 
     def step(self, trace: list[TraceEvent] | None = None) -> None:
@@ -145,10 +153,6 @@ class Environment:
                 else:
                     percept[device.id] = 0.0
             else:
-                if device.channel not in self.values:
-                    raise UnknownChannel(
-                        f"sensor {device.id!r} reads unknown variable {device.channel!r}"
-                    )
                 percept[device.id] = self.values[device.channel]
         return percept
 

@@ -5,6 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agentchart.body import (
+    BEHAVIOR_CHART,
+    BEHAVIOR_START,
+    EV_ACT,
+    EV_DECIDE,
+    EV_SENSE,
+    EV_TICK_DONE,
     AgentRuntime,
     AgentSpec,
     DeviceSpec,
@@ -15,7 +21,7 @@ from agentchart.body import (
 )
 from agentchart.controller import Connection, ControllerTopology, Neuron
 from agentchart.errors import BehaviorNotConfigured, UnknownDevice
-from agentchart.statechart import TraceEvent
+from agentchart.statechart import Event, TraceEvent, dispatch
 
 
 def street_devices():
@@ -200,8 +206,42 @@ class TestStepAgent:
         assert first_entered.subject == "processing_inputs"
 
     def test_chart_configuration_returns_to_start_each_tick(self):
+        # traced, so every tick walks the chart through the interpreter
         agent = make_agent({"lighting_sensor": True, "light_switch": True})
         start = agent.config.active
+        trace: list[TraceEvent] = []
         for tick in range(3):
-            step_agent(agent, {"lighting_sensor": 0.5}, tick=tick)
+            step_agent(agent, {"lighting_sensor": 0.5}, tick=tick, trace=trace)
             assert agent.config.active == start
+        transitions = [t for t in trace if t.kind == "fired" and t.detail.startswith("->")]
+        assert len(transitions) == 3 * 4
+
+    def test_trace_lines_follow_sense_decide_act_order(self):
+        agent = make_agent(
+            {"lighting_sensor": True, "motion_sensor": True, "light_switch": True}
+        )
+        trace: list[TraceEvent] = []
+        step_agent(agent, {"motion_sensor": 0.2, "lighting_sensor": 0.5}, tick=4, trace=trace)
+        fired = [t.subject for t in trace if t.kind == "fired"]
+        assert fired == [
+            "sense",
+            "sensed:lighting_sensor",
+            "sensed:motion_sensor",
+            "run_network",
+            "actuate",
+            "actuated:light_switch",
+            "rest",
+        ]
+        assert {t.tick for t in trace} == {4}
+
+
+class TestBehaviorChart:
+    def test_four_event_cycle_returns_to_start(self):
+        config = BEHAVIOR_START
+        for event in (EV_SENSE, EV_DECIDE, EV_ACT, EV_TICK_DONE):
+            before = config.active
+            config, emitted, trace = dispatch(BEHAVIOR_CHART, config, Event(event))
+            assert [t.kind for t in trace].count("fired") == 1, event
+            assert emitted == []
+            assert config.active != before
+        assert config == BEHAVIOR_START

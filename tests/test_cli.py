@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -89,6 +90,37 @@ def mutated_configs(draw):
         else:
             node[key] = draw(SAME_TYPE[type(node[key])])
     return cfg
+
+
+def _slots(tree):
+    """Every (container, key or index) pair of a JSON tree."""
+    for key, value in list(tree.items() if isinstance(tree, dict) else enumerate(tree)):
+        yield tree, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def mutated_agents(draw, agent):
+    """A saved agent with keys or list items dropped, keys misspelt, or
+    values of the wrong type, flipped, non-finite or perturbed."""
+    agent = copy.deepcopy(agent)
+    same_type = {**SAME_TYPE, bool: st.booleans()}
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(agent))
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["drop", "misspell", "retype", "perturb"]))
+        if action == "drop":
+            del node[key]
+        elif action == "misspell" and isinstance(node, dict):
+            node[key + draw(st.sampled_from(["s", "_", "X"]))] = node.pop(key)
+        elif action == "retype" or type(node[key]) not in same_type:
+            node[key] = draw(OTHER_TYPES)
+        else:
+            node[key] = draw(same_type[type(node[key])])
+    return agent
 
 
 class TestConfig:
@@ -282,6 +314,16 @@ class TestRunCommand:
         assert flag.lstrip("-") in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def saved_agent(tmp_path_factory):
+    """The scenario file and best_agent.json of one small run."""
+    root = tmp_path_factory.mktemp("saved")
+    scenario = root / "scenario.json"
+    scenario.write_text(json.dumps(SMALL))
+    run_small_search(scenario, root / "out")
+    return scenario, json.loads((root / "out" / "best_agent.json").read_text())
+
+
 class TestReplayCommand:
     def test_replay_reproduces_recorded_score(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -366,6 +408,25 @@ class TestReplayCommand:
                 },
                 id="selection_as_pairs",
             ),
+            pytest.param(
+                {
+                    "selection": {"light_switch": True},
+                    "controller": {"neurons": SENSOR_SWITCH_NEURONS[1:], "connections": []},
+                },
+                id="no_enabled_input",
+            ),
+            pytest.param(
+                sensor_switch_agent(
+                    [{**SENSOR_SWITCH_NEURONS[0], "enabled": False}, SENSOR_SWITCH_NEURONS[1]]
+                ),
+                id="disabled_input_neuron",
+            ),
+            pytest.param(
+                sensor_switch_agent(
+                    [SENSOR_SWITCH_NEURONS[0], {**SENSOR_SWITCH_NEURONS[1], "enabled": False}]
+                ),
+                id="disabled_output_neuron",
+            ),
         ],
     )
     def test_bad_agent_file_exits_2(self, scenario_file, tmp_path, capsys, agent):
@@ -374,6 +435,21 @@ class TestReplayCommand:
         code = run_cli("replay", "--agent", path, "--scenario", scenario_file, "--seed", 5)
         assert code == EXIT_PARSE
         assert str(path) in capsys.readouterr().err
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_mutated_agent_files_exit_cleanly(self, saved_agent, tmp_path, capsys, data):
+        scenario, agent = saved_agent
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(data.draw(mutated_agents(agent))))
+        capsys.readouterr()
+        code = run_cli("replay", "--agent", path, "--scenario", scenario, "--seed", 5)
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION)
+        if code == EXIT_OK:
+            score = capsys.readouterr().out.splitlines()[0].removeprefix("score=")
+            assert math.isfinite(float(score))
 
     def test_hand_written_agent_replays(self, scenario_file, tmp_path, capsys):
         # the valid agent that the bad cases above are edited from

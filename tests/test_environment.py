@@ -4,7 +4,7 @@ import pytest
 
 from agentchart.body import DeviceSpec, configure_body
 from agentchart.environment import ContextRule, Environment
-from agentchart.errors import NonFiniteVariable, UnknownChannel
+from agentchart.errors import NonFiniteVariable, UnknownChannel, UnknownDevice
 
 CATCH_ALL = [ContextRule("default", lambda snap: True)]
 
@@ -49,11 +49,39 @@ class TestApplyEffects:
         assert seen == {"bright": [("a0", 0.25)]}
 
     def test_unknown_channel_rejected(self):
+        # checked once, when the agent is registered
         env = constant_env(x=0.0)
         body = configure_body([DeviceSpec("dev", "output", "ghost_channel")], {"dev": True})
-        env.register_agent("a0", body)
         with pytest.raises(UnknownChannel):
-            env.apply_effects([("a0", {"dev": 1.0})])
+            env.register_agent("a0", body)
+
+    def test_unknown_sensor_variable_rejected(self):
+        env = constant_env(x=0.0)
+        body = configure_body([DeviceSpec("eye", "input", "ghost_variable")], {"eye": True})
+        with pytest.raises(UnknownChannel):
+            env.register_agent("a0", body)
+
+    def test_disabled_device_channel_not_checked(self):
+        env = constant_env(x=0.0)
+        body = configure_body([DeviceSpec("dev", "output", "ghost_channel")], {})
+        env.register_agent("a0", body)
+        assert env.perceive("a0") == {}
+
+    @pytest.mark.parametrize(
+        "device_id,selection",
+        [
+            pytest.param("lamp", {"lamp": False, "eye": True}, id="disabled_output"),
+            pytest.param("eye", {"lamp": True, "eye": True}, id="input_device"),
+            pytest.param("ghost", {"lamp": True, "eye": True}, id="undeclared_device"),
+        ],
+    )
+    def test_action_must_name_an_enabled_output(self, device_id, selection):
+        env = Environment({"bright": 0.1}, lambda t, s, e: {"bright": s["bright"]}, CATCH_ALL)
+        devices = [DeviceSpec("lamp", "output", "bright"), DeviceSpec("eye", "input", "bright")]
+        env.register_agent("a0", configure_body(devices, selection))
+        with pytest.raises(UnknownDevice):
+            env.apply_effects([("a0", {device_id: 0.5})])
+        assert env.pending_effects == {}
 
     def test_empty_actions_only_tick_bookkeeping(self):
         env = Environment({"x": 0.4}, lambda t, s, e: {"x": s["x"]}, CATCH_ALL)

@@ -1,14 +1,20 @@
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from agentchart.body import configure_body
+from agentchart import statechart
+from agentchart.body import configure_body, derive_controller
+from agentchart.controller import HIDDEN, OUTPUT, Connection, ControllerTopology, Neuron
 from agentchart.environment import EpisodeTrace, TickSnapshot
 from agentchart.evaluation import (
     ADJUST,
     RECONFIGURE,
     EvaluationRecord,
+    Genotype,
     SearchPolicy,
     Stop,
     all_selections,
@@ -18,6 +24,7 @@ from agentchart.evaluation import (
     run_search,
 )
 from agentchart.serialize import body_digest, neuron_digest
+from agentchart.statechart import dispatch
 from agentchart.streetlight import (
     AmbientProfile,
     PeopleProcess,
@@ -164,6 +171,58 @@ class TestRunEpisode:
         genotype = run_search(scenario, seed=3, generations=1).best
         _, trace = run_episode(scenario, genotype, seed=3)
         assert [s.tick for s in trace.snapshots] == list(range(1, 8))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_traced_and_untraced_episodes_agree(self, seed):
+        # differential: walking the behavior chart for the trace must not
+        # change a single snapshot or score, and only the traced run walks it
+        scenario = small_scenario(n_lights=3, episode_ticks=12)
+        genotype = random_genotype(scenario, random.Random(seed))
+        calls = []
+
+        def counting_dispatch(*args, **kwargs):
+            calls.append(args[2].id)
+            return dispatch(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(statechart, "dispatch", counting_dispatch)
+            plain, plain_trace = run_episode(scenario, genotype, seed=seed % 1000)
+            assert calls == []
+            traced, traced_trace = run_episode(
+                scenario, genotype, seed=seed % 1000, collect_events=True
+            )
+        assert len(calls) == 4 * scenario.n_lights * scenario.episode_ticks
+        assert math.isfinite(plain.score)
+        assert plain == traced
+        assert plain_trace.snapshots == traced_trace.snapshots
+        assert plain_trace.events is None and traced_trace.events
+
+
+def random_genotype(scenario, rng: random.Random) -> Genotype:
+    """Both comm devices and a random rest of the body; the derived controller
+    plus hidden neurons, a self-loop and random edges (cycles among them),
+    with about one edge in five disabled."""
+    devices = list(scenario.devices)
+    selection = {d.id: rng.random() < 0.5 for d in devices}
+    selection.update(wireless_in=True, wireless_speaker=True)
+    body = configure_body(devices, selection)
+    base = derive_controller(body, rng=np.random.default_rng(rng.randrange(2**32)))
+    hidden = [Neuron(f"h{k}", HIDDEN, bias=rng.gauss(0, 1)) for k in range(rng.randint(1, 3))]
+    neurons = base.neurons + tuple(hidden)
+    ids = [n.id for n in neurons]
+    # the self-loop reaches every output, so the previous tick's state counts
+    loop = hidden[0].id
+    edges = [Connection("loop", loop, loop, rng.gauss(0, 4))]
+    edges += [Connection(f"o{k}", loop, o, rng.gauss(0, 4)) for k, o in enumerate(base.ids(OUTPUT))]
+    edges += [
+        Connection(f"x{k}", rng.choice(ids), rng.choice(ids), rng.gauss(0, 2))
+        for k in range(rng.randint(2, 8))
+    ]
+    connections = tuple(
+        replace(c, enabled=rng.random() < 0.8) for c in base.connections + tuple(edges)
+    )
+    return Genotype(selection, ControllerTopology(neurons, connections))
 
 
 class TestRunSearch:

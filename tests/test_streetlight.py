@@ -58,8 +58,9 @@ class TestDevices:
     def test_body_for_resolves_per_light_channels(self):
         scenario = dark_scenario(n_lights=3)
         body = scenario.body_for(2, {"lighting_sensor": True, "light_switch": True})
-        assert body.device("lighting_sensor").channel == "brightness_2"
-        assert body.device("light_switch").channel == "light_2"
+        channels = {d.id: d.channel for d in body.devices}
+        assert channels["lighting_sensor"] == "brightness_2"
+        assert channels["light_switch"] == "light_2"
 
     def test_minimal_sensor_switch_body_is_operable(self):
         scenario = dark_scenario()
