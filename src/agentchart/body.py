@@ -20,6 +20,7 @@ from .controller import (
     ControllerTopology,
     Neuron,
     eval_net,
+    fresh_connection_id,
 )
 from .errors import BehaviorNotConfigured, UnknownDevice
 
@@ -120,17 +121,22 @@ def derive_controller(
         if conn.from_id in alive and conn.to_id in alive:
             connections.append(conn)
             covered.add((conn.from_id, conn.to_id))
-    k = len(connections)
-    taken = {c.id for c in connections}
     for i in input_ids:
         for o in output_ids:
-            if (i, o) in covered:
-                continue
-            while f"c{k}" in taken:
-                k += 1
-            connections.append(Connection(f"c{k}", i, o, float(rng.normal(0.0, weight_sigma))))
-            taken.add(f"c{k}")
+            if (i, o) not in covered:
+                cid = fresh_connection_id(connections)
+                connections.append(Connection(cid, i, o, float(rng.normal(0.0, weight_sigma))))
     return ControllerTopology(tuple(neurons), tuple(connections))
+
+
+def require_mirror(body: BodyConfig, topology: ControllerTopology) -> None:
+    """Raise BehaviorNotConfigured unless the controller mirrors the body as
+    derive_controller builds it: its input and output neurons are exactly
+    one enabled neuron per enabled input and output device."""
+    for layer, devices in ((INPUT, body.enabled_inputs), (OUTPUT, body.enabled_outputs)):
+        neurons = {n.id: n.enabled for n in topology.neurons if n.layer == layer}
+        if neurons != {d.id: True for d in devices}:
+            raise BehaviorNotConfigured(f"{layer} neurons must mirror the enabled {layer} devices")
 
 
 # --- behavior statechart -------------------------------------------------
@@ -235,7 +241,7 @@ def step_agent(
     )
     actions: ActionSet = {}
     for d in body.enabled_outputs:
-        value = outputs.get(d.id, 0.0)
+        value = outputs[d.id]
         actions[d.id] = quantize(value, d.output_levels) if d.output_levels else value
     if trace is not None:
         _walk_behavior_chart(agent, percept, actions, tick, trace)

@@ -12,10 +12,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .body import configure_body
+from .body import configure_body, require_mirror
 from .config import LoadedScenario, load_scenario, read_json
-from .controller import INPUT, OUTPUT
-from .errors import ConfigError, RangeError, UnknownDevice
+from .errors import BehaviorNotConfigured, ConfigError, RangeError, UnknownDevice
 from .evaluation import Genotype, SearchResult, genotype_digest, run_episode, run_search
 from .serialize import canonical_json, flag, known_keys, topology_from_dict, topology_to_dict
 
@@ -134,13 +133,8 @@ def cmd_replay(args) -> int:
         body = configure_body(devices, genotype.selection)
         if not body.is_operable():
             raise ValueError("the selection enables no input or no output device")
-        # the controller mirrors the body as derive_controller builds it: one
-        # enabled neuron per enabled device
-        for layer, devices in ((INPUT, body.enabled_inputs), (OUTPUT, body.enabled_outputs)):
-            neurons = {n.id: n.enabled for n in genotype.topology.neurons if n.layer == layer}
-            if neurons != {d.id: True for d in devices}:
-                raise ValueError(f"{layer} neurons must mirror the enabled {layer} devices")
-    except (ValueError, LookupError, TypeError, UnknownDevice) as exc:
+        require_mirror(body, genotype.topology)
+    except (ValueError, LookupError, TypeError, UnknownDevice, BehaviorNotConfigured) as exc:
         raise ConfigError(f"{args.agent}: not a saved agent: {exc!r}") from exc
     record, _ = run_episode(loaded.scenario, genotype, args.seed)
     digest = genotype_digest(loaded.scenario, genotype)

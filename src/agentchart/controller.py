@@ -6,8 +6,10 @@ mutation surface used by the "adjust" reconfiguration path.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from graphlib import TopologicalSorter
 
 import numpy as np
 
@@ -45,19 +47,29 @@ class ControllerTopology:
 
     @cached_property
     def eval_plan(self):
-        """Evaluation order, incoming-edge table, enabled neurons by id, and
-        enabled input and output ids; built on first use, once per topology."""
+        """``(input_ids, steps, output_ids)``, built once per topology: one step
+        ``(id, bias, forward, recurrent)`` per enabled non-input neuron, in a
+        topological order of the forward edges, with its incoming
+        ``(from_id, weight)`` pairs of each kind in declaration order."""
         forward, recurrent = split_edges(self)
-        incoming: dict[str, list[tuple[str, float, bool]]] = {}
+        enabled = {n.id: n for n in self.neurons if n.enabled}
+        fwd_in: dict[str, list[tuple[str, float]]] = {nid: [] for nid in enabled}
+        rec_in: dict[str, list[tuple[str, float]]] = {nid: [] for nid in enabled}
         for c in forward:
-            incoming.setdefault(c.to_id, []).append((c.from_id, c.weight, False))
+            fwd_in[c.to_id].append((c.from_id, c.weight))
         for c in recurrent:
-            incoming.setdefault(c.to_id, []).append((c.from_id, c.weight, True))
-        order = _topo_order(self, forward)
-        by_id = {n.id: n for n in self.neurons if n.enabled}
-        inputs = [nid for nid, n in by_id.items() if n.layer == INPUT]
-        outputs = [nid for nid, n in by_id.items() if n.layer == OUTPUT]
-        return order, incoming, by_id, inputs, outputs
+            rec_in[c.to_id].append((c.from_id, c.weight))
+        # each neuron sums its own edge lists in their fixed order, so every
+        # topological order gives the same values
+        order = TopologicalSorter({nid: [frm for frm, _ in fwd_in[nid]] for nid in enabled})
+        steps = tuple(
+            (nid, enabled[nid].bias, tuple(fwd_in[nid]), tuple(rec_in[nid]))
+            for nid in order.static_order()
+            if enabled[nid].layer != INPUT
+        )
+        inputs = tuple(nid for nid, n in enabled.items() if n.layer == INPUT)
+        outputs = tuple(nid for nid, n in enabled.items() if n.layer == OUTPUT)
+        return inputs, steps, outputs
 
 
 @dataclass(frozen=True)
@@ -131,25 +143,6 @@ def split_edges(topology: ControllerTopology) -> tuple[list[Connection], list[Co
     return forward, recurrent
 
 
-def _topo_order(topology: ControllerTopology, forward: list[Connection]) -> list[str]:
-    ids = [n.id for n in topology.neurons if n.enabled]
-    indeg = {nid: 0 for nid in ids}
-    out: dict[str, list[str]] = {nid: [] for nid in ids}
-    for c in forward:
-        indeg[c.to_id] += 1
-        out[c.from_id].append(c.to_id)
-    ready = [nid for nid in ids if indeg[nid] == 0]
-    order: list[str] = []
-    while ready:
-        nid = ready.pop(0)
-        order.append(nid)
-        for nxt in out[nid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    return order
-
-
 def eval_net(
     topology: ControllerTopology,
     state: ControllerState,
@@ -160,33 +153,28 @@ def eval_net(
     Input neurons take the supplied values verbatim.  Every other
     enabled neuron computes sigmoid(bias + sum of enabled incoming
     weight*value), where forward edges read this tick's upstream value
-    in topological order and recurrent edges read the previous state.
+    in topological order and recurrent edges read the previous state;
+    the forward terms are added first, each list in declaration order.
     """
     for nid, value in inputs.items():
         if not math.isfinite(value):
             raise NonFiniteInput(f"input for neuron {nid!r} is not finite: {value}")
-    order, incoming, by_id, input_ids, output_ids = topology.eval_plan
+    input_ids, steps, output_ids = topology.eval_plan
+    activation: dict[str, float] = {}
     for nid in input_ids:
         if nid not in inputs:
             raise NonFiniteInput(f"missing input for enabled input neuron {nid!r}")
+        activation[nid] = inputs[nid]
 
     previous = state.activation
-    activation: dict[str, float] = {}
-    for nid in order:
-        neuron = by_id[nid]
-        if neuron.layer == INPUT:
-            activation[nid] = inputs[nid]
-            continue
-        total = neuron.bias
-        for from_id, weight, is_recurrent in incoming.get(nid, ()):
-            if is_recurrent:
-                total += weight * previous.get(from_id, 0.0)
-            else:
-                total += weight * activation[from_id]
+    for nid, total, forward, recurrent in steps:
+        for from_id, weight in forward:
+            total += weight * activation[from_id]
+        for from_id, weight in recurrent:
+            total += weight * previous.get(from_id, 0.0)
         activation[nid] = sigmoid(total)
 
-    outputs = {nid: activation[nid] for nid in output_ids}
-    return outputs, ControllerState(activation)
+    return {nid: activation[nid] for nid in output_ids}, ControllerState(activation)
 
 
 def mutate_connections(
@@ -211,17 +199,15 @@ def mutate_connections(
     if enabled_ids and policy.add_prob > 0 and rng.random() < policy.add_prob:
         frm = enabled_ids[int(rng.integers(len(enabled_ids)))]
         to = enabled_ids[int(rng.integers(len(enabled_ids)))]
-        cid = _fresh_connection_id(topology)
-        new_connections.append(
-            Connection(cid, frm, to, float(rng.normal(0.0, policy.weight_sigma)))
-        )
+        weight = float(rng.normal(0.0, policy.weight_sigma))
+        new_connections.append(Connection(fresh_connection_id(new_connections), frm, to, weight))
     return replace(topology, connections=tuple(new_connections))
 
 
-def _fresh_connection_id(topology: ControllerTopology) -> str:
-    taken = {c.id for c in topology.connections}
-    k = len(topology.connections)
+def fresh_connection_id(connections: Sequence[Connection]) -> str:
+    """The first free id ``c<k>`` with ``k`` at least ``len(connections)``."""
+    taken = {c.id for c in connections}
+    k = len(connections)
     while f"c{k}" in taken:
         k += 1
     return f"c{k}"
-

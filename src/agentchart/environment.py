@@ -111,6 +111,8 @@ class Environment:
         previous = self.values
         new_tick = self.tick + 1
         new_values = self.update(new_tick, previous, MappingProxyType(self.pending_effects))
+        if new_values.keys() != previous.keys():
+            raise UnknownChannel(f"update must return exactly the variables {sorted(previous)}")
         for name, value in new_values.items():
             if not math.isfinite(value):
                 raise NonFiniteVariable(f"variable {name!r} became non-finite: {value}")

@@ -34,7 +34,7 @@ class UnknownDevice(AgentChartError):
 
 
 class BehaviorNotConfigured(AgentChartError):
-    """Agent has no enabled input or no enabled output."""
+    """Agent has no enabled input or output, or a controller that does not mirror its body."""
 
 
 class NonFiniteInput(AgentChartError):

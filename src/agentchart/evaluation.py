@@ -17,7 +17,15 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .body import AgentRuntime, AgentSpec, DeviceSpec, configure_body, derive_controller, step_agent
+from .body import (
+    AgentRuntime,
+    AgentSpec,
+    DeviceSpec,
+    configure_body,
+    derive_controller,
+    require_mirror,
+    step_agent,
+)
 from .controller import ControllerTopology, MutationPolicy, mutate_connections
 from .environment import EpisodeTrace, TickSnapshot, snapshot_row
 from .errors import require
@@ -115,6 +123,7 @@ def run_episode(
     An inoperable body (no enabled input or output) scores +inf so that
     structural search can still enumerate it.
     """
+    require(seed >= 0, "seed must be >= 0")
     digest = genotype_digest(scenario, genotype)
     ids = scenario.agent_ids()
     bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
@@ -123,6 +132,7 @@ def run_episode(
             EvaluationRecord(episode, math.inf, {}, digest),
             EpisodeTrace([], [] if collect_events else None),
         )
+    require_mirror(bodies[ids[0]], genotype.topology)
 
     env = scenario.build_env(seed, bodies)
     agents = [
@@ -242,6 +252,7 @@ def run_search(
     ``exhaustive`` the single search generation instead sweeps every
     enabled-set, deriving each controller from the incumbent's weights.
     """
+    require(seed >= 0, "seed must be >= 0")
     require(generations >= 1, "generations must be >= 1")
     require(lam >= 1, "lambda must be >= 1")
     require(jobs >= 1, "jobs must be >= 1")

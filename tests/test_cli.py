@@ -305,11 +305,21 @@ class TestRunCommand:
         )
         assert code == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("flag", ["--generations", "--lambda", "--jobs"])
-    def test_bad_count_exits_3(self, scenario_file, tmp_path, capsys, flag):
-        code = run_cli(
-            "run", "--scenario", scenario_file, "--seed", 1, flag, 0, "--out", tmp_path / "out",
-        )
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            pytest.param("run", "--generations", 0, id="--generations"),
+            pytest.param("run", "--lambda", 0, id="--lambda"),
+            pytest.param("run", "--jobs", 0, id="--jobs"),
+            pytest.param("run", "--seed", -1, id="--seed"),
+            pytest.param("replay", "--seed", -1, id="replay--seed"),
+        ],
+    )
+    def test_bad_count_exits_3(self, scenario_file, tmp_path, capsys, command, flag, value):
+        agent = tmp_path / "agent.json"
+        agent.write_text(json.dumps(sensor_switch_agent()))
+        target = ["--out", tmp_path / "out"] if command == "run" else ["--agent", agent]
+        code = run_cli(command, "--scenario", scenario_file, "--seed", 1, flag, value, *target)
         assert code == EXIT_VALIDATION
         assert flag.lstrip("-") in capsys.readouterr().err
 

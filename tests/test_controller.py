@@ -128,6 +128,31 @@ class TestEvalNet:
             expected, oracle_state = oracle_eval(topo, oracle_state, tick_inputs)
             assert outputs["o0"] == pytest.approx(expected["o0"], abs=1e-12)
 
+    def test_equals_oracle_exactly_over_ticks(self):
+        # the same float operations in the same order as the oracle: no
+        # tolerance, on the outputs and on the state carried between ticks
+        rng = random.Random(17)
+        seen = dict.fromkeys(("into_input", "self_loop", "disabled_neuron", "disabled_edge"), 0)
+        for _ in range(300):
+            topo = random_topology(rng)
+            topo = replace(
+                topo,
+                neurons=tuple(replace(n, enabled=rng.random() < 0.85) for n in topo.neurons),
+            )
+            layer = {n.id: n.layer for n in topo.neurons}
+            seen["into_input"] += any(layer[c.to_id] == "input" for c in topo.connections)
+            seen["self_loop"] += any(c.from_id == c.to_id for c in topo.connections)
+            seen["disabled_neuron"] += not all(n.enabled for n in topo.neurons)
+            seen["disabled_edge"] += not all(c.enabled for c in topo.connections)
+            state = oracle_state = ControllerState()
+            for _ in range(4):
+                inputs = {n.id: rng.uniform(-1, 1) for n in topo.neurons if n.layer == "input"}
+                outputs, state = eval_net(topo, state, inputs)
+                expected, oracle_state = oracle_eval(topo, oracle_state, inputs)
+                assert outputs == expected
+                assert state == oracle_state
+        assert all(seen.values()), seen
+
     def test_non_finite_input_rejected(self):
         topo = bipartite(["i0"], ["o0"], np.random.default_rng(0))
         with pytest.raises(NonFiniteInput):

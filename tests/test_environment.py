@@ -159,6 +159,19 @@ class TestStepEnv:
         with pytest.raises(NonFiniteVariable):
             env.step()
 
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize(
+        "update",
+        [
+            pytest.param(lambda t, s, e: {**s, "extra": 0.0}, id="added"),
+            pytest.param(lambda t, s, e: {"x": s["x"]}, id="dropped"),
+        ],
+    )
+    def test_update_must_return_every_variable(self, update, traced):
+        env = Environment({"x": 0.0, "y": 1.0}, update, CATCH_ALL)
+        with pytest.raises(UnknownChannel):
+            env.step([] if traced else None)
+
 
 class TestPerceive:
     def test_sensor_reads_channel_variable(self):

@@ -10,6 +10,7 @@ from agentchart import statechart
 from agentchart.body import configure_body, derive_controller
 from agentchart.controller import HIDDEN, OUTPUT, Connection, ControllerTopology, Neuron
 from agentchart.environment import EpisodeTrace, TickSnapshot
+from agentchart.errors import BehaviorNotConfigured
 from agentchart.evaluation import (
     ADJUST,
     RECONFIGURE,
@@ -158,6 +159,32 @@ class TestRunEpisode:
         record, trace = run_episode(scenario, dead, seed=1)
         assert record.score == math.inf
         assert trace.snapshots == []
+
+    @pytest.mark.parametrize(
+        "neurons,motion_sensor",
+        [
+            pytest.param([Neuron("lighting_sensor", "input")], False, id="no_switch_neuron"),
+            pytest.param(
+                [Neuron("lighting_sensor", "input"), Neuron("light_switch", "output", False)],
+                False,
+                id="disabled_switch_neuron",
+            ),
+            pytest.param(
+                [Neuron("lighting_sensor", "input"), Neuron("light_switch", "output")],
+                True,
+                id="sensor_without_neuron",
+            ),
+        ],
+    )
+    def test_controller_must_mirror_the_body(self, neurons, motion_sensor):
+        # a missing or disabled output neuron once played the light as OFF,
+        # and an enabled sensor without an input neuron was ignored
+        scenario = small_scenario(episode_ticks=5)
+        selection = {d.id: False for d in scenario.devices}
+        selection.update(lighting_sensor=True, light_switch=True, motion_sensor=motion_sensor)
+        genotype = Genotype(selection, ControllerTopology(tuple(neurons)))
+        with pytest.raises(BehaviorNotConfigured):
+            run_episode(scenario, genotype, seed=0)
 
     def test_same_seed_same_score(self):
         scenario = small_scenario()
