@@ -9,8 +9,7 @@ scenario and CLI tie the pieces together.
 
 from .body import (
     ActionSet,
-    AgentRuntime,
-    AgentSpec,
+    Agent,
     BodyConfig,
     DeviceSpec,
     Percept,
@@ -31,9 +30,7 @@ from .environment import ContextRule, Environment, EpisodeTrace, TickSnapshot
 from .evaluation import (
     EvaluationRecord,
     Genotype,
-    ReconfigurationCommand,
     SearchPolicy,
-    Stop,
     decide,
     run_episode,
     run_search,

@@ -1,4 +1,4 @@
-"""Embodied-agent layer: device inventory with enable/disable history,
+"""Embodied-agent layer: device inventory with an enable/disable selection,
 controller derivation from the body, and the perception -> decision ->
 effector step, whose behavior statechart is walked to record a trace.
 """
@@ -62,13 +62,6 @@ class BodyConfig:
         return bool(self.enabled_inputs) and bool(self.enabled_outputs)
 
 
-@dataclass
-class AgentSpec:
-    agent_id: str
-    body: BodyConfig
-    controller: ControllerTopology
-
-
 # Percept / ActionSet are plain dicts keyed by device id.
 Percept = dict[str, float]
 ActionSet = dict[str, object]
@@ -94,30 +87,29 @@ def derive_controller(
     """Mirror the body in the controller: one input neuron per enabled
     input device, one output neuron per enabled output device.
 
-    Connections between surviving neurons keep their prior weights; new
-    input/output pairs get fresh Gaussian weights.  Hidden neurons in
-    the prior survive unconditionally.
+    Input and output neurons are enabled and keep the bias of the prior
+    neuron with the same id and layer.  Connections between surviving
+    neurons keep their prior weights; new input/output pairs get fresh
+    Gaussian weights.  Hidden neurons in the prior survive unconditionally.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     input_ids = [d.id for d in body.enabled_inputs]
     output_ids = [d.id for d in body.enabled_outputs]
 
-    neurons: list[Neuron] = [Neuron(nid, INPUT) for nid in input_ids]
-    neurons += [Neuron(nid, OUTPUT) for nid in output_ids]
-    prior_hidden = [n for n in (prior.neurons if prior else ()) if n.layer == HIDDEN]
-    prior_by_id = {n.id: n for n in (prior.neurons if prior else ())}
-    # keep prior biases for surviving io neurons
+    prior = prior or ControllerTopology()
+    prior_bias = {(n.id, n.layer): n.bias for n in prior.neurons}
     neurons = [
-        prior_by_id.get(n.id, n) if prior_by_id.get(n.id, n).layer == n.layer else n
-        for n in neurons
+        Neuron(nid, layer, bias=prior_bias.get((nid, layer), 0.0))
+        for layer, ids in ((INPUT, input_ids), (OUTPUT, output_ids))
+        for nid in ids
     ]
-    neurons += prior_hidden
+    neurons += [n for n in prior.neurons if n.layer == HIDDEN]
     alive = {n.id for n in neurons}
 
     connections: list[Connection] = []
     covered: set[tuple[str, str]] = set()
-    for conn in prior.connections if prior else ():
+    for conn in prior.connections:
         if conn.from_id in alive and conn.to_id in alive:
             connections.append(conn)
             covered.add((conn.from_id, conn.to_id))
@@ -194,10 +186,13 @@ BEHAVIOR_START = sc.initialize(BEHAVIOR_CHART)
 
 
 @dataclass
-class AgentRuntime:
-    """One live agent: spec plus behavior-chart and controller state."""
+class Agent:
+    """One live agent: body and controller plus behavior-chart and
+    controller state."""
 
-    spec: AgentSpec
+    agent_id: str
+    body: BodyConfig
+    controller: ControllerTopology
     config: sc.Configuration = BEHAVIOR_START
     controller_state: ControllerState = field(default_factory=ControllerState)
 
@@ -214,7 +209,7 @@ def quantize(value: float, levels: tuple[str, ...]) -> str:
 
 
 def step_agent(
-    agent: AgentRuntime,
+    agent: Agent,
     percept: Percept,
     tick: int = 0,
     trace: list[sc.TraceEvent] | None = None,
@@ -226,19 +221,17 @@ def step_agent(
     returns it to its initial configuration, so it never changes an
     action; it is walked only to record ``trace``.
     """
-    body = agent.spec.body
+    body = agent.body
     if not body.is_operable():
         raise BehaviorNotConfigured(
-            f"agent {agent.spec.agent_id}: needs at least one enabled input and output"
+            f"agent {agent.agent_id}: needs at least one enabled input and output"
         )
     if percept.keys() != body.input_ids:
         raise BehaviorNotConfigured(
             f"percept keys {sorted(percept)} do not match enabled inputs "
             f"{sorted(body.input_ids)}"
         )
-    outputs, agent.controller_state = eval_net(
-        agent.spec.controller, agent.controller_state, percept
-    )
+    outputs, agent.controller_state = eval_net(agent.controller, agent.controller_state, percept)
     actions: ActionSet = {}
     for d in body.enabled_outputs:
         value = outputs[d.id]
@@ -249,7 +242,7 @@ def step_agent(
 
 
 def _walk_behavior_chart(
-    agent: AgentRuntime,
+    agent: Agent,
     percept: Percept,
     actions: ActionSet,
     tick: int,
@@ -257,9 +250,9 @@ def _walk_behavior_chart(
 ) -> None:
     """Dispatch the pass's four events, each followed by the devices it
     reads or drives, and leave the agent in the chart's new configuration."""
-    aid = agent.spec.agent_id
+    aid = agent.agent_id
     events = (
-        (EV_SENSE, [(f"sensed:{d.id}", percept[d.id]) for d in agent.spec.body.enabled_inputs]),
+        (EV_SENSE, [(f"sensed:{d.id}", percept[d.id]) for d in agent.body.enabled_inputs]),
         (EV_DECIDE, ()),
         (EV_ACT, [(f"actuated:{did}", value) for did, value in actions.items()]),
         (EV_TICK_DONE, ()),

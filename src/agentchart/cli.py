@@ -64,6 +64,11 @@ def _load(path: str, ticks: int | None) -> LoadedScenario:
 
 def cmd_run(args) -> int:
     loaded = _load(args.scenario, args.ticks)
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
     result = run_search(
         loaded.scenario,
         seed=args.seed,
@@ -72,8 +77,6 @@ def cmd_run(args) -> int:
         policy=loaded.policy,
         jobs=args.jobs,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_outputs(out, args, loaded, result)
     return EXIT_OK
 

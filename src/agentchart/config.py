@@ -87,11 +87,6 @@ def build_scenario(data: dict) -> LoadedScenario:
     return LoadedScenario(scenario, policy, cfg)
 
 
-def resolve_config(data: dict) -> dict:
-    """The fully defaulted and checked configuration tree."""
-    return build_scenario(data).resolved
-
-
 def _finite_number(parse):
     def hook(token: str):
         if not math.isfinite(float(token)):

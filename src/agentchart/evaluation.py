@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .body import (
-    AgentRuntime,
-    AgentSpec,
+    Agent,
     DeviceSpec,
     configure_body,
     derive_controller,
@@ -48,22 +47,6 @@ class EvaluationRecord:
 
 
 @dataclass(frozen=True)
-class ReconfigurationCommand:
-    kind: str  # adjust | reconfigure
-    payload: MutationPolicy | None = None  # adjust only; reconfigure flips one device
-
-
-class Stop:
-    """Sentinel returned by decide() when the episode budget is spent."""
-
-    def __repr__(self):
-        return "Stop"
-
-
-STOP = Stop()
-
-
-@dataclass(frozen=True)
 class SearchPolicy:
     patience: int = 10
     budget: int = 200  # episode budget across the whole run
@@ -74,21 +57,21 @@ class SearchPolicy:
         require(self.budget >= 1, "search.budget must be >= 1")
 
 
-def decide(history: list[EvaluationRecord], policy: SearchPolicy) -> ReconfigurationCommand | Stop:
-    """Adjust while the best score keeps improving, escalate to a
-    structural reconfigure after ``patience`` episodes without
-    improvement, stop when the episode budget is spent."""
+def decide(history: list[EvaluationRecord], policy: SearchPolicy) -> str | None:
+    """The next command's kind: ADJUST while the best score keeps
+    improving, RECONFIGURE after ``patience`` episodes without
+    improvement, None once the episode budget is spent."""
     if not history:
         raise ValueError("decide() needs a non-empty history")
     if len(history) >= policy.budget:
-        return STOP
+        return None
     if len(history) >= policy.patience:
         scores = [r.score for r in history]
         window = range(len(scores) - policy.patience, len(scores))
         improved = any(t > 0 and scores[t] < min(scores[:t]) for t in window)
         if not improved:
-            return ReconfigurationCommand(RECONFIGURE)
-    return ReconfigurationCommand(ADJUST, policy.mutation)
+            return RECONFIGURE
+    return ADJUST
 
 
 # --- genotype and episode runner ----------------------------------------
@@ -135,16 +118,14 @@ def run_episode(
     require_mirror(bodies[ids[0]], genotype.topology)
 
     env = scenario.build_env(seed, bodies)
-    agents = [
-        AgentRuntime(AgentSpec(aid, bodies[aid], genotype.topology)) for aid in ids
-    ]
+    agents = [Agent(aid, bodies[aid], genotype.topology) for aid in ids]
     events: list[TraceEvent] | None = [] if collect_events else None
     snapshots: list[TickSnapshot] = []
     for t in range(scenario.episode_ticks):
         actions = []
         for agent in agents:
-            percept = env.perceive(agent.spec.agent_id)
-            actions.append((agent.spec.agent_id, step_agent(agent, percept, t, events)))
+            percept = env.perceive(agent.agent_id)
+            actions.append((agent.agent_id, step_agent(agent, percept, t, events)))
         env.apply_effects(actions, events)
         env.step(events)
         snapshots.append(snapshot_row(env))
@@ -198,11 +179,14 @@ def initial_genotype(scenario: StreetLightScenario, seed: int) -> Genotype:
 def _mutate(
     scenario: StreetLightScenario,
     genotype: Genotype,
-    command: ReconfigurationCommand,
+    kind: str,
+    mutation: MutationPolicy,
     rng: np.random.Generator,
 ) -> Genotype:
-    if command.kind == ADJUST:
-        return replace(genotype, topology=mutate_connections(genotype.topology, rng, command.payload))
+    """ADJUST perturbs the connections under ``mutation``; RECONFIGURE flips
+    one device and derives the controller from the incumbent's."""
+    if kind == ADJUST:
+        return replace(genotype, topology=mutate_connections(genotype.topology, rng, mutation))
     selection = dict(genotype.selection)
     device_ids = [d.id for d in scenario.devices]
     flip = device_ids[int(rng.integers(len(device_ids)))]
@@ -259,40 +243,32 @@ def run_search(
     policy = policy or SearchPolicy()
     episode_seed = seed  # constant across episodes: scores stay comparable
 
+    def evaluate(genotype: Genotype, episode: int) -> EvaluationRecord:
+        return run_episode(scenario, genotype, episode_seed, episode=episode)[0]
+
     incumbent = initial_genotype(scenario, seed)
-    record, _ = run_episode(scenario, incumbent, episode_seed, episode=0)
+    record = best_record = evaluate(incumbent, 0)
     history = [record]
     metrics = [MetricsRow(0, record.score, record.score, "init", record.config_digest)]
-    best_record = record
-
-    def evaluate_all(candidates: list[Genotype], first_episode: int) -> list[EvaluationRecord]:
-        def one(item):
-            k, geno = item
-            rec, _ = run_episode(scenario, geno, episode_seed, episode=first_episode + k)
-            return rec
-
-        items = list(enumerate(candidates))
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(one, items))
-        return [one(item) for item in items]
 
     # an exhaustive run is one generation, the sweep, without the policy
     for generation in range(1, 2 if exhaustive else generations):
         if exhaustive:
             kind, candidates = RECONFIGURE, _sweep(scenario, seed, incumbent)
         else:
-            command = decide(history, policy)
-            if isinstance(command, Stop):
+            kind = decide(history, policy)
+            if kind is None:
                 break
-            kind = command.kind
-            candidates = [
-                _mutate(scenario, incumbent, command, _candidate_rng(seed, generation, k))
-                for k in range(lam)
-            ]
+            rngs = (_candidate_rng(seed, generation, k) for k in range(lam))
+            candidates = [_mutate(scenario, incumbent, kind, policy.mutation, r) for r in rngs]
         if on_generation:
             on_generation(generation, kind, incumbent, candidates)
-        records = evaluate_all(candidates, len(history))
+        episodes = range(len(history), len(history) + len(candidates))
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                records = list(pool.map(evaluate, candidates, episodes))
+        else:
+            records = list(map(evaluate, candidates, episodes))
         history.extend(records)
         finite = [r.score for r in records if math.isfinite(r.score)]
         mean = sum(finite) / len(finite) if finite else math.inf

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from test_controller import oracle_eval, random_topology
 
-from agentchart.body import AgentRuntime, AgentSpec, configure_body, derive_controller, step_agent
+from agentchart.body import Agent, configure_body, derive_controller, step_agent
 from agentchart.cli import EXIT_OK, main as cli_main
 from agentchart.controller import ControllerState, Neuron, ControllerTopology, eval_net
 from agentchart.environment import EpisodeTrace, TickSnapshot
@@ -166,7 +166,7 @@ def test_criterion_4_embodiment_loop():
     )
     body = scenario.body_for(0, selection)
     env = scenario.build_env(seed=0, bodies={"light_0": body})
-    agent = AgentRuntime(AgentSpec("light_0", body, topology))
+    agent = Agent("light_0", body, topology)
 
     percept_t0 = env.perceive("light_0")
     actions_t0 = step_agent(agent, percept_t0, 0)

@@ -11,12 +11,12 @@ from agentchart.body import (
     EV_DECIDE,
     EV_SENSE,
     EV_TICK_DONE,
-    AgentRuntime,
-    AgentSpec,
+    Agent,
     DeviceSpec,
     configure_body,
     derive_controller,
     quantize,
+    require_mirror,
     step_agent,
 )
 from agentchart.controller import Connection, ControllerTopology, Neuron
@@ -102,6 +102,22 @@ class TestDeriveController:
         assert got_edges == expected_edges
         assert got_edges[("lighting_sensor", "light_switch")] == 0.8
 
+    def test_prior_io_neurons_come_back_enabled(self):
+        # a disabled io neuron of the prior once survived, and the derived
+        # controller then failed require_mirror
+        body = configure_body(street_devices(), {"lighting_sensor": True, "light_switch": True})
+        prior = ControllerTopology(
+            (
+                Neuron("lighting_sensor", "input", enabled=False),
+                Neuron("light_switch", "output", enabled=False, bias=0.7),
+            ),
+            (Connection("c0", "lighting_sensor", "light_switch", 0.8),),
+        )
+        topo = derive_controller(body, prior=prior, rng=np.random.default_rng(0))
+        require_mirror(body, topo)
+        assert {n.id: n.bias for n in topo.neurons} == {"lighting_sensor": 0.0, "light_switch": 0.7}
+        assert topo.connections == prior.connections
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_neuron_counts_match_body_for_random_selections(self, seed):
         rng = random.Random(seed)
@@ -144,7 +160,7 @@ def make_agent(selection, weights=None):
     connections = tuple(
         Connection(f"c{k}", frm, to, w) for k, (frm, to, w) in enumerate(weights or [])
     )
-    return AgentRuntime(AgentSpec("a0", body, ControllerTopology(neurons, connections)))
+    return Agent("a0", body, ControllerTopology(neurons, connections))
 
 
 class TestStepAgent:

@@ -7,8 +7,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from agentchart import cli
 from agentchart.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
-from agentchart.config import default_config, load_scenario, resolve_config
+from agentchart.config import build_scenario, default_config, load_scenario
 from agentchart.errors import ConfigError, RangeError, UnknownKey
 from agentchart.evaluation import initial_genotype, run_episode
 
@@ -125,34 +126,34 @@ def mutated_agents(draw, agent):
 
 class TestConfig:
     def test_defaults_survive_resolution(self):
-        assert resolve_config({}) == default_config()
+        assert build_scenario({}).resolved == default_config()
 
     def test_partial_override_keeps_other_defaults(self):
-        resolved = resolve_config({"n_lights": 3})
+        resolved = build_scenario({"n_lights": 3}).resolved
         assert resolved["n_lights"] == 3
         assert resolved["episode_ticks"] == 200
         assert resolved["search"]["patience"] == 10
 
     def test_nested_override(self):
-        resolved = resolve_config({"search": {"mutation": {"weight_sigma": 0.9}}})
+        resolved = build_scenario({"search": {"mutation": {"weight_sigma": 0.9}}}).resolved
         assert resolved["search"]["mutation"]["weight_sigma"] == 0.9
         assert resolved["search"]["mutation"]["toggle_prob"] == 0.05
 
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(UnknownKey, match="search.mutatoin"):
-            resolve_config({"search": {"mutatoin": {}}})
+            build_scenario({"search": {"mutatoin": {}}})
 
     def test_wrong_type_rejected(self):
         with pytest.raises(ConfigError, match="n_lights"):
-            resolve_config({"n_lights": "ten"})
+            build_scenario({"n_lights": "ten"})
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError):
-            resolve_config({"spillover": True})
+            build_scenario({"spillover": True})
 
     def test_out_of_range_rejected(self):
         with pytest.raises(RangeError, match="n_lights"):
-            resolve_config({"n_lights": 0})
+            build_scenario({"n_lights": 0})
 
 
 class TestValidateCommand:
@@ -304,6 +305,15 @@ class TestRunCommand:
             "--out", tmp_path / "out",
         )
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "under_file"])
+    def test_out_not_a_directory_exits_2(self, scenario_file, tmp_path, capsys, monkeypatch, out):
+        # this once ended in a traceback, and only after the whole search
+        (tmp_path / "afile").write_text("")
+        monkeypatch.setattr(cli, "run_search", lambda *a, **k: pytest.fail("search ran"))
+        code = run_cli("run", "--scenario", scenario_file, "--seed", 1, "--out", tmp_path / out)
+        assert code == EXIT_PARSE
+        assert "--out" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command,flag,value",

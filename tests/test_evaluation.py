@@ -17,7 +17,6 @@ from agentchart.evaluation import (
     EvaluationRecord,
     Genotype,
     SearchPolicy,
-    Stop,
     all_selections,
     decide,
     genotype_digest,
@@ -126,28 +125,45 @@ class TestDecide:
     def test_strict_improvement_keeps_adjusting(self):
         policy = SearchPolicy(patience=10, budget=200)
         history = records([100.0 - k for k in range(30)])
-        assert decide(history, policy).kind == ADJUST
+        assert decide(history, policy) == ADJUST
 
     def test_flat_history_escalates_after_patience(self):
         policy = SearchPolicy(patience=10, budget=200)
-        assert decide(records([50.0] * 10), policy).kind == RECONFIGURE
+        assert decide(records([50.0] * 10), policy) == RECONFIGURE
 
     def test_short_flat_history_still_adjusts(self):
         policy = SearchPolicy(patience=10, budget=200)
-        assert decide(records([50.0] * 9), policy).kind == ADJUST
+        assert decide(records([50.0] * 9), policy) == ADJUST
 
     def test_recent_improvement_resets_patience(self):
         policy = SearchPolicy(patience=5, budget=200)
         history = records([50.0] * 8 + [40.0] + [45.0] * 3)
-        assert decide(history, policy).kind == ADJUST
+        assert decide(history, policy) == ADJUST
 
     def test_budget_spent_stops(self):
         policy = SearchPolicy(patience=10, budget=12)
-        assert isinstance(decide(records([1.0] * 12), policy), Stop)
+        assert decide(records([1.0] * 12), policy) is None
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             decide([], SearchPolicy())
+
+    def test_run_search_follows_decide(self):
+        # every generation runs the command decide() gives for the episodes
+        # before it, and the search ends at the first None
+        scenario = small_scenario(episode_ticks=5)
+        policy = SearchPolicy(patience=2, budget=9)
+        commands = []
+        for seed in range(4):
+            result = run_search(scenario, seed=seed, generations=30, lam=2, policy=policy)
+            episodes = 1
+            for row in result.metrics[1:]:
+                assert row.command == decide(result.history[:episodes], policy)
+                commands.append(row.command)
+                episodes += 2
+            assert len(result.history) == episodes
+            assert decide(result.history, policy) is None
+        assert {ADJUST, RECONFIGURE} <= set(commands)
 
 
 class TestRunEpisode:
