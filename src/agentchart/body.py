@@ -90,7 +90,8 @@ def derive_controller(
     Input and output neurons are enabled and keep the bias of the prior
     neuron with the same id and layer.  Connections between surviving
     neurons keep their prior weights; new input/output pairs get fresh
-    Gaussian weights.  Hidden neurons in the prior survive unconditionally.
+    Gaussian weights.  Hidden neurons in the prior survive unless an input or
+    output neuron has their id.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -104,7 +105,8 @@ def derive_controller(
         for layer, ids in ((INPUT, input_ids), (OUTPUT, output_ids))
         for nid in ids
     ]
-    neurons += [n for n in prior.neurons if n.layer == HIDDEN]
+    io_ids = {n.id for n in neurons}
+    neurons += [n for n in prior.neurons if n.layer == HIDDEN and n.id not in io_ids]
     alive = {n.id for n in neurons}
 
     connections: list[Connection] = []
@@ -124,7 +126,10 @@ def derive_controller(
 def require_mirror(body: BodyConfig, topology: ControllerTopology) -> None:
     """Raise BehaviorNotConfigured unless the controller mirrors the body as
     derive_controller builds it: its input and output neurons are exactly
-    one enabled neuron per enabled input and output device."""
+    one enabled neuron per enabled input and output device, and no two
+    neurons share an id."""
+    if len(set(topology.ids())) != len(topology.neurons):
+        raise BehaviorNotConfigured("controller neuron ids must be unique")
     for layer, devices in ((INPUT, body.enabled_inputs), (OUTPUT, body.enabled_outputs)):
         neurons = {n.id: n.enabled for n in topology.neurons if n.layer == layer}
         if neurons != {d.id: True for d in devices}:

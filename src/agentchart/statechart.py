@@ -280,13 +280,9 @@ def initialize(
 ) -> Configuration:
     """Enter the default configuration: root, initial xor children, all
     and regions.  Entry actions run outermost-first."""
-    active: set[str] = set()
-    emitted: list[Event] = []
-    store = vars if vars is not None else {}
-    ctx = ActionContext(store, MappingProxyType(dict(store)), emitted)
-    sink = trace if trace is not None else []
-    _default_complete(chart, chart.root, active, {}, ctx, sink, tick, agent)
-    return Configuration(frozenset(active), {})
+    run = _Run(chart, Configuration(frozenset()), vars, [], trace, tick, agent)
+    run.default_complete(chart.root)
+    return Configuration(frozenset(run.active), run.history)
 
 
 def dispatch(
@@ -304,157 +300,125 @@ def dispatch(
     Returns the new configuration, every event emitted by actions, and
     the trace of the macrostep (also appended to ``trace`` if given).
     """
-    active = set(config.active)
-    history = dict(config.history_memory)
-    store = vars if vars is not None else {}
-    snapshot = MappingProxyType(dict(store))
-    emitted_log: list[Event] = []
-    pending: list[Event] = []
-    ctx = ActionContext(store, snapshot, pending)
-    own_trace: list[TraceEvent] = [] if trace is None else trace
-    mark = len(own_trace)
-
-    queue: list[Event] = [event]
-    processed = 0
-    qhead = 0
+    queue: list[Event] = [event]  # actions emit straight onto the queue
+    run = _Run(chart, config, vars, queue, trace, tick, agent)
+    mark = len(run.trace)
+    qhead, logged = 0, 1  # events processed; events given their emitted line
     while qhead < len(queue):
-        current = queue[qhead]
-        qhead += 1
-        processed += 1
-        if processed > queue_limit:
+        if qhead >= queue_limit:
             raise LivelockDetected(f"internal event queue exceeded {queue_limit} events")
-        ctx.current_event = current
-        _microstep(chart, active, history, current, ctx, own_trace, tick, agent)
+        run.ctx.current_event = current = queue[qhead]
+        qhead += 1
+        run.microstep(current.id)
         # completion cascade before the next queued event
         guard = 0
-        while _microstep(chart, active, history, None, ctx, own_trace, tick, agent):
+        while run.microstep(None):
             guard += 1
             if guard > queue_limit:
                 raise LivelockDetected(
                     f"completion transitions cascaded more than {queue_limit} times"
                 )
-        for ev in pending:
-            queue.append(ev)
-            emitted_log.append(ev)
-            own_trace.append(TraceEvent(tick, agent, "emitted", ev.id, ""))
-        pending.clear()
+        for ev in queue[logged:]:
+            run.trace.append(TraceEvent(tick, agent, "emitted", ev.id, ""))
+        logged = len(queue)
 
-    new_config = Configuration(frozenset(active), history)
-    step_trace = own_trace[mark:] if trace is not None else own_trace
-    return new_config, emitted_log, step_trace
+    step_trace = run.trace[mark:] if trace is not None else run.trace
+    return Configuration(frozenset(run.active), run.history), queue[1:], step_trace
 
 
-def _microstep(
-    chart: Statechart,
-    active: set[str],
-    history: dict[str, str],
-    event: Event | None,
-    ctx: ActionContext,
-    trace: list[TraceEvent],
-    tick: int,
-    agent: str,
-) -> bool:
-    """Fire one maximal conflict-free set of enabled transitions.
+class _Run:
+    """The working state of one initialize or dispatch call."""
 
-    ``event`` None selects completion transitions.  Returns True iff at
-    least one transition fired.
-    """
-    event_id = event.id if event is not None else None
-    fired: list[tuple[int, Transition, list[str]]] = []
-    exited: set[str] = set()
-    for index, tr in chart.by_event.get(event_id, ()):
-        if not all(s in active for s in tr.sources):
-            continue
-        if tr.guard is not None and not tr.guard(ctx.snapshot):
-            continue
-        exits = [s for s in chart.exit_scope[index] if s in active]
-        if exited.isdisjoint(exits):
-            fired.append((index, tr, exits))
-            exited.update(exits)
+    def __init__(self, chart, config, vars, emit_sink, trace, tick, agent):
+        self.chart = chart
+        self.active = set(config.active)
+        self.history = dict(config.history_memory)
+        store = vars if vars is not None else {}
+        self.ctx = ActionContext(store, MappingProxyType(dict(store)), emit_sink)
+        self.trace = trace if trace is not None else []
+        self.tick = tick
+        self.agent = agent
 
-    # every source lies in its transition's exit set (the never-exited root
-    # aside), and the fired exit sets are disjoint: no firing disables another
-    for index, tr, exits in fired:
-        _perform_exit(chart, active, history, exits, ctx, trace, tick, agent)
-        trace.append(TraceEvent(tick, agent, "fired", chart.label_of(index), "->" + tr.target))
-        for action in tr.actions:
-            action(ctx)
-        _perform_entry(chart, index, active, history, ctx, trace, tick, agent)
-    return bool(fired)
+    def microstep(self, event_id: str | None) -> bool:
+        """Fire one maximal conflict-free set of enabled transitions.
 
+        ``event_id`` None selects completion transitions.  Returns True iff
+        at least one transition fired.
+        """
+        chart, active, ctx = self.chart, self.active, self.ctx
+        fired: list[tuple[int, Transition, list[str]]] = []
+        exited: set[str] = set()
+        for index, tr in chart.by_event.get(event_id, ()):
+            if not all(s in active for s in tr.sources):
+                continue
+            if tr.guard is not None and not tr.guard(ctx.snapshot):
+                continue
+            exits = [s for s in chart.exit_scope[index] if s in active]
+            if exited.isdisjoint(exits):
+                fired.append((index, tr, exits))
+                exited.update(exits)
 
-def _perform_exit(
-    chart: Statechart,
-    active: set[str],
-    history: dict[str, str],
-    exits: list[str],
-    ctx: ActionContext,
-    trace: list[TraceEvent],
-    tick: int,
-    agent: str,
-) -> None:
-    for sid in exits:
-        parent = chart.parent.get(sid)
-        if parent is not None:
-            pnode = chart.nodes[parent]
-            if pnode.kind == XOR and pnode.history == "shallow":
-                history[parent] = sid
-        for action in chart.nodes[sid].exit_actions:
-            action(ctx)
-        active.discard(sid)
-        trace.append(TraceEvent(tick, agent, "exited", sid, ""))
+        # every source lies in its transition's exit set (the never-exited root
+        # aside), and the fired exit sets are disjoint: no firing disables another
+        for index, tr, exits in fired:
+            self.perform_exit(exits)
+            self.trace.append(
+                TraceEvent(self.tick, self.agent, "fired", chart.label_of(index), "->" + tr.target)
+            )
+            for action in tr.actions:
+                action(ctx)
+            self.perform_entry(index)
+        return bool(fired)
 
+    def perform_exit(self, exits: list[str]) -> None:
+        chart = self.chart
+        for sid in exits:
+            parent = chart.parent.get(sid)
+            if parent is not None:
+                pnode = chart.nodes[parent]
+                if pnode.kind == XOR and pnode.history == "shallow":
+                    self.history[parent] = sid
+            for action in chart.nodes[sid].exit_actions:
+                action(self.ctx)
+            self.active.discard(sid)
+            self.trace.append(TraceEvent(self.tick, self.agent, "exited", sid, ""))
 
-def _perform_entry(
-    chart: Statechart,
-    index: int,
-    active: set[str],
-    history: dict[str, str],
-    ctx: ActionContext,
-    trace: list[TraceEvent],
-    tick: int,
-    agent: str,
-) -> None:
-    tr = chart.transitions[index]
-    path = chart.entry_path[index]
-    for i, sid in enumerate(path):
-        if sid not in active:  # the root never exits
-            _enter_state(chart, sid, active, ctx, trace, tick, agent)
-        node = chart.nodes[sid]
-        # the regions of the target itself are entered by _complete_interior
-        if node.kind == AND and i + 1 < len(path):
+    def perform_entry(self, index: int) -> None:
+        tr = self.chart.transitions[index]
+        path = self.chart.entry_path[index]
+        for i, sid in enumerate(path):
+            if sid not in self.active:  # the root never exits
+                self.enter_state(sid)
+            node = self.chart.nodes[sid]
+            # the regions of the target itself are entered by complete_interior
+            if node.kind == AND and i + 1 < len(path):
+                for child in node.children:
+                    if child != path[i + 1]:
+                        self.default_complete(child)
+
+        self.complete_interior(tr.target, tr.to_history)
+
+    def enter_state(self, sid: str) -> None:
+        self.active.add(sid)
+        self.trace.append(TraceEvent(self.tick, self.agent, "entered", sid, ""))
+        for action in self.chart.nodes[sid].entry_actions:
+            action(self.ctx)
+
+    def complete_interior(self, sid: str, via_history: bool = False) -> None:
+        """Enter the default interior of ``sid`` (already active itself)."""
+        node = self.chart.nodes[sid]
+        if node.kind == XOR:
+            child = node.initial
+            if via_history and node.history == "shallow":
+                child = self.history.get(sid, node.initial)
+            self.default_complete(child)
+        elif node.kind == AND:
             for child in node.children:
-                if child != path[i + 1]:
-                    _default_complete(chart, child, active, history, ctx, trace, tick, agent)
+                self.default_complete(child)
 
-    _complete_interior(chart, tr.target, active, history, ctx, trace, tick, agent, tr.to_history)
-
-
-def _enter_state(chart, sid, active, ctx, trace, tick, agent) -> None:
-    active.add(sid)
-    trace.append(TraceEvent(tick, agent, "entered", sid, ""))
-    for action in chart.nodes[sid].entry_actions:
-        action(ctx)
-
-
-def _complete_interior(
-    chart, sid, active, history, ctx, trace, tick, agent, via_history=False
-) -> None:
-    """Enter the default interior of ``sid`` (already active itself)."""
-    node = chart.nodes[sid]
-    if node.kind == XOR:
-        child = node.initial
-        if via_history and node.history == "shallow":
-            child = history.get(sid, node.initial)
-        _default_complete(chart, child, active, history, ctx, trace, tick, agent)
-    elif node.kind == AND:
-        for child in node.children:
-            _default_complete(chart, child, active, history, ctx, trace, tick, agent)
-
-
-def _default_complete(chart, sid, active, history, ctx, trace, tick, agent) -> None:
-    _enter_state(chart, sid, active, ctx, trace, tick, agent)
-    _complete_interior(chart, sid, active, history, ctx, trace, tick, agent)
+    def default_complete(self, sid: str) -> None:
+        self.enter_state(sid)
+        self.complete_interior(sid)
 
 
 def check_configuration(chart: Statechart, config: Configuration) -> None:

@@ -118,6 +118,19 @@ class TestDeriveController:
         assert {n.id: n.bias for n in topo.neurons} == {"lighting_sensor": 0.0, "light_switch": 0.7}
         assert topo.connections == prior.connections
 
+    def test_prior_hidden_neuron_yields_to_a_device_id(self):
+        # a prior hidden neuron named like an enabled sensor once survived
+        # beside its input neuron, and the plan then never read the sensor
+        body = configure_body(
+            street_devices(),
+            {"lighting_sensor": True, "motion_sensor": True, "light_switch": True},
+        )
+        prior = ControllerTopology((Neuron("motion_sensor", "hidden"), Neuron("h0", "hidden")))
+        topo = derive_controller(body, prior=prior, rng=np.random.default_rng(0))
+        require_mirror(body, topo)
+        assert topo.ids() == ["lighting_sensor", "motion_sensor", "light_switch", "h0"]
+        assert topo.eval_plan[0] == ("lighting_sensor", "motion_sensor")
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_neuron_counts_match_body_for_random_selections(self, seed):
         rng = random.Random(seed)

@@ -190,11 +190,21 @@ class TestRunEpisode:
                 True,
                 id="sensor_without_neuron",
             ),
+            pytest.param(
+                [
+                    Neuron("lighting_sensor", "input"),
+                    Neuron("light_switch", "output"),
+                    Neuron("lighting_sensor", "hidden"),
+                ],
+                False,
+                id="duplicate_neuron_id",
+            ),
         ],
     )
     def test_controller_must_mirror_the_body(self, neurons, motion_sensor):
         # a missing or disabled output neuron once played the light as OFF,
-        # and an enabled sensor without an input neuron was ignored
+        # an enabled sensor without an input neuron was ignored, and so was
+        # a sensor whose id a hidden neuron also had
         scenario = small_scenario(episode_ticks=5)
         selection = {d.id: False for d in scenario.devices}
         selection.update(lighting_sensor=True, light_switch=True, motion_sensor=motion_sensor)

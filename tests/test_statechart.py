@@ -1,4 +1,6 @@
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +18,7 @@ from agentchart.statechart import (
     Configuration,
     Event,
     StateNode,
+    TraceEvent,
     Transition,
     build_chart,
     check_configuration,
@@ -23,7 +26,7 @@ from agentchart.statechart import (
     initialize,
 )
 
-from conftest import EVENT_ALPHABET, history_motif_chart, random_chart
+from conftest import EVENT_ALPHABET, history_motif_chart, random_chart, random_tree
 
 
 def body_input_chart(extra_transitions=()):
@@ -315,6 +318,23 @@ class TestDispatch:
         with pytest.raises(LivelockDetected):
             dispatch(chart, initialize(chart), Event("ping"), queue_limit=50)
 
+    @pytest.mark.parametrize("queue_limit, ok", [(6, True), (5, False)])
+    def test_queue_limit_counts_processed_events(self, queue_limit, ok):
+        # s0 -> ... -> s5 on e, each step emitting e: the external event and
+        # five emitted ones make six processed events
+        ids = [f"s{i}" for i in range(6)]
+        nodes = [StateNode("root", XOR, tuple(ids), initial="s0")] + [StateNode(s) for s in ids]
+        emit_e = (lambda ctx: ctx.emit("e"),)
+        transitions = [Transition((a,), b, event="e", actions=emit_e) for a, b in zip(ids, ids[1:])]
+        chart = build_chart(nodes, transitions)
+        if not ok:
+            with pytest.raises(LivelockDetected):
+                dispatch(chart, initialize(chart), Event("e"), queue_limit=queue_limit)
+            return
+        config, emitted, _ = dispatch(chart, initialize(chart), Event("e"), queue_limit=queue_limit)
+        assert "s5" in config.active
+        assert [e.id for e in emitted] == ["e"] * 5
+
     def test_guards_read_macrostep_snapshot(self):
         # the action writes flag=1, but the guard of the follow-up
         # internal transition sees the snapshot taken at macrostep start
@@ -500,3 +520,106 @@ class TestProperties:
         chart = build_chart(nodes, transitions)
         config, _, _ = dispatch(chart, initialize(chart), Event("e"))
         assert {"b", "d"} <= set(config.active)
+
+
+def acting_chart(rng: random.Random, log: list[str]):
+    """A random tree whose states and transitions carry actions that emit
+    events, write ``vars`` and append to ``log``, with guards over the
+    snapshot and some completion transitions."""
+    nodes = random_tree(rng)
+    ids = [n.id for n in nodes]
+
+    def action(tag):
+        out = rng.choice(EVENT_ALPHABET) if rng.random() < 0.25 else None
+        key = rng.choice("uvw")
+
+        def run(ctx):
+            now = ctx.current_event.id if ctx.current_event is not None else "-"
+            log.append(f"{tag}@{now}")
+            ctx.vars[key] = ctx.vars.get(key, 0) + 1
+            if out is not None:
+                ctx.emit(out)
+
+        return (run,) if rng.random() < 0.6 else ()
+
+    def guard():
+        if rng.random() < 0.5:
+            return None
+        key, parity = rng.choice("uvw"), rng.randint(0, 1)
+        return lambda snap: snap.get(key, 0) % 2 == parity
+
+    nodes = [
+        replace(n, entry_actions=action("+" + n.id), exit_actions=action("-" + n.id))
+        for n in nodes
+    ]
+    by_id = {n.id: n for n in nodes}
+    parent = {c: n.id for n in nodes for c in n.children}
+
+    def lineage(sid):
+        out = [sid]
+        while out[-1] in parent:
+            out.append(parent[out[-1]])
+        return out
+
+    transitions = []
+    for k in range(rng.randint(2, 8)):
+        src, tgt = rng.choice(ids), rng.choice(ids)
+        # a completion transition that leaves its source active refires forever
+        related = src in lineage(tgt) or tgt in lineage(src)
+        event = None if not related and rng.random() < 0.3 else rng.choice(EVENT_ALPHABET)
+        node = by_id[tgt]
+        to_history = node.kind == XOR and node.history == "shallow" and rng.random() < 0.5
+        transitions.append(
+            Transition(
+                (src,), tgt, event=event, guard=guard(),
+                actions=action(f"t{k}"), to_history=to_history,
+            )
+        )
+    return build_chart(nodes, transitions)
+
+
+class TestSemanticsDigest:
+    # pins the macrostep semantics: any change to entry, exit or action
+    # order, emit order, history, guards or the livelock bounds moves it
+    DIGEST = "e8d72e82c2532095b3f3694a4f37c54992115c420daee213b4b30723cbe200aa"
+
+    def test_random_acting_charts_digest(self):
+        rng = random.Random(2024)
+        digest = hashlib.sha256()
+        outcomes = set()
+        for _ in range(200):
+            log: list[str] = []
+            chart = acting_chart(rng, log)
+            store: dict = {}
+            sink = [TraceEvent(-1, "x", "perturbed", "earlier")]
+            config = initialize(chart, vars=store, trace=sink)
+            digest.update(repr((sorted(config.active), [t.to_line() for t in sink], log)).encode())
+            for tick in range(10):
+                log.clear()
+                event = Event(rng.choice(EVENT_ALPHABET))
+                before = list(sink)
+                try:
+                    config, emitted, step = dispatch(
+                        chart, config, event, vars=store, tick=tick, queue_limit=50, trace=sink
+                    )
+                except LivelockDetected as exc:
+                    outcomes.add(type(exc).__name__)
+                    digest.update(type(exc).__name__.encode())
+                    continue
+                outcomes.add("ok")
+                assert sink[: len(before)] == before
+                assert sink[len(before) :] == step
+                digest.update(
+                    repr(
+                        (
+                            sorted(config.active),
+                            sorted(config.history_memory.items()),
+                            [e.id for e in emitted],
+                            [t.to_line() for t in step],
+                            sorted(store.items()),
+                            log,
+                        )
+                    ).encode()
+                )
+        assert outcomes == {"ok", "LivelockDetected"}
+        assert digest.hexdigest() == self.DIGEST
