@@ -26,7 +26,7 @@ from .controller import (
     eval_net,
     mutate_connections,
 )
-from .environment import ContextRule, Environment, EpisodeTrace, TickSnapshot
+from .environment import Environment, EpisodeTrace, TickSnapshot
 from .evaluation import (
     EvaluationRecord,
     Genotype,

@@ -25,6 +25,7 @@ from .controller import (
 from .errors import BehaviorNotConfigured, UnknownDevice
 
 COMM_CHANNEL = "comm"
+NEW_WEIGHT_SIGMA = 1.0  # std of a new input/output pair's Gaussian weight
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,6 @@ def derive_controller(
     body: BodyConfig,
     prior: ControllerTopology | None = None,
     rng: np.random.Generator | None = None,
-    weight_sigma: float = 1.0,
 ) -> ControllerTopology:
     """Mirror the body in the controller: one input neuron per enabled
     input device, one output neuron per enabled output device.
@@ -119,7 +119,7 @@ def derive_controller(
         for o in output_ids:
             if (i, o) not in covered:
                 cid = fresh_connection_id(connections)
-                connections.append(Connection(cid, i, o, float(rng.normal(0.0, weight_sigma))))
+                connections.append(Connection(cid, i, o, float(rng.normal(0.0, NEW_WEIGHT_SIGMA))))
     return ControllerTopology(tuple(neurons), tuple(connections))
 
 

@@ -1,8 +1,9 @@
-"""Perturbable environment: orthogonal scalar variables, first-match
-context selection, actuation routing and next-tick neighbor messaging.
+"""Perturbable environment: orthogonal scalar variables, a context
+function, actuation routing and next-tick neighbor messaging.
 
 One update function computes every variable from the previous tick's
-values, so the order in which it computes them never changes the result.
+values, so the order in which it computes them never changes the result;
+one context function names the context of each tick's values.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .body import COMM_CHANNEL, BodyConfig, Percept
 from .errors import NonFiniteVariable, UnknownChannel, UnknownDevice
@@ -23,12 +24,6 @@ Update = Callable[
 ]
 
 
-@dataclass(frozen=True)
-class ContextRule:
-    context_id: str
-    predicate: Callable[[Mapping[str, float]], bool]
-
-
 class Environment:
     """Single-process synchronous environment shared by all agents."""
 
@@ -36,23 +31,21 @@ class Environment:
         self,
         initial: dict[str, float],
         update: Update,
-        context_rules: list[ContextRule],
+        context: Callable[[Mapping[str, float]], str],
         neighbors: dict[str, list[str]] | None = None,
     ):
         self.update = update
-        self.context_rules = list(context_rules)
+        self.context_of = context
         self.neighbors = dict(neighbors or {})
         self.bodies: dict[str, BodyConfig] = {}
         # per agent, each enabled output's id -> the channel it drives
         self.effect_channels: dict[str, dict[str, str]] = {}
         self.tick = 0
-        self.pending_effects: dict[str, list[tuple[str, object]]] = {}
-        self._comm_outbox: list[tuple[str, object]] = []
         self.comm_mailbox: dict[str, list[tuple[str, object]]] = {}
         # current values; step() replaces this mapping and never mutates it,
         # so snapshots and the update function may hold on to it
         self.values: dict[str, float] = dict(initial)
-        self.context = self._select_context(self.values)
+        self.context = context(self.values)
 
     def register_agent(self, agent_id: str, body: BodyConfig) -> None:
         """Add an agent; every enabled device must read or drive a declared
@@ -67,27 +60,19 @@ class Environment:
         self.neighbors.setdefault(agent_id, [])
         self.comm_mailbox.setdefault(agent_id, [])
 
-    def _select_context(self, snapshot: Mapping[str, float]) -> str:
-        for rule in self.context_rules:
-            if rule.predicate(snapshot):
-                return rule.context_id
-        raise UnknownChannel(
-            "no context rule matched; scenarios must declare a catch-all context"
-        )
-
     # --- per-tick phases -------------------------------------------------
 
     def apply_effects(
         self,
-        actions: list[tuple[str, dict[str, object]]],
+        actions: Iterable[tuple[str, dict[str, object]]],
         trace: list[TraceEvent] | None = None,
-    ) -> None:
-        """Route this tick's actuation values onto their channels.
+    ) -> dict[str, list[tuple[str, object]]]:
+        """Group this tick's actuation values by the channel they drive.
 
-        Communication values are staged for delivery to the sender's
-        neighbors at the next step; everything else accumulates, grouped by
-        channel, for the update function.
+        ``step`` hands the table to the update function and delivers the
+        COMM_CHANNEL entries to each sender's neighbors.
         """
+        effects: dict[str, list[tuple[str, object]]] = {}
         for agent_id, action_set in actions:
             channels = self.effect_channels.get(agent_id)
             if channels is None:
@@ -96,21 +81,22 @@ class Environment:
                 channel = channels.get(device_id)
                 if channel is None:
                     raise UnknownDevice(f"agent {agent_id!r} has no enabled output {device_id!r}")
-                if channel == COMM_CHANNEL:
-                    self._comm_outbox.append((agent_id, value))
-                    if trace is not None:
-                        trace.append(
-                            TraceEvent(self.tick, agent_id, "emitted", COMM_CHANNEL, repr(value))
-                        )
-                else:
-                    self.pending_effects.setdefault(channel, []).append((agent_id, value))
+                effects.setdefault(channel, []).append((agent_id, value))
+                if channel == COMM_CHANNEL and trace is not None:
+                    trace.append(TraceEvent(self.tick, agent_id, "emitted", channel, repr(value)))
+        return effects
 
-    def step(self, trace: list[TraceEvent] | None = None) -> None:
-        """Advance one tick: simultaneous variable update, mailbox swap,
-        context re-selection."""
+    def step(
+        self,
+        actions: Iterable[tuple[str, dict[str, object]]] = (),
+        trace: list[TraceEvent] | None = None,
+    ) -> None:
+        """Advance one tick under ``actions``: simultaneous variable update,
+        mailbox swap, context re-selection."""
+        effects = self.apply_effects(actions, trace)
         previous = self.values
         new_tick = self.tick + 1
-        new_values = self.update(new_tick, previous, MappingProxyType(self.pending_effects))
+        new_values = self.update(new_tick, previous, MappingProxyType(effects))
         if new_values.keys() != previous.keys():
             raise UnknownChannel(f"update must return exactly the variables {sorted(previous)}")
         for name, value in new_values.items():
@@ -127,15 +113,13 @@ class Environment:
 
         # messages sent at tick t are readable at t+1 and gone at t+2
         mailbox: dict[str, list[tuple[str, object]]] = {aid: [] for aid in self.bodies}
-        for sender, value in self._comm_outbox:
+        for sender, value in effects.get(COMM_CHANNEL, ()):
             for neighbor in self.neighbors.get(sender, ()):
                 if neighbor in mailbox:
                     mailbox[neighbor].append((sender, value))
         self.comm_mailbox = mailbox
-        self._comm_outbox = []
-        self.pending_effects = {}
         self.tick = new_tick
-        self.context = self._select_context(new_values)
+        self.context = self.context_of(new_values)
 
     def perceive(self, agent_id: str) -> Percept:
         """One value per enabled input device of the agent.

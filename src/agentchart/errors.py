@@ -26,7 +26,7 @@ class IllegalJoin(ChartError):
 
 
 class LivelockDetected(ChartError):
-    """The internal event queue exceeded its bound during a macrostep."""
+    """A run to completion (a macrostep or initialize) exceeded its bound."""
 
 
 class UnknownDevice(AgentChartError):

@@ -67,8 +67,8 @@ def decide(history: list[EvaluationRecord], policy: SearchPolicy) -> str | None:
         return None
     if len(history) >= policy.patience:
         scores = [r.score for r in history]
-        window = range(len(scores) - policy.patience, len(scores))
-        improved = any(t > 0 and scores[t] < min(scores[:t]) for t in window)
+        start = max(len(scores) - policy.patience, 1)
+        improved = start < len(scores) and min(scores[start:]) < min(scores[:start])
         if not improved:
             return RECONFIGURE
     return ADJUST
@@ -126,8 +126,7 @@ def run_episode(
         for agent in agents:
             percept = env.perceive(agent.agent_id)
             actions.append((agent.agent_id, step_agent(agent, percept, t, events)))
-        env.apply_effects(actions, events)
-        env.step(events)
+        env.step(actions, events)
         snapshots.append(snapshot_row(env))
     trace = EpisodeTrace(snapshots, events)
     return scenario.score(trace, episode, digest), trace

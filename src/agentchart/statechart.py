@@ -277,11 +277,13 @@ def initialize(
     trace: list[TraceEvent] | None = None,
     tick: int = 0,
     agent: str = "agent",
+    queue_limit: int = DEFAULT_QUEUE_LIMIT,
 ) -> Configuration:
-    """Enter the default configuration: root, initial xor children, all
-    and regions.  Entry actions run outermost-first."""
+    """Enter the default configuration (root, initial xor children, all and
+    regions; entry actions outermost-first), then run to completion."""
     run = _Run(chart, Configuration(frozenset()), vars, [], trace, tick, agent)
     run.default_complete(chart.root)
+    run.run_to_completion(0, queue_limit)
     return Configuration(frozenset(run.active), run.history)
 
 
@@ -300,44 +302,50 @@ def dispatch(
     Returns the new configuration, every event emitted by actions, and
     the trace of the macrostep (also appended to ``trace`` if given).
     """
-    queue: list[Event] = [event]  # actions emit straight onto the queue
-    run = _Run(chart, config, vars, queue, trace, tick, agent)
+    run = _Run(chart, config, vars, [event], trace, tick, agent)
     mark = len(run.trace)
-    qhead, logged = 0, 1  # events processed; events given their emitted line
-    while qhead < len(queue):
-        if qhead >= queue_limit:
-            raise LivelockDetected(f"internal event queue exceeded {queue_limit} events")
-        run.ctx.current_event = current = queue[qhead]
-        qhead += 1
-        run.microstep(current.id)
-        # completion cascade before the next queued event
-        guard = 0
-        while run.microstep(None):
-            guard += 1
-            if guard > queue_limit:
-                raise LivelockDetected(
-                    f"completion transitions cascaded more than {queue_limit} times"
-                )
-        for ev in queue[logged:]:
-            run.trace.append(TraceEvent(tick, agent, "emitted", ev.id, ""))
-        logged = len(queue)
-
+    run.ctx.current_event = event
+    run.microstep(event.id)
+    run.run_to_completion(1, queue_limit)
     step_trace = run.trace[mark:] if trace is not None else run.trace
-    return Configuration(frozenset(run.active), run.history), queue[1:], step_trace
+    return Configuration(frozenset(run.active), run.history), run.queue[1:], step_trace
 
 
 class _Run:
     """The working state of one initialize or dispatch call."""
 
-    def __init__(self, chart, config, vars, emit_sink, trace, tick, agent):
+    def __init__(self, chart, config, vars, queue, trace, tick, agent):
         self.chart = chart
         self.active = set(config.active)
         self.history = dict(config.history_memory)
         store = vars if vars is not None else {}
-        self.ctx = ActionContext(store, MappingProxyType(dict(store)), emit_sink)
+        self.queue = queue  # actions emit straight onto the queue
+        self.ctx = ActionContext(store, MappingProxyType(dict(store)), queue)
         self.trace = trace if trace is not None else []
         self.tick = tick
         self.agent = agent
+
+    def run_to_completion(self, qhead: int, queue_limit: int) -> None:
+        """After the step just taken and after each queued event from
+        ``qhead`` on: fire completion transitions until none is enabled, log
+        the newly emitted events, then process the next queued event."""
+        queue, logged = self.queue, qhead
+        while True:
+            guard = 0
+            while self.microstep(None):
+                guard += 1
+                if guard > queue_limit:
+                    raise LivelockDetected(f"completion cascade exceeded {queue_limit} steps")
+            for ev in queue[logged:]:
+                self.trace.append(TraceEvent(self.tick, self.agent, "emitted", ev.id, ""))
+            logged = len(queue)
+            if qhead == len(queue):
+                return
+            if qhead >= queue_limit:
+                raise LivelockDetected(f"internal event queue exceeded {queue_limit} events")
+            self.ctx.current_event = current = queue[qhead]
+            qhead += 1
+            self.microstep(current.id)
 
     def microstep(self, event_id: str | None) -> bool:
         """Fire one maximal conflict-free set of enabled transitions.

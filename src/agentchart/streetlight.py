@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import BodyConfig, DeviceSpec, configure_body
-from .environment import ContextRule, Environment, EpisodeTrace
+from .environment import Environment, EpisodeTrace
 from .errors import require
 from .evaluation import EvaluationRecord
 
@@ -194,11 +194,10 @@ class StreetLightScenario:
                 values[energy_name] = energy[i]
             return values
 
-        contexts = [
-            ContextRule(DAY, lambda snap: snap["daylight"] >= self.dusk_threshold),
-            ContextRule(NIGHT, lambda snap: True),  # catch-all
-        ]
-        env = Environment(update(0, {}, {}), update, contexts, self.neighbor_map())
+        def context(values) -> str:
+            return DAY if values["daylight"] >= self.dusk_threshold else NIGHT
+
+        env = Environment(update(0, {}, {}), update, context, self.neighbor_map())
         for aid, body in bodies.items():
             env.register_agent(aid, body)
         return env
@@ -232,13 +231,13 @@ def streetlight_score(
     """score = sum over ticks of context-weighted energy plus
     context-weighted darkness-under-people service penalty; lower is
     better."""
+    names = [(f"energy_{i}", f"people_flow_{i}", f"brightness_{i}") for i in range(n_lights)]
     breakdown: dict[str, float] = {}
     for snap in trace.snapshots:
-        energy = sum(snap.variables[f"energy_{i}"] for i in range(n_lights))
+        values = snap.variables
+        energy = sum(values[e] for e, _, _ in names)
         deficit = sum(
-            snap.variables[f"people_flow_{i}"]
-            * max(0.0, rules.target_brightness - snap.variables[f"brightness_{i}"])
-            for i in range(n_lights)
+            values[f] * max(0.0, rules.target_brightness - values[b]) for _, f, b in names
         )
         term = rules.w_energy[snap.context] * energy + rules.w_dark[snap.context] * deficit
         breakdown[snap.context] = breakdown.get(snap.context, 0.0) + term

@@ -170,8 +170,7 @@ def test_criterion_4_embodiment_loop():
 
     percept_t0 = env.perceive("light_0")
     actions_t0 = step_agent(agent, percept_t0, 0)
-    env.apply_effects([("light_0", actions_t0)])
-    env.step()
+    env.step([("light_0", actions_t0)])
     percept_t1 = env.perceive("light_0")
     actions_t1 = step_agent(agent, percept_t1, 1)
 
@@ -233,6 +232,7 @@ def test_criterion_6_structural_search_oracle():
     report(6, "exhaustive structural search equals brute-force argmin, 10 seeds", ok)
 
 
+@pytest.mark.slow
 def test_criterion_7_training_sanity():
     def full_scenario():
         return StreetLightScenario(n_lights=10, episode_ticks=200)

@@ -3,10 +3,12 @@ import itertools
 import pytest
 
 from agentchart.body import DeviceSpec, configure_body
-from agentchart.environment import ContextRule, Environment
+from agentchart.environment import Environment
 from agentchart.errors import NonFiniteVariable, UnknownChannel, UnknownDevice
 
-CATCH_ALL = [ContextRule("default", lambda snap: True)]
+
+def CATCH_ALL(values):
+    return "default"
 
 
 def constant_env(**values):
@@ -43,8 +45,7 @@ class TestApplyEffects:
         env = Environment({"bright": 0.1}, update, CATCH_ALL)
         body = configure_body([DeviceSpec("lamp", "output", "bright")], {"lamp": True})
         env.register_agent("a0", body)
-        env.apply_effects([("a0", {"lamp": 0.25})])
-        env.step()
+        env.step([("a0", {"lamp": 0.25})])
         assert env.values["bright"] == pytest.approx(0.35)
         assert seen == {"bright": [("a0", 0.25)]}
 
@@ -80,20 +81,19 @@ class TestApplyEffects:
         devices = [DeviceSpec("lamp", "output", "bright"), DeviceSpec("eye", "input", "bright")]
         env.register_agent("a0", configure_body(devices, selection))
         with pytest.raises(UnknownDevice):
-            env.apply_effects([("a0", {device_id: 0.5})])
-        assert env.pending_effects == {}
+            env.step([("a0", {device_id: 0.5})])
+        assert env.tick == 0
+        assert env.values == {"bright": 0.1}
 
     def test_empty_actions_only_tick_bookkeeping(self):
         env = Environment({"x": 0.4}, lambda t, s, e: {"x": s["x"]}, CATCH_ALL)
-        env.apply_effects([])
-        env.step()
+        env.step([])
         assert env.tick == 1
         assert env.values["x"] == 0.4
 
     def test_comm_delivered_to_both_neighbors_next_tick(self):
         env, ids = line_env(3)
-        env.apply_effects([("a0", {"wireless_speaker": 0.2}), ("a2", {"wireless_speaker": 0.6})])
-        env.step()
+        env.step([("a0", {"wireless_speaker": 0.2}), ("a2", {"wireless_speaker": 0.6})])
         # hand-enumerated for the 3-agent line: a1 hears both ends,
         # a0 and a2 hear only a1 (which sent nothing)
         assert env.comm_mailbox["a1"] == [("a0", 0.2), ("a2", 0.6)]
@@ -102,8 +102,7 @@ class TestApplyEffects:
 
     def test_messages_gone_after_two_ticks(self):
         env, _ = line_env(2)
-        env.apply_effects([("a0", {"wireless_speaker": 0.9})])
-        env.step()
+        env.step([("a0", {"wireless_speaker": 0.9})])
         assert env.comm_mailbox["a1"] == [("a0", 0.9)]
         env.step()
         assert env.comm_mailbox["a1"] == []
@@ -132,27 +131,13 @@ class TestStepEnv:
         assert results[0] == results[1] == {"u": 11.0, "v": 2.0}
 
     def test_context_flips_in_same_step(self):
-        rules = [
-            ContextRule("day", lambda snap: snap["daylight"] >= 0.5),
-            ContextRule("night", lambda snap: True),
-        ]
-        env = Environment({"daylight": 1.0}, lambda t, s, e: {"daylight": 0.1}, rules)
+        def context(values):
+            return "day" if values["daylight"] >= 0.5 else "night"
+
+        env = Environment({"daylight": 1.0}, lambda t, s, e: {"daylight": 0.1}, context)
         assert env.context == "day"
         env.step()
         assert env.context == "night"
-
-    def test_first_match_wins_by_declaration_order(self):
-        rules = [
-            ContextRule("first", lambda snap: True),
-            ContextRule("second", lambda snap: True),
-        ]
-        env = Environment({"x": 0.0}, lambda t, s, e: {"x": 0.0}, rules)
-        assert env.context == "first"
-
-    def test_missing_catch_all_rejected(self):
-        rules = [ContextRule("never", lambda snap: False)]
-        with pytest.raises(UnknownChannel):
-            Environment({"x": 0.0}, lambda t, s, e: {"x": 0.0}, rules)
 
     def test_non_finite_variable_rejected(self):
         env = Environment({"x": 0.0}, lambda t, s, e: {"x": float("inf")}, CATCH_ALL)
@@ -170,7 +155,7 @@ class TestStepEnv:
     def test_update_must_return_every_variable(self, update, traced):
         env = Environment({"x": 0.0, "y": 1.0}, update, CATCH_ALL)
         with pytest.raises(UnknownChannel):
-            env.step([] if traced else None)
+            env.step([], [] if traced else None)
 
 
 class TestPerceive:
@@ -215,11 +200,9 @@ class TestEmbodimentLoop:
         )
         env.register_agent("a0", body)
         before = env.perceive("a0")["lighting_sensor"]
-        env.apply_effects([("a0", {"lamp": 0.7})])
-        env.step()
+        env.step([("a0", {"lamp": 0.7})])
         after = env.perceive("a0")["lighting_sensor"]
         assert before == pytest.approx(0.1)
         assert after == pytest.approx(0.8)
-        env.apply_effects([("a0", {"lamp": 0.0})])
-        env.step()
+        env.step([("a0", {"lamp": 0.0})])
         assert env.perceive("a0")["lighting_sensor"] == pytest.approx(0.1)

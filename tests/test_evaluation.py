@@ -148,6 +148,20 @@ class TestDecide:
         with pytest.raises(ValueError):
             decide([], SearchPolicy())
 
+    @given(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, math.inf]), min_size=1, max_size=12),
+        st.integers(1, 14),
+    )
+    def test_equals_window_rescan_oracle(self, scores, patience):
+        # the oracle rescans min(scores[:t]) for every t in the window
+        policy = SearchPolicy(patience=patience, budget=200)
+        expected = ADJUST
+        if len(scores) >= patience:
+            window = range(len(scores) - patience, len(scores))
+            if not any(t > 0 and scores[t] < min(scores[:t]) for t in window):
+                expected = RECONFIGURE
+        assert decide(records(scores), policy) == expected
+
     def test_run_search_follows_decide(self):
         # every generation runs the command decide() gives for the episodes
         # before it, and the search ends at the first None

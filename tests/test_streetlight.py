@@ -157,8 +157,7 @@ class TestEnvironmentWiring:
     def test_brightness_superposition_with_spillover(self):
         scenario = dark_scenario(n_lights=3, spillover=0.5)
         env, _ = self.build(scenario, {"lighting_sensor": True, "light_switch": True})
-        env.apply_effects([("light_1", {"light_switch": "ON"})])
-        env.step()
+        env.step([("light_1", {"light_switch": "ON"})])
         snap = env.values
         assert snap["brightness_1"] == pytest.approx(0.7)
         assert snap["brightness_0"] == pytest.approx(0.5 * 0.7)
@@ -171,10 +170,9 @@ class TestEnvironmentWiring:
             n_lights=2, ambient=AmbientProfile(kind="constant", value=0.8)
         )
         env, _ = self.build(scenario, {"lighting_sensor": True, "light_switch": True})
-        env.apply_effects(
+        env.step(
             [("light_0", {"light_switch": "ON"}), ("light_1", {"light_switch": "ON"})]
         )
-        env.step()
         assert env.values["brightness_0"] == 1.0
 
     @pytest.mark.parametrize("radius", [1, 2])
@@ -211,10 +209,9 @@ class TestEnvironmentWiring:
         saturated = 0
         for t in range(1, scenario.episode_ticks + 1):
             levels = [((None,) + LEVELS)[k] for k in rng.integers(4, size=n)]
-            env.apply_effects(
+            env.step(
                 [(f"light_{i}", {"light_switch": level}) for i, level in enumerate(levels) if level]
             )
-            env.step()
             expected = oracle(t, levels)
             # exact equality, in the order trace.log writes its perturbed lines
             assert list(env.values.items()) == list(expected.items())
