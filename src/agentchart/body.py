@@ -202,8 +202,11 @@ class Agent:
     controller_state: ControllerState = field(default_factory=ControllerState)
 
 
-def quantize(value: float, levels: tuple[str, ...]) -> str:
-    """Equal-width thresholds over [0, 1] onto the ordered level list."""
+def quantize(value: float, levels: tuple[str, ...]) -> object:
+    """Equal-width thresholds over [0, 1] onto the ordered level list; an
+    output without levels is continuous and drives ``value`` itself."""
+    if not levels:
+        return value
     k = len(levels)
     idx = int(value * k)
     if idx >= k:
@@ -237,16 +240,13 @@ def step_agent(
             f"{sorted(body.input_ids)}"
         )
     outputs, agent.controller_state = eval_net(agent.controller, agent.controller_state, percept)
-    actions: ActionSet = {}
-    for d in body.enabled_outputs:
-        value = outputs[d.id]
-        actions[d.id] = quantize(value, d.output_levels) if d.output_levels else value
+    actions = {d.id: quantize(outputs[d.id], d.output_levels) for d in body.enabled_outputs}
     if trace is not None:
-        _walk_behavior_chart(agent, percept, actions, tick, trace)
+        walk_behavior_chart(agent, percept, actions, tick, trace)
     return actions
 
 
-def _walk_behavior_chart(
+def walk_behavior_chart(
     agent: Agent,
     percept: Percept,
     actions: ActionSet,

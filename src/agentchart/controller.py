@@ -47,10 +47,11 @@ class ControllerTopology:
 
     @cached_property
     def eval_plan(self):
-        """``(input_ids, steps, output_ids)``, built once per topology: one step
-        ``(id, bias, forward, recurrent)`` per enabled non-input neuron, in a
-        topological order of the forward edges, with its incoming
-        ``(from_id, weight)`` pairs of each kind in declaration order."""
+        """``(input_ids, steps, output_ids, slots)``, built once per topology.
+        ``slots`` numbers the enabled neurons: the inputs, then one step
+        ``(slot, bias, forward, recurrent)`` per other neuron in a topological
+        order of the forward edges, with its incoming ``(slot, weight)`` pairs
+        of each kind in declaration order."""
         forward, recurrent = split_edges(self)
         enabled = {n.id: n for n in self.neurons if n.enabled}
         fwd_in: dict[str, list[tuple[str, float]]] = {nid: [] for nid in enabled}
@@ -62,14 +63,19 @@ class ControllerTopology:
         # each neuron sums its own edge lists in their fixed order, so every
         # topological order gives the same values
         order = TopologicalSorter({nid: [frm for frm, _ in fwd_in[nid]] for nid in enabled})
-        steps = tuple(
-            (nid, enabled[nid].bias, tuple(fwd_in[nid]), tuple(rec_in[nid]))
-            for nid in order.static_order()
-            if enabled[nid].layer != INPUT
-        )
         inputs = tuple(nid for nid, n in enabled.items() if n.layer == INPUT)
+        ordered = [nid for nid in order.static_order() if enabled[nid].layer != INPUT]
+        slots = {nid: k for k, nid in enumerate(inputs + tuple(ordered))}
+
+        def indexed(edges):
+            return tuple((slots[frm], weight) for frm, weight in edges)
+
+        steps = tuple(
+            (slots[nid], enabled[nid].bias, indexed(fwd_in[nid]), indexed(rec_in[nid]))
+            for nid in ordered
+        )
         outputs = tuple(nid for nid, n in enabled.items() if n.layer == OUTPUT)
-        return inputs, steps, outputs
+        return inputs, steps, outputs, slots
 
 
 @dataclass(frozen=True)
@@ -143,37 +149,38 @@ def split_edges(topology: ControllerTopology) -> tuple[list[Connection], list[Co
     return forward, recurrent
 
 
+def activate(steps, act: list[float], prev: list[float]) -> None:
+    """The neuron update over ``eval_plan``'s steps, with the inputs in
+    ``act``: each step's slot gets sigmoid(bias + sum of weight*value), the
+    forward terms first, read from ``act``, then the recurrent ones, read
+    from the previous tick's ``prev``."""
+    for slot, total, forward, recurrent in steps:
+        for src, weight in forward:
+            total += weight * act[src]
+        for src, weight in recurrent:
+            total += weight * prev[src]
+        act[slot] = sigmoid(total)
+
+
 def eval_net(
     topology: ControllerTopology,
     state: ControllerState,
     inputs: dict[str, float],
 ) -> tuple[dict[str, float], ControllerState]:
-    """Synchronous one-step update.
-
-    Input neurons take the supplied values verbatim.  Every other
-    enabled neuron computes sigmoid(bias + sum of enabled incoming
-    weight*value), where forward edges read this tick's upstream value
-    in topological order and recurrent edges read the previous state;
-    the forward terms are added first, each list in declaration order.
-    """
+    """Synchronous one-step update by neuron id through ``activate``.  Input
+    neurons take the supplied values verbatim; a recurrent edge from a
+    neuron that ``state`` lacks reads 0."""
     for nid, value in inputs.items():
         if not math.isfinite(value):
             raise NonFiniteInput(f"input for neuron {nid!r} is not finite: {value}")
-    input_ids, steps, output_ids = topology.eval_plan
-    activation: dict[str, float] = {}
-    for nid in input_ids:
+    input_ids, steps, output_ids, slots = topology.eval_plan
+    act = [0.0] * len(slots)
+    for k, nid in enumerate(input_ids):
         if nid not in inputs:
             raise NonFiniteInput(f"missing input for enabled input neuron {nid!r}")
-        activation[nid] = inputs[nid]
-
-    previous = state.activation
-    for nid, total, forward, recurrent in steps:
-        for from_id, weight in forward:
-            total += weight * activation[from_id]
-        for from_id, weight in recurrent:
-            total += weight * previous.get(from_id, 0.0)
-        activation[nid] = sigmoid(total)
-
+        act[k] = inputs[nid]
+    activate(steps, act, [state.activation.get(nid, 0.0) for nid in slots])
+    activation = dict(zip(slots, act))
     return {nid: activation[nid] for nid in output_ids}, ControllerState(activation)
 
 

@@ -17,8 +17,12 @@ from .body import COMM_CHANNEL, BodyConfig, Percept
 from .errors import NonFiniteVariable, UnknownChannel, UnknownDevice
 from .statechart import TraceEvent
 
-# update: (new_tick, previous values, effects by channel) -> a new dict of
-# every variable's value; it never mutates the previous mapping
+# each agent's id and ActionSet, and the same values grouped by the channel
+# they drive: channel -> [(agent id, value)]
+Actions = Iterable[tuple[str, dict[str, object]]]
+Effects = dict[str, list[tuple[str, object]]]
+# update: (new_tick, previous values, effects) -> a new dict of every
+# variable's value; it never mutates the previous mapping
 Update = Callable[
     [int, Mapping[str, float], Mapping[str, list[tuple[str, object]]]], dict[str, float]
 ]
@@ -42,9 +46,9 @@ class Environment:
         self.effect_channels: dict[str, dict[str, str]] = {}
         self.tick = 0
         self.comm_mailbox: dict[str, list[tuple[str, object]]] = {}
-        # current values; step() replaces this mapping and never mutates it,
+        # current values; advance() replaces this mapping and never mutates it,
         # so snapshots and the update function may hold on to it
-        self.values: dict[str, float] = dict(initial)
+        self.values: dict[str, float] = _finite(dict(initial))
         self.context = context(self.values)
 
     def register_agent(self, agent_id: str, body: BodyConfig) -> None:
@@ -62,17 +66,9 @@ class Environment:
 
     # --- per-tick phases -------------------------------------------------
 
-    def apply_effects(
-        self,
-        actions: Iterable[tuple[str, dict[str, object]]],
-        trace: list[TraceEvent] | None = None,
-    ) -> dict[str, list[tuple[str, object]]]:
-        """Group this tick's actuation values by the channel they drive.
-
-        ``step`` hands the table to the update function and delivers the
-        COMM_CHANNEL entries to each sender's neighbors.
-        """
-        effects: dict[str, list[tuple[str, object]]] = {}
+    def apply_effects(self, actions: Actions) -> Effects:
+        """Group ``actions`` by channel, in the order they come."""
+        effects: Effects = {}
         for agent_id, action_set in actions:
             channels = self.effect_channels.get(agent_id)
             if channels is None:
@@ -82,26 +78,24 @@ class Environment:
                 if channel is None:
                     raise UnknownDevice(f"agent {agent_id!r} has no enabled output {device_id!r}")
                 effects.setdefault(channel, []).append((agent_id, value))
-                if channel == COMM_CHANNEL and trace is not None:
-                    trace.append(TraceEvent(self.tick, agent_id, "emitted", channel, repr(value)))
         return effects
 
-    def step(
-        self,
-        actions: Iterable[tuple[str, dict[str, object]]] = (),
-        trace: list[TraceEvent] | None = None,
-    ) -> None:
-        """Advance one tick under ``actions``: simultaneous variable update,
+    def step(self, actions: Actions = (), trace: list[TraceEvent] | None = None) -> None:
+        """Advance one tick under ``actions``, grouped by ``apply_effects``."""
+        self.advance(self.apply_effects(actions), trace)
+
+    def advance(self, effects: Effects, trace: list[TraceEvent] | None = None) -> None:
+        """Advance one tick under ``effects``: simultaneous variable update,
         mailbox swap, context re-selection."""
-        effects = self.apply_effects(actions, trace)
+        if trace is not None:
+            for sender, value in effects.get(COMM_CHANNEL, ()):
+                trace.append(TraceEvent(self.tick, sender, "emitted", COMM_CHANNEL, repr(value)))
         previous = self.values
         new_tick = self.tick + 1
         new_values = self.update(new_tick, previous, MappingProxyType(effects))
         if new_values.keys() != previous.keys():
             raise UnknownChannel(f"update must return exactly the variables {sorted(previous)}")
-        for name, value in new_values.items():
-            if not math.isfinite(value):
-                raise NonFiniteVariable(f"variable {name!r} became non-finite: {value}")
+        _finite(new_values)
         if trace is not None:
             for name, value in new_values.items():
                 old = previous[name]
@@ -124,23 +118,30 @@ class Environment:
     def perceive(self, agent_id: str) -> Percept:
         """One value per enabled input device of the agent.
 
-        Sensors read their channel variable; comm devices read the mean
-        of last tick's messages (0 when the mailbox is empty).
+        Sensors read their channel variable; comm devices read
+        ``comm_mean`` of the agent's mailbox.
         """
         body = self.bodies.get(agent_id)
         if body is None:
             raise UnknownChannel(f"agent {agent_id!r} is not registered")
-        percept: Percept = {}
-        for device in body.enabled_inputs:
-            if device.channel == COMM_CHANNEL:
-                messages = self.comm_mailbox.get(agent_id, [])
-                if messages:
-                    percept[device.id] = sum(float(v) for _, v in messages) / len(messages)
-                else:
-                    percept[device.id] = 0.0
-            else:
-                percept[device.id] = self.values[device.channel]
-        return percept
+        messages = self.comm_mailbox[agent_id]
+        return {
+            d.id: comm_mean(messages) if d.channel == COMM_CHANNEL else self.values[d.channel]
+            for d in body.enabled_inputs
+        }
+
+
+def comm_mean(messages: list[tuple[str, object]]) -> float:
+    """What a comm input reads: the mean of last tick's messages, 0 when the
+    mailbox is empty."""
+    return sum(float(v) for _, v in messages) / len(messages) if messages else 0.0
+
+
+def _finite(values: dict[str, float]) -> dict[str, float]:
+    if not all(map(math.isfinite, values.values())):
+        name, value = next((n, v) for n, v in values.items() if not math.isfinite(v))
+        raise NonFiniteVariable(f"variable {name!r} is not finite: {value}")
+    return values
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,19 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .body import (
+    COMM_CHANNEL,
     Agent,
     DeviceSpec,
     configure_body,
     derive_controller,
+    quantize,
     require_mirror,
-    step_agent,
+    step_agent,  # noqa: F401  perfbench's layer sites wrap it at this name
+    walk_behavior_chart,
 )
-from .controller import ControllerTopology, MutationPolicy, mutate_connections
-from .environment import EpisodeTrace, TickSnapshot, snapshot_row
-from .errors import require
+from .controller import ControllerTopology, MutationPolicy, activate, mutate_connections
+from .environment import Effects, EpisodeTrace, TickSnapshot, comm_mean, snapshot_row
+from .errors import NonFiniteInput, require
 from .serialize import config_digest
 from .statechart import TraceEvent
 
@@ -103,7 +106,10 @@ def run_episode(
 ) -> tuple[EvaluationRecord, EpisodeTrace]:
     """One fixed-length episode of every agent under one configuration.
 
-    An inoperable body (no enabled input or output) scores +inf so that
+    Each agent's inputs and outputs are resolved to plan slots once; every
+    tick runs each agent's sense -> decide -> act pass over activation
+    lists, walking its behavior chart only when ``collect_events``.  An
+    inoperable body (no enabled input or output) scores +inf so that
     structural search can still enumerate it.
     """
     require(seed >= 0, "seed must be >= 0")
@@ -118,15 +124,41 @@ def run_episode(
     require_mirror(bodies[ids[0]], genotype.topology)
 
     env = scenario.build_env(seed, bodies)
-    agents = [Agent(aid, bodies[aid], genotype.topology) for aid in ids]
+    _, steps, _, slots = genotype.topology.eval_plan
+    # per agent: inputs (id, slot, channel) and outputs (id, slot, channel, levels)
+    wired = [
+        (
+            aid,
+            Agent(aid, body, genotype.topology),
+            [(d.id, slots[d.id], d.channel) for d in body.enabled_inputs],
+            [(d.id, slots[d.id], d.channel, d.output_levels) for d in body.enabled_outputs],
+        )
+        for aid, body in bodies.items()
+    ]
+    # the effects table's channels in the order agents first drive them
+    channels = dict.fromkeys(channel for *_, outputs in wired for _, _, channel, _ in outputs)
+    previous = [[0.0] * len(slots) for _ in wired]
     events: list[TraceEvent] | None = [] if collect_events else None
     snapshots: list[TickSnapshot] = []
     for t in range(scenario.episode_ticks):
-        actions = []
-        for agent in agents:
-            percept = env.perceive(agent.agent_id)
-            actions.append((agent.agent_id, step_agent(agent, percept, t, events)))
-        env.step(actions, events)
+        values, mailbox = env.values, env.comm_mailbox
+        effects: Effects = {channel: [] for channel in channels}
+        for k, (aid, agent, inputs, outputs) in enumerate(wired):
+            act = [0.0] * len(slots)
+            for did, slot, channel in inputs:
+                value = comm_mean(mailbox[aid]) if channel == COMM_CHANNEL else values[channel]
+                if not math.isfinite(value):
+                    raise NonFiniteInput(f"input for neuron {did!r} is not finite: {value}")
+                act[slot] = value
+            activate(steps, act, previous[k])
+            previous[k] = act
+            for _, slot, channel, levels in outputs:
+                effects[channel].append((aid, quantize(act[slot], levels)))
+            if events is not None:
+                percept = {did: act[slot] for did, slot, _ in inputs}
+                actions = {did: quantize(act[slot], levels) for did, slot, _, levels in outputs}
+                walk_behavior_chart(agent, percept, actions, t, events)
+        env.advance(effects, events)
         snapshots.append(snapshot_row(env))
     trace = EpisodeTrace(snapshots, events)
     return scenario.score(trace, episode, digest), trace

@@ -144,6 +144,15 @@ class TestStepEnv:
         with pytest.raises(NonFiniteVariable):
             env.step()
 
+    def test_non_finite_initial_value_rejected(self):
+        # built as the street lights build theirs, from the update at tick 0;
+        # a NaN there was once handed out by perceive
+        def update(t, s, e):
+            return {"x": float("nan") if t == 0 else 0.0, "y": 1.0}
+
+        with pytest.raises(NonFiniteVariable):
+            Environment(update(0, {}, {}), update, CATCH_ALL)
+
     @pytest.mark.parametrize("traced", [False, True])
     @pytest.mark.parametrize(
         "update",

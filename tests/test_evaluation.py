@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agentchart import statechart
-from agentchart.body import configure_body, derive_controller
+from agentchart.body import Agent, configure_body, derive_controller, step_agent
 from agentchart.controller import HIDDEN, OUTPUT, Connection, ControllerTopology, Neuron
-from agentchart.environment import EpisodeTrace, TickSnapshot
+from agentchart.environment import EpisodeTrace, TickSnapshot, snapshot_row
 from agentchart.errors import BehaviorNotConfigured
 from agentchart.evaluation import (
     ADJUST,
@@ -264,6 +264,40 @@ class TestRunEpisode:
         assert plain == traced
         assert plain_trace.snapshots == traced_trace.snapshots
         assert plain_trace.events is None and traced_trace.events
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_kernel_equals_dict_level_reference(self, seed):
+        # differential: the compiled tick loop against the dict-level views
+        # it replaced, bit for bit, traced and untraced
+        scenario = small_scenario(n_lights=4, episode_ticks=15)
+        genotype = random_genotype(scenario, random.Random(seed))
+        for collect_events in (False, True):
+            record, trace = run_episode(scenario, genotype, seed % 1000, 3, collect_events)
+            expected, expected_trace = reference_episode(
+                scenario, genotype, seed % 1000, 3, collect_events
+            )
+            assert repr(record) == repr(expected)
+            assert trace.snapshots == expected_trace.snapshots
+            assert trace.events == expected_trace.events
+
+
+def reference_episode(scenario, genotype, seed, episode=0, collect_events=False):
+    """The episode as the dict-level views run it: every tick, each agent's
+    ``perceive`` -> ``step_agent``, then ``Environment.step`` and a
+    ``snapshot_row``; for operable genotypes only."""
+    ids = scenario.agent_ids()
+    bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
+    env = scenario.build_env(seed, bodies)
+    agents = [Agent(aid, bodies[aid], genotype.topology) for aid in ids]
+    events = [] if collect_events else None
+    snapshots = []
+    for t in range(scenario.episode_ticks):
+        actions = [(a.agent_id, step_agent(a, env.perceive(a.agent_id), t, events)) for a in agents]
+        env.step(actions, events)
+        snapshots.append(snapshot_row(env))
+    trace = EpisodeTrace(snapshots, events)
+    return scenario.score(trace, episode, genotype_digest(scenario, genotype)), trace
 
 
 def random_genotype(scenario, rng: random.Random) -> Genotype:
