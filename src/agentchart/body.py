@@ -1,6 +1,7 @@
 """Embodied-agent layer: device inventory with an enable/disable selection,
 controller derivation from the body, and the perception -> decision ->
-effector step, whose behavior statechart is walked to record a trace.
+effector step, whose behavior statechart pass is compiled once and
+replayed to record a trace.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .controller import (
     eval_net,
     fresh_connection_id,
 )
-from .errors import BehaviorNotConfigured, UnknownDevice
+from .errors import BehaviorNotConfigured, PassNotReplayable, UnknownDevice
 
 COMM_CHANNEL = "comm"
 NEW_WEIGHT_SIGMA = 1.0  # std of a new input/output pair's Gaussian weight
@@ -158,6 +159,7 @@ EV_SENSE = "sense"
 EV_DECIDE = "decide"
 EV_ACT = "act"
 EV_TICK_DONE = "tick_done"
+PASS_EVENTS = (EV_SENSE, EV_DECIDE, EV_ACT, EV_TICK_DONE)
 
 
 def build_behavior_chart() -> sc.Statechart:
@@ -186,19 +188,54 @@ def build_behavior_chart() -> sc.Statechart:
     return sc.build_chart(nodes, transitions)
 
 
+# One macrostep's engine lines, without their tick and agent.
+Segment = tuple[tuple[str, str, str], ...]
+
+
+def compile_pass(chart: sc.Statechart, start: sc.Configuration) -> tuple[Segment, ...]:
+    """Run the interpreter once over ``PASS_EVENTS`` from ``start`` and keep
+    each macrostep's engine lines as (kind, subject, detail) triples.
+
+    A macrostep is a function of the configuration and the event alone, so
+    a pass that reads and writes no data and ends in ``start`` gives the
+    same lines on every tick.  Raises PassNotReplayable when a transition
+    the pass's events (or completion) can fire has a guard or an action,
+    when a state the pass enters or exits has an action, when the pass
+    emits an event, or when it does not end in ``start``.
+    """
+    triggers = {*PASS_EVENTS, None}
+    for index, tr in enumerate(chart.transitions):
+        if tr.event in triggers and (tr.guard is not None or tr.actions):
+            label = chart.label_of(index)
+            raise PassNotReplayable(f"transition {label!r} has a guard or an action")
+    segments = []
+    config = start
+    for event_id in PASS_EVENTS:
+        config, emitted, lines = sc.dispatch(chart, config, sc.Event(event_id))
+        if emitted:
+            raise PassNotReplayable(f"{event_id!r} emits {[e.id for e in emitted]}")
+        for line in lines:
+            node = chart.nodes.get(line.subject) if line.kind in ("entered", "exited") else None
+            if node is not None and (node.entry_actions or node.exit_actions):
+                raise PassNotReplayable(f"state {node.id!r} has an entry or exit action")
+        segments.append(tuple((line.kind, line.subject, line.detail) for line in lines))
+    if config != start:
+        raise PassNotReplayable("the pass does not end in the start configuration")
+    return tuple(segments)
+
+
 BEHAVIOR_CHART = build_behavior_chart()
 BEHAVIOR_START = sc.initialize(BEHAVIOR_CHART)
+BEHAVIOR_PASS = compile_pass(BEHAVIOR_CHART, BEHAVIOR_START)
 
 
 @dataclass
 class Agent:
-    """One live agent: body and controller plus behavior-chart and
-    controller state."""
+    """One live agent: body and controller plus controller state."""
 
     agent_id: str
     body: BodyConfig
     controller: ControllerTopology
-    config: sc.Configuration = BEHAVIOR_START
     controller_state: ControllerState = field(default_factory=ControllerState)
 
 
@@ -225,9 +262,8 @@ def step_agent(
     """One sense -> decide -> act pass: the controller maps the percept to
     the ActionSet and its state is updated in place on ``agent``.
 
-    The behavior chart has no guards, actions or history and every pass
-    returns it to its initial configuration, so it never changes an
-    action; it is walked only to record ``trace``.
+    The behavior chart's pass never changes an action; it is replayed only
+    to record ``trace``.
     """
     body = agent.body
     if not body.is_operable():
@@ -253,20 +289,17 @@ def walk_behavior_chart(
     tick: int,
     trace: list[sc.TraceEvent],
 ) -> None:
-    """Dispatch the pass's four events, each followed by the devices it
-    reads or drives, and leave the agent in the chart's new configuration."""
+    """Append the compiled pass's four macrosteps, each followed by the
+    devices it reads or drives."""
     aid = agent.agent_id
-    events = (
-        (EV_SENSE, [(f"sensed:{d.id}", percept[d.id]) for d in agent.body.enabled_inputs]),
-        (EV_DECIDE, ()),
-        (EV_ACT, [(f"actuated:{did}", value) for did, value in actions.items()]),
-        (EV_TICK_DONE, ()),
+    devices = (
+        [(f"sensed:{d.id}", percept[d.id]) for d in agent.body.enabled_inputs],
+        (),
+        [(f"actuated:{did}", value) for did, value in actions.items()],
+        (),
     )
-    config = agent.config
-    for event_id, devices in events:
-        config, _, _ = sc.dispatch(
-            BEHAVIOR_CHART, config, sc.Event(event_id), tick=tick, agent=aid, trace=trace
-        )
-        for subject, value in devices:
-            trace.append(sc.TraceEvent(tick, aid, "fired", subject, repr(value)))
-    agent.config = config
+    line, head = sc.TraceEvent, (tick, aid)
+    new = tuple.__new__  # builds line(*head, *triple) without the constructor's frame
+    for segment, device_lines in zip(BEHAVIOR_PASS, devices):
+        trace += [new(line, head + triple) for triple in segment]
+        trace += [line(tick, aid, "fired", subject, repr(value)) for subject, value in device_lines]

@@ -118,8 +118,7 @@ def write_outputs(out: Path, args, loaded: LoadedScenario, result: SearchResult)
         _, trace = run_episode(loaded.scenario, result.best, args.seed, collect_events=True)
         with (out / "trace.log").open("w") as fh:
             fh.write(header)
-            for event in trace.events or ():
-                fh.write(event.to_line() + "\n")
+            fh.writelines(f"{event.to_line()}\n" for event in trace.events or ())
         (out / "episode.csv").write_text(trace.to_csv())
 
 

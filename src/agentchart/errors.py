@@ -29,6 +29,10 @@ class LivelockDetected(ChartError):
     """A run to completion (a macrostep or initialize) exceeded its bound."""
 
 
+class PassNotReplayable(ChartError):
+    """A chart's pass could depend on data, so its trace lines cannot be compiled once."""
+
+
 class UnknownDevice(AgentChartError):
     pass
 

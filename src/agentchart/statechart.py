@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import (
     DanglingReference,
@@ -38,8 +38,7 @@ class Event:
     payload: Mapping[str, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One engine occurrence; serializes to a single tab-separated line."""
 
     tick: int

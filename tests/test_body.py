@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from agentchart import statechart as sc
 from agentchart.body import (
     BEHAVIOR_CHART,
     BEHAVIOR_START,
@@ -11,16 +13,20 @@ from agentchart.body import (
     EV_DECIDE,
     EV_SENSE,
     EV_TICK_DONE,
+    P_PROC,
     Agent,
     DeviceSpec,
+    compile_pass,
     configure_body,
     derive_controller,
     quantize,
     require_mirror,
     step_agent,
+    walk_behavior_chart,
 )
 from agentchart.controller import Connection, ControllerTopology, Neuron
-from agentchart.errors import BehaviorNotConfigured, UnknownDevice
+from agentchart.errors import BehaviorNotConfigured, PassNotReplayable, UnknownDevice
+from agentchart.evaluation import all_selections
 from agentchart.statechart import Event, TraceEvent, dispatch
 
 
@@ -235,13 +241,15 @@ class TestStepAgent:
         assert first_entered.subject == "processing_inputs"
 
     def test_chart_configuration_returns_to_start_each_tick(self):
-        # traced, so every tick walks the chart through the interpreter
+        # the same percept every tick: a pass that ends where it started
+        # gives the same block of lines each tick, bar the tick itself
         agent = make_agent({"lighting_sensor": True, "light_switch": True})
-        start = agent.config.active
         trace: list[TraceEvent] = []
         for tick in range(3):
             step_agent(agent, {"lighting_sensor": 0.5}, tick=tick, trace=trace)
-            assert agent.config.active == start
+        blocks = [[t._replace(tick=0) for t in trace if t.tick == tick] for tick in range(3)]
+        assert blocks[0] and blocks[0] == blocks[1] == blocks[2]
+        assert sum(map(len, blocks)) == len(trace)
         transitions = [t for t in trace if t.kind == "fired" and t.detail.startswith("->")]
         assert len(transitions) == 3 * 4
 
@@ -274,3 +282,95 @@ class TestBehaviorChart:
             assert emitted == []
             assert config.active != before
         assert config == BEHAVIOR_START
+
+
+def reference_walk(agent, percept, actions, tick, trace, config=BEHAVIOR_START):
+    """The interpreter's walk of one pass: dispatch the four events from
+    ``config``, each followed by the devices it reads or drives; returns
+    the configuration the pass ends in."""
+    aid = agent.agent_id
+    events = (
+        (EV_SENSE, [(f"sensed:{d.id}", percept[d.id]) for d in agent.body.enabled_inputs]),
+        (EV_DECIDE, ()),
+        (EV_ACT, [(f"actuated:{did}", value) for did, value in actions.items()]),
+        (EV_TICK_DONE, ()),
+    )
+    for event_id, devices in events:
+        config, _, _ = dispatch(
+            BEHAVIOR_CHART, config, Event(event_id), tick=tick, agent=aid, trace=trace
+        )
+        for subject, value in devices:
+            trace.append(TraceEvent(tick, aid, "fired", subject, repr(value)))
+    return config
+
+
+OPERABLE = [
+    s for s in all_selections(tuple(street_devices()))
+    if configure_body(street_devices(), s).is_operable()
+]
+# repr-sensitive floats: signed zero, the least subnormal, inexact decimals
+# and the edges of the light levels; percepts are finite, outputs in [0, 1]
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 0.1, 1 / 3, 2 / 3, 1 - 2**-53, 1.0]
+percepts = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS + [-5e-324, 1e16, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+outputs = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(min_value=0.0, max_value=1.0))
+
+
+class TestCompiledPass:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(OPERABLE),
+        st.text(min_size=1, max_size=6),
+        st.lists(st.integers(min_value=0, max_value=2**31), min_size=1, max_size=3),
+        st.data(),
+    )
+    def test_compiled_walk_equals_interpreter_walk(self, selection, aid, ticks, data):
+        body = configure_body(street_devices(), selection)
+        agent = Agent(aid, body, ControllerTopology())
+        trace: list[TraceEvent] = []
+        expected: list[TraceEvent] = []
+        config = BEHAVIOR_START
+        for tick in ticks:
+            percept = {d.id: data.draw(percepts) for d in body.enabled_inputs}
+            actions = {
+                d.id: quantize(data.draw(outputs), d.output_levels) for d in body.enabled_outputs
+            }
+            walk_behavior_chart(agent, percept, actions, tick, trace)
+            config = reference_walk(agent, percept, actions, tick, expected, config)
+        assert trace == expected
+        assert all(type(t) is TraceEvent for t in trace)
+        assert config == BEHAVIOR_START
+
+
+def chart_variant(drop=None, guard_on=None, entry_action_on=None):
+    """The behavior chart without the transition labelled ``drop``, with an
+    always-true guard on the one labelled ``guard_on``, or with a no-op entry
+    action on state ``entry_action_on``."""
+    nodes = [
+        replace(n, entry_actions=(lambda ctx: None,)) if n.id == entry_action_on else n
+        for n in BEHAVIOR_CHART.nodes.values()
+    ]
+    transitions = [
+        replace(t, guard=lambda snapshot: True) if t.label == guard_on else t
+        for t in BEHAVIOR_CHART.transitions
+        if t.label != drop
+    ]
+    return sc.build_chart(nodes, transitions)
+
+
+VARIANTS = {
+    "no_rest": dict(drop="rest"),
+    "guard": dict(guard_on="actuate"),
+    "entry_action": dict(entry_action_on=P_PROC),
+}
+
+
+class TestCompileGuard:
+    # PassNotReplayable, not AssertionError: python -O cannot skip the check
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_variant_rejected(self, variant):
+        chart = chart_variant(**VARIANTS[variant])
+        with pytest.raises(PassNotReplayable):
+            compile_pass(chart, sc.initialize(chart))

@@ -242,8 +242,9 @@ class TestRunEpisode:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_traced_and_untraced_episodes_agree(self, seed):
-        # differential: walking the behavior chart for the trace must not
-        # change a single snapshot or score, and only the traced run walks it
+        # differential: replaying the behavior chart for the trace must not
+        # change a single snapshot or score, and neither run dispatches: the
+        # pass is compiled once at import
         scenario = small_scenario(n_lights=3, episode_ticks=12)
         genotype = random_genotype(scenario, random.Random(seed))
         calls = []
@@ -259,7 +260,7 @@ class TestRunEpisode:
             traced, traced_trace = run_episode(
                 scenario, genotype, seed=seed % 1000, collect_events=True
             )
-        assert len(calls) == 4 * scenario.n_lights * scenario.episode_ticks
+        assert calls == []
         assert math.isfinite(plain.score)
         assert plain == traced
         assert plain_trace.snapshots == traced_trace.snapshots

@@ -14,18 +14,23 @@ street-light scenario (10 lights, 200 ticks):
 - ``episode_s``: the median of ``EPISODE_REPEATS`` untraced ``run_episode``
   calls of the initial genotype, after one untimed call;
 - ``traced_episode_s``: the median of ``TRACED_REPEATS`` traced
-  ``run_episode`` calls of the same genotype.
+  ``run_episode`` calls of the same genotype;
+- ``traced_run_s``: the median of ``TRACED_REPEATS`` calls of
+  ``cli.write_outputs`` with ``--trace`` for the same genotype, that is the
+  traced episode plus writing ``trace.log`` and ``episode.csv`` (and the
+  three small artifacts ahead of them), as ``run --trace`` ends.
 
 The report gives each side's median and quartiles, the change's median
 over the base's, and how many pairs the change won.  The two sides must
-agree on every search's best score and every episode's score, or the
-script exits 1.  With ``--tier1`` it also times the tier-1 suite once per
-side.
+agree on every search's best score, every episode's score and the bytes
+of ``trace.log``, or the script exits 1.  With ``--tier1`` it also times
+the tier-1 suite once per side.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -39,12 +44,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 EPISODE_REPEATS = 7
-TRACED_REPEATS = 3
+TRACED_REPEATS = 7
 METRICS = {  # name -> better
     "search_s": "lower",
     "search_agent_ticks_per_s": "higher",
     "episode_s": "lower",
     "traced_episode_s": "lower",
+    "traced_run_s": "lower",
 }
 
 
@@ -52,10 +58,12 @@ def measure(seed: int) -> dict:
     """One side's sample, taken in this interpreter."""
     import math
 
-    from agentchart.evaluation import initial_genotype, run_episode, run_search
-    from agentchart.streetlight import StreetLightScenario
+    from agentchart.cli import build_parser, write_outputs
+    from agentchart.config import build_scenario
+    from agentchart.evaluation import SearchResult, initial_genotype, run_episode, run_search
 
-    scenario = StreetLightScenario()
+    loaded = build_scenario({})
+    scenario = loaded.scenario
     start = time.perf_counter()
     result = run_search(scenario, seed=seed, generations=30, lam=4)
     search_s = time.perf_counter() - start
@@ -73,13 +81,26 @@ def measure(seed: int) -> dict:
         start = time.perf_counter()
         traced, trace = run_episode(scenario, genotype, seed, collect_events=True)
         traced_times.append(time.perf_counter() - start)
+    with tempfile.TemporaryDirectory() as out:
+        args = build_parser().parse_args(
+            ["run", "--scenario", "{}", "--seed", str(seed), "--out", out, "--trace"]
+        )
+        best = SearchResult(genotype, record, [record], [])
+        run_times = []
+        for _ in range(TRACED_REPEATS):
+            start = time.perf_counter()
+            write_outputs(Path(out), args, loaded, best)
+            run_times.append(time.perf_counter() - start)
+        trace_log = hashlib.sha256((Path(out) / "trace.log").read_bytes()).hexdigest()
     return {
         "search_s": search_s,
         "search_agent_ticks_per_s": operable * scenario.n_agents * scenario.episode_ticks / search_s,
         "episode_s": statistics.median(times),
         "traced_episode_s": statistics.median(traced_times),
+        "traced_run_s": statistics.median(run_times),
         "scores": [repr(result.best_record.score), repr(record.score), repr(traced.score)],
         "trace_events": len(trace.events),
+        "trace_log_sha256": trace_log,
     }
 
 
@@ -148,8 +169,11 @@ def main(argv: list[str] | None = None) -> int:
             pair = {side: run_side(trees[side], seed=k) for side in order}
             for side in order:
                 samples[side].append(pair[side])
-            if pair["base"]["scores"] != pair["change"]["scores"]:
-                mismatches.append({"seed": k, **{s: pair[s]["scores"] for s in order}})
+            compared = ("scores", "trace_log_sha256")
+            if any(pair["base"][key] != pair["change"][key] for key in compared):
+                mismatches.append(
+                    {"seed": k, **{s: [pair[s][key] for key in compared] for s in order}}
+                )
             print(f"pair {k}: " + ", ".join(
                 f"{side} {pair[side]['search_s']:.3f}s/{pair[side]['episode_s'] * 1e3:.2f}ms"
                 for side in order
@@ -169,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         "episode_repeats": EPISODE_REPEATS,
         "traced_repeats": TRACED_REPEATS,
         "metrics": {},
-        "scores_identical": not mismatches,
+        "scores_and_trace_logs_identical": not mismatches,
         "mismatches": mismatches,
         "trace_events": samples["change"][0]["trace_events"],
     }
