@@ -19,7 +19,6 @@ from .body import (
 )
 from .controller import (
     Connection,
-    ControllerState,
     ControllerTopology,
     MutationPolicy,
     Neuron,

@@ -17,7 +17,6 @@ from .controller import (
     INPUT,
     OUTPUT,
     Connection,
-    ControllerState,
     ControllerTopology,
     Neuron,
     eval_net,
@@ -146,7 +145,6 @@ PERCEPTION = "perception"
 P_WAIT = "waiting_for_stimuli"
 P_PROC = "processing_inputs"
 CONTROL = "controller"
-C_CONF = "configuring_controller"
 C_READY = "controller_ready"
 DECISION = "decision"
 D_IDLE = "decision_idle"
@@ -168,9 +166,8 @@ def build_behavior_chart() -> sc.Statechart:
         sc.StateNode(PERCEPTION, sc.XOR, children=(P_WAIT, P_PROC), initial=P_WAIT),
         sc.StateNode(P_WAIT),
         sc.StateNode(P_PROC),
-        sc.StateNode(CONTROL, sc.XOR, children=(C_READY, C_CONF), initial=C_READY),
+        sc.StateNode(CONTROL, sc.XOR, children=(C_READY,), initial=C_READY),
         sc.StateNode(C_READY),
-        sc.StateNode(C_CONF),
         sc.StateNode(DECISION, sc.XOR, children=(D_IDLE, D_RUN), initial=D_IDLE),
         sc.StateNode(D_IDLE),
         sc.StateNode(D_RUN),
@@ -236,7 +233,7 @@ class Agent:
     agent_id: str
     body: BodyConfig
     controller: ControllerTopology
-    controller_state: ControllerState = field(default_factory=ControllerState)
+    controller_state: dict[str, float] = field(default_factory=dict)
 
 
 def quantize(value: float, levels: tuple[str, ...]) -> object:

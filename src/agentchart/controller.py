@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from graphlib import TopologicalSorter
 
@@ -76,13 +76,6 @@ class ControllerTopology:
         )
         outputs = tuple(nid for nid, n in enabled.items() if n.layer == OUTPUT)
         return inputs, steps, outputs, slots
-
-
-@dataclass(frozen=True)
-class ControllerState:
-    """Previous-tick activations; what recurrent edges read."""
-
-    activation: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -164,12 +157,13 @@ def activate(steps, act: list[float], prev: list[float]) -> None:
 
 def eval_net(
     topology: ControllerTopology,
-    state: ControllerState,
+    previous: dict[str, float],
     inputs: dict[str, float],
-) -> tuple[dict[str, float], ControllerState]:
-    """Synchronous one-step update by neuron id through ``activate``.  Input
-    neurons take the supplied values verbatim; a recurrent edge from a
-    neuron that ``state`` lacks reads 0."""
+) -> tuple[dict[str, float], dict[str, float]]:
+    """Synchronous one-step update by neuron id through ``activate``; returns
+    the outputs and every enabled neuron's activation, which the next tick
+    passes back as ``previous``.  Input neurons take the supplied values
+    verbatim; a recurrent edge from a neuron that ``previous`` lacks reads 0."""
     for nid, value in inputs.items():
         if not math.isfinite(value):
             raise NonFiniteInput(f"input for neuron {nid!r} is not finite: {value}")
@@ -179,9 +173,9 @@ def eval_net(
         if nid not in inputs:
             raise NonFiniteInput(f"missing input for enabled input neuron {nid!r}")
         act[k] = inputs[nid]
-    activate(steps, act, [state.activation.get(nid, 0.0) for nid in slots])
+    activate(steps, act, [previous.get(nid, 0.0) for nid in slots])
     activation = dict(zip(slots, act))
-    return {nid: activation[nid] for nid in output_ids}, ControllerState(activation)
+    return {nid: activation[nid] for nid in output_ids}, activation
 
 
 def mutate_connections(

@@ -35,7 +35,6 @@ Action = Callable[["ActionContext"], None]
 @dataclass(frozen=True)
 class Event:
     id: str
-    payload: Mapping[str, float] = field(default_factory=dict)
 
 
 class TraceEvent(NamedTuple):
@@ -90,8 +89,8 @@ class ActionContext:
         self._emit_sink = emit_sink
         self.current_event: Event | None = None
 
-    def emit(self, event_id: str, **payload: float) -> None:
-        self._emit_sink.append(Event(event_id, payload))
+    def emit(self, event_id: str) -> None:
+        self._emit_sink.append(Event(event_id))
 
 
 class Statechart:
@@ -274,13 +273,11 @@ def initialize(
     chart: Statechart,
     vars: dict | None = None,
     trace: list[TraceEvent] | None = None,
-    tick: int = 0,
-    agent: str = "agent",
     queue_limit: int = DEFAULT_QUEUE_LIMIT,
 ) -> Configuration:
     """Enter the default configuration (root, initial xor children, all and
     regions; entry actions outermost-first), then run to completion."""
-    run = _Run(chart, Configuration(frozenset()), vars, [], trace, tick, agent)
+    run = _Run(chart, Configuration(frozenset()), vars, [], trace, 0, "agent")
     run.default_complete(chart.root)
     run.run_to_completion(0, queue_limit)
     return Configuration(frozenset(run.active), run.history)
@@ -426,20 +423,3 @@ class _Run:
     def default_complete(self, sid: str) -> None:
         self.enter_state(sid)
         self.complete_interior(sid)
-
-
-def check_configuration(chart: Statechart, config: Configuration) -> None:
-    """Assert the structural invariants of an active configuration."""
-    active = config.active
-    assert chart.root in active, "root must be active"
-    for sid in active:
-        parent = chart.parent.get(sid)
-        if parent is not None:
-            assert parent in active, f"active state {sid} has inactive parent {parent}"
-        node = chart.nodes[sid]
-        if node.kind == XOR:
-            live = [c for c in node.children if c in active]
-            assert len(live) == 1, f"xor-composite {sid} has {len(live)} active children"
-        elif node.kind == AND:
-            live = [c for c in node.children if c in active]
-            assert len(live) == len(node.children), f"and-composite {sid} missing regions"

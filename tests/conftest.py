@@ -1,12 +1,43 @@
-"""Shared helpers: random chart generation used by unit and acceptance tests."""
+"""Shared helpers: random chart generation and the configuration invariant
+oracle used by unit and acceptance tests."""
 
 from __future__ import annotations
 
 import random
 
-from agentchart.statechart import AND, BASIC, XOR, StateNode, Statechart, Transition, build_chart
+from agentchart.statechart import (
+    AND,
+    BASIC,
+    XOR,
+    Configuration,
+    StateNode,
+    Statechart,
+    Transition,
+    build_chart,
+)
 
 EVENT_ALPHABET = ["alpha", "beta", "gamma", "delta"]
+
+
+def check_configuration(chart: Statechart, config: Configuration) -> None:
+    """Assert the structural invariants of an active configuration: the root
+    is active, so is every active state's parent, an active xor-composite
+    has exactly one active child and an active and-composite all its
+    regions.  The parents are checked before the composites, so a broken
+    configuration fails on the same invariant on every run."""
+    active = config.active
+    assert chart.root in active, "root must be active"
+    for sid in active:
+        parent = chart.parent.get(sid)
+        if parent is not None:
+            assert parent in active, f"active state {sid} has inactive parent {parent}"
+    for sid in active:
+        node = chart.nodes[sid]
+        live = [c for c in node.children if c in active]
+        if node.kind == XOR:
+            assert len(live) == 1, f"xor-composite {sid} has {len(live)} active children"
+        elif node.kind == AND:
+            assert len(live) == len(node.children), f"and-composite {sid} missing regions"
 
 
 def random_tree(rng: random.Random, max_depth: int = 3) -> list[StateNode]:

@@ -15,7 +15,7 @@ from test_controller import oracle_eval, random_topology
 
 from agentchart.body import Agent, configure_body, derive_controller, step_agent
 from agentchart.cli import EXIT_OK, main as cli_main
-from agentchart.controller import ControllerState, Neuron, ControllerTopology, eval_net
+from agentchart.controller import Neuron, ControllerTopology, eval_net
 from agentchart.environment import EpisodeTrace, TickSnapshot
 from agentchart.evaluation import (
     ADJUST,
@@ -24,7 +24,7 @@ from agentchart.evaluation import (
     run_search,
 )
 from agentchart.serialize import body_digest, neuron_digest
-from agentchart.statechart import Event, dispatch, initialize, check_configuration
+from agentchart.statechart import Event, dispatch, initialize
 from agentchart.streetlight import (
     AmbientProfile,
     PeopleProcess,
@@ -33,7 +33,7 @@ from agentchart.streetlight import (
     device_template,
     streetlight_score,
 )
-from conftest import EVENT_ALPHABET, history_motif_chart, random_chart
+from conftest import EVENT_ALPHABET, check_configuration, history_motif_chart, random_chart
 from test_body import street_devices
 
 
@@ -190,8 +190,8 @@ def test_criterion_5_neural_oracle():
     for k in range(120):
         rng = random.Random(9_000 + k)
         topo = random_topology(rng, max_neurons=8)
-        state = ControllerState()
-        oracle_state = ControllerState()
+        state = {}
+        oracle_state = {}
         for _ in range(3):
             inputs = {n.id: rng.uniform(-1, 2) for n in topo.neurons if n.layer == "input"}
             outputs, state = eval_net(topo, state, inputs)

@@ -170,6 +170,7 @@ class TestValidateCommand:
             pytest.param('{"ambient": {"value": -Infinity}}', "-Infinity", id="minus_inf"),
             pytest.param('{"spillover": 1e999}', "1e999", id="float_overflow"),
             pytest.param('{"spillover": 1%s}' % ("0" * 400), "1000", id="int_overflow"),
+            pytest.param("[]", "top level must be a JSON object", id="not_an_object"),
         ],
     )
     def test_bad_json_exits_2(self, tmp_path, capsys, text, shown):
@@ -382,6 +383,14 @@ class TestReplayCommand:
             pytest.param(
                 sensor_switch_agent(SENSOR_SWITCH_NEURONS[1:], connections=[]),
                 id="dropped_neuron",
+            ),
+            pytest.param(
+                sensor_switch_agent(SENSOR_SWITCH_NEURONS + SENSOR_SWITCH_NEURONS[:1]),
+                id="duplicate_neuron_id",
+            ),
+            pytest.param(
+                sensor_switch_agent(connections=[SENSOR_SWITCH_EDGE, SENSOR_SWITCH_EDGE]),
+                id="duplicate_connection_id",
             ),
             pytest.param(
                 sensor_switch_agent(

@@ -7,7 +7,6 @@ import pytest
 
 from agentchart.controller import (
     Connection,
-    ControllerState,
     ControllerTopology,
     MutationPolicy,
     Neuron,
@@ -63,12 +62,12 @@ def oracle_eval(topology, state, inputs):
                 total += c.weight * activation[c.from_id]
         for c in recurrent:
             if c.to_id == nid:
-                total += c.weight * state.activation.get(c.from_id, 0.0)
+                total += c.weight * state.get(c.from_id, 0.0)
         activation[nid] = 1.0 / (1.0 + math.exp(-total)) if total >= 0 else (
             math.exp(total) / (1.0 + math.exp(total))
         )
     outputs = {n.id: activation[n.id] for n in topology.neurons if n.enabled and n.layer == "output"}
-    return outputs, ControllerState(activation)
+    return outputs, activation
 
 
 def random_topology(rng: random.Random, max_neurons=8):
@@ -101,7 +100,7 @@ class TestEvalNet:
             (Neuron("i0", "input"), Neuron("o0", "output")),
             (Connection("c0", "i0", "o0", 0.0),),
         )
-        outputs, _ = eval_net(topo, ControllerState(), {"i0": 0.7})
+        outputs, _ = eval_net(topo, {}, {"i0": 0.7})
         assert outputs["o0"] == 0.5
 
     def test_ln3_edge_gives_three_quarters(self):
@@ -109,7 +108,7 @@ class TestEvalNet:
             (Neuron("i0", "input"), Neuron("o0", "output")),
             (Connection("c0", "i0", "o0", math.log(3.0)),),
         )
-        outputs, _ = eval_net(topo, ControllerState(), {"i0": 1.0})
+        outputs, _ = eval_net(topo, {}, {"i0": 1.0})
         assert outputs["o0"] == pytest.approx(0.75, abs=1e-12)
 
     def test_recurrent_two_tick_matches_unrolled_oracle(self):
@@ -121,8 +120,8 @@ class TestEvalNet:
                 Connection("c2", "o0", "h0", 0.6),  # closes a cycle: recurrent
             ),
         )
-        state = ControllerState()
-        oracle_state = ControllerState()
+        state = {}
+        oracle_state = {}
         for tick_inputs in ({"i0": 0.2}, {"i0": 0.9}):
             outputs, state = eval_net(topo, state, tick_inputs)
             expected, oracle_state = oracle_eval(topo, oracle_state, tick_inputs)
@@ -144,7 +143,7 @@ class TestEvalNet:
             seen["self_loop"] += any(c.from_id == c.to_id for c in topo.connections)
             seen["disabled_neuron"] += not all(n.enabled for n in topo.neurons)
             seen["disabled_edge"] += not all(c.enabled for c in topo.connections)
-            state = oracle_state = ControllerState()
+            state = oracle_state = {}
             for _ in range(4):
                 inputs = {n.id: rng.uniform(-1, 1) for n in topo.neurons if n.layer == "input"}
                 outputs, state = eval_net(topo, state, inputs)
@@ -156,14 +155,14 @@ class TestEvalNet:
     def test_non_finite_input_rejected(self):
         topo = bipartite(["i0"], ["o0"], np.random.default_rng(0))
         with pytest.raises(NonFiniteInput):
-            eval_net(topo, ControllerState(), {"i0": float("nan")})
+            eval_net(topo, {}, {"i0": float("nan")})
 
     def test_outputs_strictly_inside_unit_interval(self):
         rng = random.Random(5)
         for _ in range(50):
             topo = random_topology(rng)
             inputs = {n.id: rng.uniform(-1, 2) for n in topo.neurons if n.layer == "input"}
-            outputs, _ = eval_net(topo, ControllerState(), inputs)
+            outputs, _ = eval_net(topo, {}, inputs)
             assert all(0.0 < v < 1.0 for v in outputs.values())
 
     def test_disabled_connection_equals_deleted(self):
@@ -185,7 +184,7 @@ class TestEvalNet:
                 tuple(c for k, c in enumerate(topo.connections) if k != victim),
             )
             inputs = {n.id: rng.uniform(0, 1) for n in topo.neurons if n.layer == "input"}
-            state = ControllerState({n.id: rng.uniform(0, 1) for n in topo.neurons})
+            state = {n.id: rng.uniform(0, 1) for n in topo.neurons}
             out_a, _ = eval_net(disabled, state, inputs)
             out_b, _ = eval_net(deleted, state, inputs)
             assert out_a == pytest.approx(out_b, abs=1e-15)
@@ -193,18 +192,18 @@ class TestEvalNet:
     def test_replaced_topology_gets_its_own_plan(self):
         topo = bipartite(["a"], ["o"], np.random.default_rng(0))
         weight = topo.connections[0].weight
-        assert eval_net(topo, ControllerState(), {"a": 1.0})[0] == {"o": sigmoid(weight)}
+        assert eval_net(topo, {}, {"a": 1.0})[0] == {"o": sigmoid(weight)}
         negated = replace(topo, connections=(replace(topo.connections[0], weight=-weight),))
         assert "eval_plan" not in vars(negated)
-        assert eval_net(negated, ControllerState(), {"a": 1.0})[0] == {"o": sigmoid(-weight)}
+        assert eval_net(negated, {}, {"a": 1.0})[0] == {"o": sigmoid(-weight)}
         assert negated.eval_plan is not topo.eval_plan
 
     def test_feedforward_net_is_state_independent(self):
         rng = np.random.default_rng(3)
         topo = bipartite(["i0", "i1"], ["o0"], rng)
         inputs = {"i0": 0.4, "i1": 0.9}
-        out_empty, _ = eval_net(topo, ControllerState(), inputs)
-        out_loaded, _ = eval_net(topo, ControllerState({"o0": 0.99, "i0": 0.1}), inputs)
+        out_empty, _ = eval_net(topo, {}, inputs)
+        out_loaded, _ = eval_net(topo, {"o0": 0.99, "i0": 0.1}, inputs)
         assert out_empty == out_loaded
 
 

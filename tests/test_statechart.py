@@ -4,6 +4,16 @@ from dataclasses import replace
 
 import pytest
 
+from agentchart.body import (
+    B_ROOT,
+    BEHAVIOR_CHART,
+    BEHAVIOR_START,
+    E_IDLE,
+    EFFECTOR,
+    P_PROC,
+    P_WAIT,
+    PERCEPTION,
+)
 from agentchart.errors import (
     DanglingReference,
     DuplicateId,
@@ -21,12 +31,17 @@ from agentchart.statechart import (
     TraceEvent,
     Transition,
     build_chart,
-    check_configuration,
     dispatch,
     initialize,
 )
 
-from conftest import EVENT_ALPHABET, history_motif_chart, random_chart, random_tree
+from conftest import (
+    EVENT_ALPHABET,
+    check_configuration,
+    history_motif_chart,
+    random_chart,
+    random_tree,
+)
 
 
 def body_input_chart(extra_transitions=()):
@@ -131,6 +146,88 @@ class TestBuildChart:
         ]
         with pytest.raises(IllegalJoin):
             build_chart(nodes, [Transition(("a", "b"), "c", event="e")])
+
+    @pytest.mark.parametrize(
+        "nodes, transitions, error",
+        [
+            pytest.param(
+                [
+                    StateNode("top", XOR, ("a", "b"), initial="a"),
+                    StateNode("a"),
+                    StateNode("b", XOR, ("a",), initial="a"),
+                ],
+                [],
+                "'a' has more than one parent",
+                id="two_parents",
+            ),
+            pytest.param(
+                [StateNode("x"), StateNode("y")], [], "expected exactly one root", id="two_roots"
+            ),
+            pytest.param(
+                [StateNode("top", BASIC, ("a",)), StateNode("a")],
+                [],
+                "basic state 'top' must have no children",
+                id="basic_with_children",
+            ),
+            pytest.param(
+                [StateNode("only", initial="only")],
+                [],
+                "basic state 'only' must have no children",
+                id="basic_with_initial",
+            ),
+            pytest.param(
+                [StateNode("only", history="shallow")],
+                [],
+                "history not permitted on basic state 'only'",
+                id="basic_with_history",
+            ),
+            pytest.param(
+                [StateNode("top", XOR)],
+                [],
+                "xor-composite 'top' needs at least one child",
+                id="childless_xor",
+            ),
+            pytest.param(
+                [
+                    StateNode("top", AND, ("r1", "r2"), initial="r1"),
+                    StateNode("r1", XOR, ("a",), initial="a"),
+                    StateNode("a"),
+                    StateNode("r2", XOR, ("b",), initial="b"),
+                    StateNode("b"),
+                ],
+                [],
+                "and-composite 'top' may not declare initial",
+                id="and_with_initial",
+            ),
+            pytest.param(
+                [
+                    StateNode("top", AND, ("r1", "r2"), history="shallow"),
+                    StateNode("r1", XOR, ("a",), initial="a"),
+                    StateNode("a"),
+                    StateNode("r2", XOR, ("b",), initial="b"),
+                    StateNode("b"),
+                ],
+                [],
+                "history not permitted on and-composite 'top'",
+                id="and_with_history",
+            ),
+            pytest.param(
+                [StateNode("only", "or-composite")],
+                [],
+                "unknown kind 'or-composite' on 'only'",
+                id="unknown_kind",
+            ),
+            pytest.param(
+                [StateNode("top", XOR, ("a", "b"), initial="a"), StateNode("a"), StateNode("b")],
+                [Transition(("a",), "b", event="e", to_history=True)],
+                "history target 'b' is not a shallow-history xor-composite",
+                id="history_target_not_shallow_xor",
+            ),
+        ],
+    )
+    def test_malformed_structure_rejected(self, nodes, transitions, error):
+        with pytest.raises(MalformedComposite, match=error):
+            build_chart(nodes, transitions)
 
     def test_legal_join_accepted(self):
         nodes = [
@@ -423,6 +520,38 @@ class TestProperties:
                 event = Event(rng.choice(EVENT_ALPHABET))
                 config, _, _ = dispatch(chart, config, event)
                 check_configuration(chart, config)
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            pytest.param(lambda a: a - {B_ROOT}, "root must be active", id="inactive_root"),
+            pytest.param(
+                lambda a: a - {PERCEPTION},
+                f"active state {P_WAIT} has inactive parent {PERCEPTION}",
+                id="inactive_parent",
+            ),
+            pytest.param(
+                lambda a: a - {P_WAIT},
+                f"xor-composite {PERCEPTION} has 0 active children",
+                id="xor_without_child",
+            ),
+            pytest.param(
+                lambda a: a | {P_PROC},
+                f"xor-composite {PERCEPTION} has 2 active children",
+                id="xor_with_two_children",
+            ),
+            pytest.param(
+                lambda a: a - {EFFECTOR, E_IDLE},
+                f"and-composite {B_ROOT} missing regions",
+                id="missing_region",
+            ),
+        ],
+    )
+    def test_oracle_rejects_broken_behavior_configurations(self, edit, error):
+        check_configuration(BEHAVIOR_CHART, BEHAVIOR_START)
+        broken = Configuration(edit(BEHAVIOR_START.active))
+        with pytest.raises(AssertionError, match=error):
+            check_configuration(BEHAVIOR_CHART, broken)
 
     def test_resolved_tables_match_definitions(self):
         rng = random.Random(4321)

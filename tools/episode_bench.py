@@ -43,7 +43,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-EPISODE_REPEATS = 7
+EPISODE_REPEATS = 31
 TRACED_REPEATS = 7
 METRICS = {  # name -> better
     "search_s": "lower",
