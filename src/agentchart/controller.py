@@ -101,10 +101,10 @@ def sigmoid(x: float) -> float:
     # even when exp() underflows at extreme |x|
     if x >= 0:
         y = 1.0 / (1.0 + math.exp(-x))
-    else:
-        z = math.exp(x)
-        y = z / (1.0 + z)
-    return min(max(y, _EPS_LO), _EPS_HI)
+        return _EPS_HI if y > _EPS_HI else y  # y >= 0.5
+    z = math.exp(x)
+    y = z / (1.0 + z)
+    return _EPS_LO if _EPS_LO > y else y  # y < 0.5, or NaN passed through
 
 
 def split_edges(topology: ControllerTopology) -> tuple[list[Connection], list[Connection]]:

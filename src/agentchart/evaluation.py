@@ -125,6 +125,7 @@ def run_episode(
 
     env = scenario.build_env(seed, bodies)
     _, steps, _, slots = genotype.topology.eval_plan
+    n_slots = len(slots)
     # per agent: inputs (id, slot, channel) and outputs (id, slot, channel, levels)
     wired = [
         (
@@ -137,14 +138,14 @@ def run_episode(
     ]
     # the effects table's channels in the order agents first drive them
     channels = dict.fromkeys(channel for *_, outputs in wired for _, _, channel, _ in outputs)
-    previous = [[0.0] * len(slots) for _ in wired]
+    previous = [[0.0] * n_slots for _ in wired]
     events: list[TraceEvent] | None = [] if collect_events else None
     snapshots: list[TickSnapshot] = []
     for t in range(scenario.episode_ticks):
         values, mailbox = env.values, env.comm_mailbox
         effects: Effects = {channel: [] for channel in channels}
         for k, (aid, agent, inputs, outputs) in enumerate(wired):
-            act = [0.0] * len(slots)
+            act = [0.0] * n_slots
             for did, slot, channel in inputs:
                 value = comm_mean(mailbox[aid]) if channel == COMM_CHANNEL else values[channel]
                 if not math.isfinite(value):

@@ -198,8 +198,10 @@ def build_chart(nodes: list[StateNode], transitions: list[Transition] = ()) -> S
 
     for node in by_id.values():
         if node.kind == BASIC:
-            if node.children or node.initial is not None:
+            if node.children:
                 raise MalformedComposite(f"basic state {node.id!r} must have no children")
+            if node.initial is not None:
+                raise MalformedComposite(f"basic state {node.id!r} must have no initial state")
             if node.history != "none":
                 raise MalformedComposite(f"history not permitted on basic state {node.id!r}")
         elif node.kind == XOR:

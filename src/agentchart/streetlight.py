@@ -162,37 +162,40 @@ class StreetLightScenario:
         contribution = dict(self.light_contribution)
         energy_of = {level: self.rules.energy_of(level) for level in LEVELS}
         spill = self.spillover
-        radius = self.neighbor_radius
         n = self.n_lights
-        names = [
-            (f"light_{i}", f"brightness_{i}", f"people_flow_{i}", f"energy_{i}")
+        lights = [f"light_{i}" for i in range(n)]
+        keys = ("daylight",) + tuple(
+            name
+            for i in range(n)
+            for name in (f"light_{i}", f"brightness_{i}", f"people_flow_{i}", f"energy_{i}")
+        )
+        # in index order, skipping i: a window sum minus light[i] rounds differently
+        radius = self.neighbor_radius
+        windows = [
+            tuple(j for j in range(max(0, i - radius), min(n, i + radius + 1)) if j != i)
             for i in range(n)
         ]
+        daylight_at = [float(ambient(t, ticks)) for t in range(ticks + 1)]
 
         def update(t, previous, effects) -> dict[str, float]:
-            daylight = float(ambient(t, ticks))
+            daylight = daylight_at[t] if t <= ticks else float(ambient(t, ticks))
             light = []
             energy = []
-            for light_name, *_ in names:
+            for light_name in lights:
                 own = spent = 0.0
                 for _, level in effects.get(light_name, ()):
                     own += contribution[level]
                     spent += energy_of[level]
                 light.append(own)
                 energy.append(spent)
-            flow = flows[min(t, ticks)]
-            values = {"daylight": daylight}
-            for i, (light_name, brightness_name, flow_name, energy_name) in enumerate(names):
-                # in index order, skipping i: a window sum minus light[i] rounds differently
+            row = [daylight]
+            for window, own, flow, spent in zip(windows, light, flows[min(t, ticks)], energy):
                 spilled = 0.0
-                for j in range(max(0, i - radius), min(n, i + radius + 1)):
-                    if j != i:
-                        spilled += light[j]
-                values[light_name] = light[i]
-                values[brightness_name] = min(1.0, daylight + light[i] + spill * spilled)
-                values[flow_name] = flow[i]
-                values[energy_name] = energy[i]
-            return values
+                for j in window:
+                    spilled += light[j]
+                brightness = daylight + own + spill * spilled
+                row += (own, brightness if brightness < 1.0 else 1.0, flow, spent)
+            return dict(zip(keys, row))
 
         def context(values) -> str:
             return DAY if values["daylight"] >= self.dusk_threshold else NIGHT
@@ -231,14 +234,19 @@ def streetlight_score(
     """score = sum over ticks of context-weighted energy plus
     context-weighted darkness-under-people service penalty; lower is
     better."""
-    names = [(f"energy_{i}", f"people_flow_{i}", f"brightness_{i}") for i in range(n_lights)]
+    energy_names = [f"energy_{i}" for i in range(n_lights)]
+    served = [(f"people_flow_{i}", f"brightness_{i}") for i in range(n_lights)]
+    target = rules.target_brightness
     breakdown: dict[str, float] = {}
     for snap in trace.snapshots:
         values = snap.variables
-        energy = sum(values[e] for e, _, _ in names)
-        deficit = sum(
-            values[f] * max(0.0, rules.target_brightness - values[b]) for _, f, b in names
-        )
+        energy = sum(map(values.__getitem__, energy_names))
+        # sum() and not +=: from Python 3.12 sum() adds floats with compensation
+        terms = []
+        for f, b in served:
+            gap = target - values[b]
+            terms.append(values[f] * (gap if gap > 0.0 else 0.0))
+        deficit = sum(terms)
         term = rules.w_energy[snap.context] * energy + rules.w_dark[snap.context] * deficit
         breakdown[snap.context] = breakdown.get(snap.context, 0.0) + term
     return EvaluationRecord(episode, sum(breakdown.values()), breakdown, digest)

@@ -1,11 +1,15 @@
 import math
 import random
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from agentchart.controller import (
+    _EPS_HI,
+    _EPS_LO,
     Connection,
     ControllerTopology,
     MutationPolicy,
@@ -243,3 +247,34 @@ class TestMutateConnections:
         assert 0.0 < sigmoid(1000.0) < 1.0
         assert 0.0 < sigmoid(-1000.0) < 1.0
         assert sigmoid(0.0) == 0.5
+
+
+def reference_sigmoid(x):
+    """The two-sided clamp form that the one-sided clamps replaced."""
+    if x >= 0:
+        y = 1.0 / (1.0 + math.exp(-x))
+    else:
+        z = math.exp(x)
+        y = z / (1.0 + z)
+    return min(max(y, _EPS_LO), _EPS_HI)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(5e-324)
+@example(-5e-324)
+@example(40.0)
+@example(709.0)
+@example(-709.0)
+@example(745.0)
+@example(-745.0)
+def test_sigmoid_matches_two_sided_clamp_bit_for_bit(x):
+    got, want = sigmoid(x), reference_sigmoid(x)
+    assert (math.isnan(got) and math.isnan(want)) or (
+        struct.pack("<d", got) == struct.pack("<d", want)
+    )

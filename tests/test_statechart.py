@@ -172,7 +172,7 @@ class TestBuildChart:
             pytest.param(
                 [StateNode("only", initial="only")],
                 [],
-                "basic state 'only' must have no children",
+                "basic state 'only' must have no initial state",
                 id="basic_with_initial",
             ),
             pytest.param(

@@ -1,7 +1,11 @@
 import math
+import random
+import struct
+from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agentchart.controller import Connection, ControllerTopology, Neuron
 from agentchart.environment import EpisodeTrace, TickSnapshot
@@ -18,6 +22,7 @@ from agentchart.streetlight import (
     device_template,
     streetlight_score,
 )
+from agentchart.environment import COMM_CHANNEL
 
 
 def synthetic_trace(n_lights, ticks, context, energy=0.0, flow=0.0, brightness=1.0):
@@ -294,3 +299,142 @@ class TestClosedForms:
 
         result = run_search(dark_scenario(), seed=0, generations=1)
         assert math.isfinite(result.best_record.score)
+
+
+def bits(items):
+    """Keys in order with each value's exact bits, so -0.0 and 0.0 differ."""
+    return [(k, struct.pack("<d", v)) for k, v in items]
+
+
+def reference_update(scenario, seed):
+    """The update function as it was before the per-episode tables: every
+    tick re-evaluates the daylight curve and the neighbour windows and fills
+    the values dict one key at a time."""
+    flows = scenario.people.sample(seed, scenario.episode_ticks, scenario.n_lights).tolist()
+    ambient = scenario.ambient
+    ticks = scenario.episode_ticks
+    contribution = dict(scenario.light_contribution)
+    energy_of = {level: scenario.rules.energy_of(level) for level in LEVELS}
+    spill = scenario.spillover
+    radius = scenario.neighbor_radius
+    n = scenario.n_lights
+    names = [
+        (f"light_{i}", f"brightness_{i}", f"people_flow_{i}", f"energy_{i}") for i in range(n)
+    ]
+
+    def update(t, previous, effects):
+        daylight = float(ambient(t, ticks))
+        light = []
+        energy = []
+        for light_name, *_ in names:
+            own = spent = 0.0
+            for _, level in effects.get(light_name, ()):
+                own += contribution[level]
+                spent += energy_of[level]
+            light.append(own)
+            energy.append(spent)
+        flow = flows[min(t, ticks)]
+        values = {"daylight": daylight}
+        for i, (light_name, brightness_name, flow_name, energy_name) in enumerate(names):
+            spilled = 0.0
+            for j in range(max(0, i - radius), min(n, i + radius + 1)):
+                if j != i:
+                    spilled += light[j]
+            values[light_name] = light[i]
+            values[brightness_name] = min(1.0, daylight + light[i] + spill * spilled)
+            values[flow_name] = flow[i]
+            values[energy_name] = energy[i]
+        return values
+
+    return update
+
+
+def reference_score(trace, rules, n_lights):
+    """The generator-sum score with ``max(0.0, gap)`` that the loop replaced."""
+    names = [(f"energy_{i}", f"people_flow_{i}", f"brightness_{i}") for i in range(n_lights)]
+    breakdown = {}
+    for snap in trace.snapshots:
+        values = snap.variables
+        energy = sum(values[e] for e, _, _ in names)
+        deficit = sum(
+            values[f] * max(0.0, rules.target_brightness - values[b]) for _, f, b in names
+        )
+        term = rules.w_energy[snap.context] * energy + rules.w_dark[snap.context] * deficit
+        breakdown[snap.context] = breakdown.get(snap.context, 0.0) + term
+    return sum(breakdown.values()), breakdown
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def scenarios(draw):
+    dim = draw(unit)
+    ambient = draw(
+        st.one_of(
+            st.builds(AmbientProfile, kind=st.just("cosine"), period=st.integers(0, 50)),
+            st.builds(AmbientProfile, kind=st.just("constant"), value=unit),
+        )
+    )
+    return StreetLightScenario(
+        n_lights=draw(st.integers(1, 12)),
+        episode_ticks=draw(st.integers(1, 30)),
+        ambient=ambient,
+        people=draw(st.builds(PeopleProcess, kind=st.sampled_from(["random", "none"]), rate=unit)),
+        light_contribution={"OFF": 0.0, "DIM": dim, "ON": draw(st.floats(dim, 2.0))},
+        neighbor_radius=draw(st.integers(1, 4)),
+        spillover=draw(st.floats(0.0, 3.0)),
+    )
+
+
+class TestAgainstReferenceForms:
+    @settings(max_examples=60, deadline=None)
+    @given(scenarios(), st.integers(0, 2**32 - 1))
+    def test_update_matches_reference_bit_for_bit(self, scenario, seed):
+        update = scenario.build_env(seed, {}).update
+        reference = reference_update(scenario, seed)
+        rng = random.Random(seed)
+        for t in range(scenario.episode_ticks + 3):
+            # each light sent 0, 1 or 2 switch levels; an idle light may be absent
+            effects = {COMM_CHANNEL: [("light_0", 0.5)]}
+            for i in range(scenario.n_lights):
+                levels = rng.choices(LEVELS, k=rng.randrange(3))
+                if levels or rng.random() < 0.5:
+                    effects[f"light_{i}"] = [(f"light_{i}", level) for level in levels]
+            effects = MappingProxyType(effects)
+            assert bits(update(t, {}, effects).items()) == bits(reference(t, {}, effects).items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.sampled_from([0.0, -0.0, 0.25, 0.6, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_score_matches_reference_bit_for_bit(self, n, target, seed):
+        # brightness at the target gives a gap of exactly 0, above it a negative
+        # gap, and 0.0 under a target of -0.0 a gap of -0.0
+        rng = random.Random(seed)
+        rules = StreetlightRules(
+            w_energy={DAY: rng.uniform(0, 4), NIGHT: rng.uniform(0, 4)},
+            w_dark={DAY: rng.uniform(0, 4), NIGHT: rng.uniform(0, 4)},
+            target_brightness=target,
+        )
+
+        def value():
+            if rng.random() < 0.3:
+                return rng.choice([0.0, -0.0, target, 1.0])
+            return rng.uniform(-0.5, 1.5)
+
+        rows = []
+        for t in range(rng.randrange(7)):
+            variables = {}
+            for i in range(n):
+                variables[f"energy_{i}"] = value()
+                variables[f"people_flow_{i}"] = value()
+                variables[f"brightness_{i}"] = value()
+            rows.append(TickSnapshot(t, variables, rng.choice([DAY, NIGHT])))
+        trace = EpisodeTrace(rows)
+        record = streetlight_score(trace, rules, n)
+        score, breakdown = reference_score(trace, rules, n)
+        assert bits([("score", record.score)]) == bits([("score", score)])
+        assert bits(record.breakdown.items()) == bits(breakdown.items())
