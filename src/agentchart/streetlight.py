@@ -175,10 +175,9 @@ class StreetLightScenario:
             tuple(j for j in range(max(0, i - radius), min(n, i + radius + 1)) if j != i)
             for i in range(n)
         ]
-        daylight_at = [float(ambient(t, ticks)) for t in range(ticks + 1)]
 
         def update(t, previous, effects) -> dict[str, float]:
-            daylight = daylight_at[t] if t <= ticks else float(ambient(t, ticks))
+            daylight = float(ambient(t, ticks))
             light = []
             energy = []
             for light_name in lights:
@@ -242,11 +241,9 @@ def streetlight_score(
         values = snap.variables
         energy = sum(map(values.__getitem__, energy_names))
         # sum() and not +=: from Python 3.12 sum() adds floats with compensation
-        terms = []
-        for f, b in served:
-            gap = target - values[b]
-            terms.append(values[f] * (gap if gap > 0.0 else 0.0))
-        deficit = sum(terms)
+        deficit = sum(
+            [values[f] * (g if (g := target - values[b]) > 0.0 else 0.0) for f, b in served]
+        )
         term = rules.w_energy[snap.context] * energy + rules.w_dark[snap.context] * deficit
         breakdown[snap.context] = breakdown.get(snap.context, 0.0) + term
     return EvaluationRecord(episode, sum(breakdown.values()), breakdown, digest)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agentchart.controller import Connection, ControllerTopology, Neuron
-from agentchart.environment import EpisodeTrace, TickSnapshot
+from agentchart.environment import COMM_CHANNEL, EpisodeTrace, TickSnapshot
 from agentchart.errors import InvalidParams
 from agentchart.evaluation import Genotype, run_episode
 from agentchart.streetlight import (
@@ -22,7 +22,6 @@ from agentchart.streetlight import (
     device_template,
     streetlight_score,
 )
-from agentchart.environment import COMM_CHANNEL
 
 
 def synthetic_trace(n_lights, ticks, context, energy=0.0, flow=0.0, brightness=1.0):
@@ -308,8 +307,8 @@ def bits(items):
 
 def reference_update(scenario, seed):
     """The update function as it was before the per-episode tables: every
-    tick re-evaluates the daylight curve and the neighbour windows and fills
-    the values dict one key at a time."""
+    tick recomputes the neighbour windows and fills the values dict one key
+    at a time."""
     flows = scenario.people.sample(seed, scenario.episode_ticks, scenario.n_lights).tolist()
     ambient = scenario.ambient
     ticks = scenario.episode_ticks

@@ -20,17 +20,11 @@ street-light scenario (10 lights, 200 ticks):
   traced episode plus writing ``trace.log`` and ``episode.csv`` (and the
   three small artifacts ahead of them), as ``run --trace`` ends.
 
-A shared host's speed drifts between runs, so each side also times a fixed
-pure-Python loop ``REFERENCE_REPEATS`` times before and after its sample.
-Next to each plain figure the report gives it scaled to a host on which
-that loop takes ``REFERENCE_S`` (20 ms): a time is multiplied, and a rate
-divided, by ``REFERENCE_S`` over the side's median loop time.
-
 The report gives each side's median and quartiles, the change's median
-over the base's, and how many pairs the change won, plain and scaled.  The
-two sides must agree on every search's best score, every episode's score
-and the bytes of ``trace.log``, or the script exits 1.  With ``--tier1`` it
-also times the tier-1 suite once per side.
+over the base's, and how many pairs the change won.  The two sides must
+agree on every search's best score, every episode's score and the bytes
+of ``trace.log``, or the script exits 1.  With ``--tier1`` it also times
+the tier-1 suite once per side.
 """
 
 from __future__ import annotations
@@ -51,8 +45,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 EPISODE_REPEATS = 31
 TRACED_REPEATS = 7
-REFERENCE_REPEATS = 3
-REFERENCE_S = 0.020
 METRICS = {  # name -> better
     "search_s": "lower",
     "search_agent_ticks_per_s": "higher",
@@ -60,16 +52,6 @@ METRICS = {  # name -> better
     "traced_episode_s": "lower",
     "traced_run_s": "lower",
 }
-
-
-def reference_s() -> float:
-    """Time of a fixed pure-Python loop that calls nothing of agentchart: how
-    fast the host runs this process now."""
-    start = time.perf_counter()
-    acc = 0
-    for i in range(200_000):
-        acc += i * i % 7
-    return time.perf_counter() - start
 
 
 def measure(seed: int) -> dict:
@@ -82,7 +64,6 @@ def measure(seed: int) -> dict:
 
     loaded = build_scenario({})
     scenario = loaded.scenario
-    reference = [reference_s() for _ in range(REFERENCE_REPEATS)]
     start = time.perf_counter()
     result = run_search(scenario, seed=seed, generations=30, lam=4)
     search_s = time.perf_counter() - start
@@ -111,7 +92,6 @@ def measure(seed: int) -> dict:
             write_outputs(Path(out), args, loaded, best)
             run_times.append(time.perf_counter() - start)
         trace_log = hashlib.sha256((Path(out) / "trace.log").read_bytes()).hexdigest()
-    reference += [reference_s() for _ in range(REFERENCE_REPEATS)]
     return {
         "search_s": search_s,
         "search_agent_ticks_per_s": operable * scenario.n_agents * scenario.episode_ticks / search_s,
@@ -121,7 +101,6 @@ def measure(seed: int) -> dict:
         "scores": [repr(result.best_record.score), repr(record.score), repr(traced.score)],
         "trace_events": len(trace.events),
         "trace_log_sha256": trace_log,
-        "reference_s": reference,
     }
 
 
@@ -151,22 +130,6 @@ def tier1_s(tree: Path) -> float:
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
-
-
-def scaled(sample: dict, name: str, better: str) -> float:
-    """``sample[name]`` on a host whose reference loop takes REFERENCE_S."""
-    factor = REFERENCE_S / statistics.median(sample["reference_s"])
-    return sample[name] * factor if better == "lower" else sample[name] / factor
-
-
-def compare(base: list[float], change: list[float], better: str) -> dict:
-    wins = sum((c < b) if better == "lower" else (c > b) for b, c in zip(base, change))
-    return {
-        "base": summary(base),
-        "change": summary(change),
-        "ratio_of_medians": statistics.median(change) / statistics.median(base),
-        "change_wins": f"{wins}/{len(base)}",
-    }
 
 
 def extract(rev: str, directory: Path) -> Path:
@@ -229,23 +192,21 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "episode_repeats": EPISODE_REPEATS,
         "traced_repeats": TRACED_REPEATS,
-        "reference_repeats": 2 * REFERENCE_REPEATS,
-        "reference_s": {
-            side: summary([r for s in samples[side] for r in s["reference_s"]])
-            for side in ("base", "change")
-        },
         "metrics": {},
         "scores_and_trace_logs_identical": not mismatches,
         "mismatches": mismatches,
         "trace_events": samples["change"][0]["trace_events"],
     }
     for name, better in METRICS.items():
-        plain = {side: [s[name] for s in samples[side]] for side in ("base", "change")}
-        fixed = {side: [scaled(s, name, better) for s in samples[side]] for side in plain}
+        base = [s[name] for s in samples["base"]]
+        change = [s[name] for s in samples["change"]]
+        wins = sum((c < b) if better == "lower" else (c > b) for b, c in zip(base, change))
         report["metrics"][name] = {
             "better": better,
-            **compare(plain["base"], plain["change"], better),
-            "scaled": compare(fixed["base"], fixed["change"], better),
+            "base": summary(base),
+            "change": summary(change),
+            "ratio_of_medians": statistics.median(change) / statistics.median(base),
+            "change_wins": f"{wins}/{args.pairs}",
         }
     if tier1 is not None:
         report["tier1_s"] = {**tier1, "runs": 1}
