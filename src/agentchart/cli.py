@@ -82,7 +82,7 @@ def cmd_run(args) -> int:
 
 
 def write_outputs(out: Path, args, loaded: LoadedScenario, result: SearchResult) -> None:
-    digest = result.best_record.config_digest
+    digest = genotype_digest(loaded.scenario, result.best)
     header = f"# seed={args.seed} config_digest={digest}\n"
 
     lines = [header, "generation,best_score,mean_score,command,config_digest\n"]
@@ -139,9 +139,8 @@ def cmd_replay(args) -> int:
     except (ValueError, LookupError, TypeError, UnknownDevice, BehaviorNotConfigured) as exc:
         raise ConfigError(f"{args.agent}: not a saved agent: {exc!r}") from exc
     record, _ = run_episode(loaded.scenario, genotype, args.seed)
-    digest = genotype_digest(loaded.scenario, genotype)
     print(f"score={record.score!r}")
-    print(f"config_digest={digest}")
+    print(f"config_digest={genotype_digest(loaded.scenario, genotype)}")
     return EXIT_OK
 
 

@@ -134,7 +134,10 @@ class Environment:
 def comm_mean(messages: list[tuple[str, object]]) -> float:
     """What a comm input reads: the mean of last tick's messages, 0 when the
     mailbox is empty."""
-    return sum(float(v) for _, v in messages) / len(messages) if messages else 0.0
+    total = 0  # left to right from the int 0: sum() compensates from Python 3.12
+    for _, value in messages:
+        total += float(value)
+    return total / len(messages) if messages else 0.0
 
 
 def _finite(values: dict[str, float]) -> dict[str, float]:

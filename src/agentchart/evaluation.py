@@ -1,10 +1,11 @@
 """Episodes and the reconfiguration cycle.
 
 An episode runs every agent of a scenario under one shared genotype and
-hands the trace to the scenario's own score (for the street lights,
-``agentchart.streetlight.streetlight_score``).  A patience-based policy
-picks between "adjust" (connection-only mutation) and "reconfigure"
-(structural body search), driving a (1+λ) hill climb over the genotype.
+builds its record from the scenario's own score and breakdown (for the
+street lights, ``agentchart.streetlight.streetlight_score``).  A
+patience-based policy picks between "adjust" (connection-only mutation)
+and "reconfigure" (structural body search), driving a (1+λ) hill climb
+over the genotype; the climb digests only the genotypes it keeps.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from functools import reduce
+from operator import add
+from typing import Callable
 
 import numpy as np
 
@@ -33,9 +36,7 @@ from .environment import Effects, EpisodeTrace, TickSnapshot, comm_mean, snapsho
 from .errors import NonFiniteInput, require
 from .serialize import config_digest
 from .statechart import TraceEvent
-
-if TYPE_CHECKING:  # streetlight imports this module
-    from .streetlight import StreetLightScenario
+from .streetlight import StreetLightScenario
 
 ADJUST = "adjust"
 RECONFIGURE = "reconfigure"
@@ -46,7 +47,6 @@ class EvaluationRecord:
     episode: int
     score: float
     breakdown: dict[str, float]
-    config_digest: str
 
 
 @dataclass(frozen=True)
@@ -109,18 +109,15 @@ def run_episode(
     Each agent's inputs and outputs are resolved to plan slots once; every
     tick runs each agent's sense -> decide -> act pass over activation
     lists, walking its behavior chart only when ``collect_events``.  An
-    inoperable body (no enabled input or output) scores +inf so that
-    structural search can still enumerate it.
+    inoperable genotype (its shared body enables no input or no output)
+    scores +inf so that structural search can still enumerate it.
     """
     require(seed >= 0, "seed must be >= 0")
-    digest = genotype_digest(scenario, genotype)
+    events: list[TraceEvent] | None = [] if collect_events else None
+    if not genotype_operable(scenario, genotype):
+        return EvaluationRecord(episode, math.inf, {}), EpisodeTrace([], events)
     ids = scenario.agent_ids()
     bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
-    if any(not b.is_operable() for b in bodies.values()):
-        return (
-            EvaluationRecord(episode, math.inf, {}, digest),
-            EpisodeTrace([], [] if collect_events else None),
-        )
     require_mirror(bodies[ids[0]], genotype.topology)
 
     env = scenario.build_env(seed, bodies)
@@ -139,7 +136,6 @@ def run_episode(
     # the effects table's channels in the order agents first drive them
     channels = dict.fromkeys(channel for *_, outputs in wired for _, _, channel, _ in outputs)
     previous = [[0.0] * n_slots for _ in wired]
-    events: list[TraceEvent] | None = [] if collect_events else None
     snapshots: list[TickSnapshot] = []
     for t in range(scenario.episode_ticks):
         values, mailbox = env.values, env.comm_mailbox
@@ -162,7 +158,7 @@ def run_episode(
         env.advance(effects, events)
         snapshots.append(snapshot_row(env))
     trace = EpisodeTrace(snapshots, events)
-    return scenario.score(trace, episode, digest), trace
+    return EvaluationRecord(episode, *scenario.score(trace)), trace
 
 
 # --- (1+λ) search --------------------------------------------------------
@@ -280,8 +276,9 @@ def run_search(
 
     incumbent = initial_genotype(scenario, seed)
     record = best_record = evaluate(incumbent, 0)
+    digest = genotype_digest(scenario, incumbent)
     history = [record]
-    metrics = [MetricsRow(0, record.score, record.score, "init", record.config_digest)]
+    metrics = [MetricsRow(0, record.score, record.score, "init", digest)]
 
     # an exhaustive run is one generation, the sweep, without the policy
     for generation in range(1, 2 if exhaustive else generations):
@@ -303,11 +300,11 @@ def run_search(
             records = list(map(evaluate, candidates, episodes))
         history.extend(records)
         finite = [r.score for r in records if math.isfinite(r.score)]
-        mean = sum(finite) / len(finite) if finite else math.inf
+        # left to right from the int 0, not sum(): it compensates from Python 3.12
+        mean = reduce(add, finite, 0) / len(finite) if finite else math.inf
         best_k = min(range(len(records)), key=lambda k: (records[k].score, k))
         if records[best_k].score < best_record.score:
             incumbent, best_record = candidates[best_k], records[best_k]
-        metrics.append(
-            MetricsRow(generation, best_record.score, mean, kind, best_record.config_digest)
-        )
+            digest = genotype_digest(scenario, incumbent)
+        metrics.append(MetricsRow(generation, best_record.score, mean, kind, digest))
     return SearchResult(incumbent, best_record, history, metrics)

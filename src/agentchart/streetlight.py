@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .body import BodyConfig, DeviceSpec, configure_body
 from .environment import Environment, EpisodeTrace
 from .errors import require
-from .evaluation import EvaluationRecord
 
 LEVELS = ("OFF", "DIM", "ON")
 
@@ -144,16 +145,18 @@ class StreetLightScenario:
         ]
         return configure_body(resolved, selection)
 
+    def neighbor_windows(self) -> list[tuple[int, ...]]:
+        """Each light's neighbours within ``neighbor_radius``, by index."""
+        n, radius = self.n_lights, self.neighbor_radius
+        # in index order, skipping i: a window sum minus light[i] rounds differently
+        return [
+            tuple(j for j in range(max(0, i - radius), min(n, i + radius + 1)) if j != i)
+            for i in range(n)
+        ]
+
     def neighbor_map(self) -> dict[str, list[str]]:
         ids = self.agent_ids()
-        return {
-            ids[i]: [
-                ids[j]
-                for j in range(self.n_lights)
-                if j != i and abs(j - i) <= self.neighbor_radius
-            ]
-            for i in range(self.n_lights)
-        }
+        return {ids[i]: [ids[j] for j in w] for i, w in enumerate(self.neighbor_windows())}
 
     def build_env(self, seed: int, bodies: dict[str, BodyConfig]) -> Environment:
         flows = self.people.sample(seed, self.episode_ticks, self.n_lights).tolist()
@@ -169,12 +172,7 @@ class StreetLightScenario:
             for i in range(n)
             for name in (f"light_{i}", f"brightness_{i}", f"people_flow_{i}", f"energy_{i}")
         )
-        # in index order, skipping i: a window sum minus light[i] rounds differently
-        radius = self.neighbor_radius
-        windows = [
-            tuple(j for j in range(max(0, i - radius), min(n, i + radius + 1)) if j != i)
-            for i in range(n)
-        ]
+        windows = self.neighbor_windows()
 
         def update(t, previous, effects) -> dict[str, float]:
             daylight = float(ambient(t, ticks))
@@ -204,8 +202,8 @@ class StreetLightScenario:
             env.register_agent(aid, body)
         return env
 
-    def score(self, trace: EpisodeTrace, episode: int = 0, digest: str = "") -> EvaluationRecord:
-        return streetlight_score(trace, self.rules, self.n_lights, episode, digest)
+    def score(self, trace: EpisodeTrace) -> tuple[float, dict[str, float]]:
+        return streetlight_score(trace, self.rules, self.n_lights)
 
 
 def _resolve(channel: str, index: int) -> str:
@@ -224,26 +222,21 @@ def device_template() -> tuple[DeviceSpec, ...]:
 
 
 def streetlight_score(
-    trace: EpisodeTrace,
-    rules: StreetlightRules,
-    n_lights: int,
-    episode: int = 0,
-    digest: str = "",
-) -> EvaluationRecord:
-    """score = sum over ticks of context-weighted energy plus
-    context-weighted darkness-under-people service penalty; lower is
-    better."""
-    energy_names = [f"energy_{i}" for i in range(n_lights)]
-    served = [(f"people_flow_{i}", f"brightness_{i}") for i in range(n_lights)]
+    trace: EpisodeTrace, rules: StreetlightRules, n_lights: int
+) -> tuple[float, dict[str, float]]:
+    """The episode's score and its per-context breakdown: the sum over
+    ticks of context-weighted energy plus context-weighted
+    darkness-under-people service penalty; lower is better."""
+    names = [(f"energy_{i}", f"people_flow_{i}", f"brightness_{i}") for i in range(n_lights)]
     target = rules.target_brightness
     breakdown: dict[str, float] = {}
     for snap in trace.snapshots:
         values = snap.variables
-        energy = sum(map(values.__getitem__, energy_names))
-        # sum() and not +=: from Python 3.12 sum() adds floats with compensation
-        deficit = sum(
-            [values[f] * (g if (g := target - values[b]) > 0.0 else 0.0) for f, b in served]
-        )
+        energy = deficit = 0  # left to right: sum() compensates from Python 3.12
+        for e, f, b in names:
+            energy += values[e]
+            gap = target - values[b]
+            deficit += values[f] * (gap if gap > 0.0 else 0.0)
         term = rules.w_energy[snap.context] * energy + rules.w_dark[snap.context] * deficit
         breakdown[snap.context] = breakdown.get(snap.context, 0.0) + term
-    return EvaluationRecord(episode, sum(breakdown.values()), breakdown, digest)
+    return reduce(add, breakdown.values(), 0), breakdown

@@ -323,8 +323,8 @@ def test_criterion_9_scoring_linearity():
             w_dark={k: c * w for k, w in rules.w_dark.items()},
         )
         candidates = [random_trace() for _ in range(8)]
-        base = [streetlight_score(t, rules, n_lights).score for t in candidates]
-        big = [streetlight_score(t, scaled, n_lights).score for t in candidates]
+        base = [streetlight_score(t, rules, n_lights)[0] for t in candidates]
+        big = [streetlight_score(t, scaled, n_lights)[0] for t in candidates]
         for s0, s1 in zip(base, big):
             scale = abs(s0) if s0 != 0 else 1.0
             if abs(s1 - c * s0) > 1e-12 * max(1.0, c * scale):

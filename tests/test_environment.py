@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import pytest
 
 from agentchart.body import DeviceSpec, configure_body
-from agentchart.environment import Environment
+from agentchart.environment import Environment, comm_mean
 from agentchart.errors import NonFiniteVariable, UnknownChannel, UnknownDevice
 
 
@@ -192,6 +193,13 @@ class TestPerceive:
     def test_empty_mailbox_reads_zero(self):
         env, _ = line_env(2)
         assert env.perceive("a0") == {"wireless_in": 0.0}
+
+    def test_mean_adds_left_to_right_on_every_python(self):
+        # sum() gives 1.0 for this triple from Python 3.12 (compensated) and
+        # 0.0 before; the left-to-right fold gives 0.0 everywhere
+        assert comm_mean([("n0", 1e16), ("n1", 1.0), ("n2", -1e16)]) == 0.0
+        # and, starting from the int 0 as sum() does, turns -0.0 into 0.0
+        assert math.copysign(1.0, comm_mean([("n0", -0.0)])) == 1.0
 
 
 class TestEmbodimentLoop:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agentchart import statechart
+from agentchart import evaluation, statechart
 from agentchart.body import Agent, configure_body, derive_controller, step_agent
 from agentchart.controller import HIDDEN, OUTPUT, Connection, ControllerTopology, Neuron
 from agentchart.environment import EpisodeTrace, TickSnapshot, snapshot_row
@@ -78,14 +78,14 @@ class TestEvaluateEpisode:
              ("day", [(0.5, 1.0, 0.25)]),
              ("night", [(1.0, 0.5, 0.25)])]
         )
-        record = streetlight_score(trace, rules, 1)
-        assert record.score == 4.75
-        assert record.breakdown == {"day": 3.25, "night": 1.5}
+        score, breakdown = streetlight_score(trace, rules, 1)
+        assert score == 4.75
+        assert breakdown == {"day": 3.25, "night": 1.5}
 
     def test_zero_weights_give_zero(self):
         rules = StreetlightRules(w_energy={"day": 0.0}, w_dark={"day": 0.0})
         trace = lights_trace([("day", [(1.0, 0.9, 0.0), (0.5, 1.0, 0.1)])] * 5)
-        assert streetlight_score(trace, rules, 2).score == 0.0
+        assert streetlight_score(trace, rules, 2)[0] == 0.0
 
     def test_matches_double_loop_oracle_on_random_traces(self):
         rng = random.Random(17)
@@ -113,12 +113,12 @@ class TestEvaluateEpisode:
                 for energy, flow, brightness in lights:
                     deficit = flow * max(0.0, rules.target_brightness - brightness)
                     expected += rules.w_energy[ctx] * energy + rules.w_dark[ctx] * deficit
-            got = streetlight_score(lights_trace(rows), rules, n).score
+            got = streetlight_score(lights_trace(rows), rules, n)[0]
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def records(scores):
-    return [EvaluationRecord(k, s, {}, "") for k, s in enumerate(scores)]
+    return [EvaluationRecord(k, s, {}) for k, s in enumerate(scores)]
 
 
 class TestDecide:
@@ -298,7 +298,7 @@ def reference_episode(scenario, genotype, seed, episode=0, collect_events=False)
         env.step(actions, events)
         snapshots.append(snapshot_row(env))
     trace = EpisodeTrace(snapshots, events)
-    return scenario.score(trace, episode, genotype_digest(scenario, genotype)), trace
+    return EvaluationRecord(episode, *scenario.score(trace)), trace
 
 
 def random_genotype(scenario, rng: random.Random) -> Genotype:
@@ -390,6 +390,34 @@ class TestRunSearch:
         assert len({tuple(sorted(s.items())) for s in sels}) == len(sels)
 
     def test_metrics_digest_matches_best_genotype(self):
+        # each row's digest is the incumbent's after that generation: the one
+        # the next generation starts from, and for the last row the result's
         scenario = small_scenario()
-        result = run_search(scenario, seed=11, generations=5, lam=2)
-        assert result.metrics[-1].config_digest == genotype_digest(scenario, result.best)
+        incumbents = []
+        result = run_search(
+            scenario,
+            seed=8,
+            generations=12,
+            lam=2,
+            on_generation=lambda generation, kind, incumbent, _: incumbents.append(incumbent),
+        )
+        incumbents.append(result.best)
+        digests = [genotype_digest(scenario, g) for g in incumbents]
+        assert [row.config_digest for row in result.metrics] == digests
+        assert len(set(digests)) > 1
+
+    def test_digests_only_the_genotypes_it_keeps(self):
+        # default size: once for the initial genotype, once per accepted candidate
+        calls = []
+
+        def counting_digest(scenario, genotype):
+            calls.append(genotype)
+            return genotype_digest(scenario, genotype)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "genotype_digest", counting_digest)
+            result = run_search(StreetLightScenario(), seed=0, generations=30, lam=4)
+        scores = [row.best_score for row in result.metrics]
+        accepted = sum(b < a for a, b in zip(scores, scores[1:]))
+        assert len(calls) == 1 + accepted
+        assert len(calls) < len(result.history)

@@ -1,6 +1,8 @@
 import math
 import random
 import struct
+from functools import reduce
+from operator import add
 from types import MappingProxyType
 
 import numpy as np
@@ -82,6 +84,14 @@ class TestDevices:
         scenario = dark_scenario(n_lights=4, neighbor_radius=2)
         assert scenario.neighbor_map()["light_0"] == ["light_1", "light_2"]
 
+    def test_comm_links_are_the_spillover_windows(self):
+        scenario = dark_scenario(n_lights=5, neighbor_radius=2)
+        windows = scenario.neighbor_windows()
+        assert windows == [(1, 2), (0, 2, 3), (0, 1, 3, 4), (1, 2, 4), (2, 3)]
+        env = scenario.build_env(0, {})
+        ids = scenario.agent_ids()
+        assert env.neighbors == {ids[i]: [ids[j] for j in w] for i, w in enumerate(windows)}
+
 
 class TestValidation:
     def test_zero_lights_rejected(self):
@@ -123,30 +133,54 @@ class TestProfiles:
 class TestScore:
     def test_all_off_nobody_around_scores_zero(self):
         trace = synthetic_trace(3, 5, NIGHT, energy=0.0, flow=0.0)
-        assert streetlight_score(trace, StreetlightRules(), 3).score == 0.0
+        assert streetlight_score(trace, StreetlightRules(), 3)[0] == 0.0
 
     def test_all_on_at_night_costs_n_times_ticks(self):
         # w_energy[night] = 1, each light draws 1 per tick
         n, ticks = 4, 6
         trace = synthetic_trace(n, ticks, NIGHT, energy=1.0, flow=0.0)
-        assert streetlight_score(trace, StreetlightRules(), n).score == n * ticks
+        assert streetlight_score(trace, StreetlightRules(), n)[0] == n * ticks
 
     def test_darkness_under_people_penalised(self):
         # deficit per light per tick: 1.0 * (0.6 - 0.1) weighted by 2 at night
         n, ticks = 2, 3
         trace = synthetic_trace(n, ticks, NIGHT, flow=1.0, brightness=0.1)
-        score = streetlight_score(trace, StreetlightRules(), n).score
+        score = streetlight_score(trace, StreetlightRules(), n)[0]
         assert score == pytest.approx(2.0 * 0.5 * n * ticks, abs=1e-12)
 
     def test_bright_enough_means_no_deficit(self):
         trace = synthetic_trace(1, 4, NIGHT, flow=1.0, brightness=0.6)
-        assert streetlight_score(trace, StreetlightRules(), 1).score == 0.0
+        assert streetlight_score(trace, StreetlightRules(), 1)[0] == 0.0
 
     def test_energy_costs_double_during_the_day(self):
         rules = StreetlightRules()
-        day = streetlight_score(synthetic_trace(1, 1, DAY, energy=1.0), rules, 1).score
-        night = streetlight_score(synthetic_trace(1, 1, NIGHT, energy=1.0), rules, 1).score
+        day = streetlight_score(synthetic_trace(1, 1, DAY, energy=1.0), rules, 1)[0]
+        night = streetlight_score(synthetic_trace(1, 1, NIGHT, energy=1.0), rules, 1)[0]
         assert day == 2.0 * night
+
+    def test_sums_add_left_to_right_on_every_python(self):
+        # sum() gives 1.0 for this triple from Python 3.12 (compensated) and
+        # 0.0 before; the energy, the deficit and the total each fold it to 0.0
+        triple = (1e16, 1.0, -1e16)
+        unit = {c: 1.0 for c in ("a", "b", "c")}
+        rules = StreetlightRules(w_energy=unit, w_dark=unit, target_brightness=1.0)
+
+        def tick(context, **columns):
+            variables = {}
+            for i in range(3):
+                for name in ("energy", "people_flow", "brightness"):
+                    variables[f"{name}_{i}"] = columns.get(name, (0.0,) * 3)[i]
+            return TickSnapshot(1, variables, context)
+
+        energy = EpisodeTrace([tick("a", energy=triple, brightness=(1.0,) * 3)])
+        deficit = EpisodeTrace([tick("a", people_flow=triple)])
+        assert streetlight_score(energy, rules, 3) == (0.0, {"a": 0.0})
+        assert streetlight_score(deficit, rules, 3) == (0.0, {"a": 0.0})
+        # one context per term: the total adds the breakdown's three values
+        total = EpisodeTrace(
+            [tick(c, energy=(e, 0.0, 0.0), brightness=(1.0,) * 3) for c, e in zip("abc", triple)]
+        )
+        assert streetlight_score(total, rules, 3)[0] == 0.0
 
 
 class TestEnvironmentWiring:
@@ -349,18 +383,21 @@ def reference_update(scenario, seed):
 
 
 def reference_score(trace, rules, n_lights):
-    """The generator-sum score with ``max(0.0, gap)`` that the loop replaced."""
+    """The score as one fold per generator, with ``max(0.0, gap)``; each fold
+    adds left to right from the int 0, as ``sum()`` does before Python 3.12."""
     names = [(f"energy_{i}", f"people_flow_{i}", f"brightness_{i}") for i in range(n_lights)]
     breakdown = {}
     for snap in trace.snapshots:
         values = snap.variables
-        energy = sum(values[e] for e, _, _ in names)
-        deficit = sum(
-            values[f] * max(0.0, rules.target_brightness - values[b]) for _, f, b in names
+        energy = reduce(add, (values[e] for e, _, _ in names), 0)
+        deficit = reduce(
+            add,
+            (values[f] * max(0.0, rules.target_brightness - values[b]) for _, f, b in names),
+            0,
         )
         term = rules.w_energy[snap.context] * energy + rules.w_dark[snap.context] * deficit
         breakdown[snap.context] = breakdown.get(snap.context, 0.0) + term
-    return sum(breakdown.values()), breakdown
+    return reduce(add, breakdown.values(), 0), breakdown
 
 
 unit = st.floats(0.0, 1.0)
@@ -433,7 +470,7 @@ class TestAgainstReferenceForms:
                 variables[f"brightness_{i}"] = value()
             rows.append(TickSnapshot(t, variables, rng.choice([DAY, NIGHT])))
         trace = EpisodeTrace(rows)
-        record = streetlight_score(trace, rules, n)
+        got, got_breakdown = streetlight_score(trace, rules, n)
         score, breakdown = reference_score(trace, rules, n)
-        assert bits([("score", record.score)]) == bits([("score", score)])
-        assert bits(record.breakdown.items()) == bits(breakdown.items())
+        assert bits([("score", got)]) == bits([("score", score)])
+        assert bits(got_breakdown.items()) == bits(breakdown.items())
