@@ -1,13 +1,14 @@
 """Embodied-agent layer: device inventory with an enable/disable selection,
 controller derivation from the body, and the perception -> decision ->
 effector step, whose behavior statechart pass is compiled once and
-replayed to record a trace.
+rendered as trace text to record a trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -226,6 +227,54 @@ BEHAVIOR_START = sc.initialize(BEHAVIOR_CHART)
 BEHAVIOR_PASS = compile_pass(BEHAVIOR_CHART, BEHAVIOR_START)
 
 
+@dataclass(frozen=True)
+class PassText:
+    """One agent's compiled pass as trace.log text without the tick: the
+    tails of its static lines (agent, kind, subject and detail, separated by
+    tabs) around the heads of its ``sensed:`` and ``actuated:`` lines, which
+    wait for a value's repr."""
+
+    sense: tuple[str, ...]
+    sensed: tuple[str, ...]
+    decide_act: tuple[str, ...]
+    actuated: tuple[str, ...]
+    rest: tuple[str, ...]
+
+    def render(
+        self, tails: list[str], sensed: Iterable[object], actuated: Iterable[object]
+    ) -> None:
+        """Append one pass's line tails to ``tails``: the four macrosteps,
+        the first followed by the inputs read, the third by the outputs
+        driven, each in its device order."""
+        tails += self.sense
+        tails += [head + repr(value) for head, value in zip(self.sensed, sensed)]
+        tails += self.decide_act
+        tails += [head + repr(value) for head, value in zip(self.actuated, actuated)]
+        tails += self.rest
+
+
+def pass_text(agent_id: str, body: BodyConfig) -> PassText:
+    """``BEHAVIOR_PASS`` as ``agent_id``'s line tails, with one device line
+    head per enabled input and output of ``body``."""
+    sense, decide, act, rest = (
+        tuple(f"{agent_id}\t{kind}\t{subject}\t{detail}" for kind, subject, detail in segment)
+        for segment in BEHAVIOR_PASS
+    )
+    return PassText(
+        sense,
+        tuple(f"{agent_id}\tfired\tsensed:{d.id}\t" for d in body.enabled_inputs),
+        decide + act,
+        tuple(f"{agent_id}\tfired\tactuated:{d.id}\t" for d in body.enabled_outputs),
+        rest,
+    )
+
+
+def tick_text(tick: int, tails: list[str]) -> str:
+    """The non-empty ``tails`` as whole trace.log lines of ``tick``."""
+    sep = f"\n{tick}\t"
+    return f"{tick}\t{sep.join(tails)}\n"
+
+
 @dataclass
 class Agent:
     """One live agent: body and controller plus controller state."""
@@ -254,13 +303,13 @@ def step_agent(
     agent: Agent,
     percept: Percept,
     tick: int = 0,
-    trace: list[sc.TraceEvent] | None = None,
+    trace: list[str] | None = None,
 ) -> ActionSet:
     """One sense -> decide -> act pass: the controller maps the percept to
     the ActionSet and its state is updated in place on ``agent``.
 
-    The behavior chart's pass never changes an action; it is replayed only
-    to record ``trace``.
+    The behavior chart's pass never changes an action; it is rendered only
+    to append its lines to ``trace``, as one text piece.
     """
     body = agent.body
     if not body.is_operable():
@@ -275,28 +324,8 @@ def step_agent(
     outputs, agent.controller_state = eval_net(agent.controller, agent.controller_state, percept)
     actions = {d.id: quantize(outputs[d.id], d.output_levels) for d in body.enabled_outputs}
     if trace is not None:
-        walk_behavior_chart(agent, percept, actions, tick, trace)
+        tails: list[str] = []
+        sensed = [percept[d.id] for d in body.enabled_inputs]
+        pass_text(agent.agent_id, body).render(tails, sensed, actions.values())
+        trace.append(tick_text(tick, tails))
     return actions
-
-
-def walk_behavior_chart(
-    agent: Agent,
-    percept: Percept,
-    actions: ActionSet,
-    tick: int,
-    trace: list[sc.TraceEvent],
-) -> None:
-    """Append the compiled pass's four macrosteps, each followed by the
-    devices it reads or drives."""
-    aid = agent.agent_id
-    devices = (
-        [(f"sensed:{d.id}", percept[d.id]) for d in agent.body.enabled_inputs],
-        (),
-        [(f"actuated:{did}", value) for did, value in actions.items()],
-        (),
-    )
-    line, head = sc.TraceEvent, (tick, aid)
-    new = tuple.__new__  # builds line(*head, *triple) without the constructor's frame
-    for segment, device_lines in zip(BEHAVIOR_PASS, devices):
-        trace += [new(line, head + triple) for triple in segment]
-        trace += [line(tick, aid, "fired", subject, repr(value)) for subject, value in device_lines]

@@ -118,7 +118,7 @@ def write_outputs(out: Path, args, loaded: LoadedScenario, result: SearchResult)
         _, trace = run_episode(loaded.scenario, result.best, args.seed, collect_events=True)
         with (out / "trace.log").open("w") as fh:
             fh.write(header)
-            fh.writelines(f"{event.to_line()}\n" for event in trace.events or ())
+            fh.writelines(trace.events)
         (out / "episode.csv").write_text(trace.to_csv())
 
 
@@ -159,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RangeError as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
+        print(f"out of range: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Mapping
 
 from .body import COMM_CHANNEL, BodyConfig, Percept
 from .errors import NonFiniteVariable, UnknownChannel, UnknownDevice
-from .statechart import TraceEvent
 
 # each agent's id and ActionSet, and the same values grouped by the channel
 # they drive: channel -> [(agent id, value)]
@@ -80,16 +79,16 @@ class Environment:
                 effects.setdefault(channel, []).append((agent_id, value))
         return effects
 
-    def step(self, actions: Actions = (), trace: list[TraceEvent] | None = None) -> None:
+    def step(self, actions: Actions = (), trace: list[str] | None = None) -> None:
         """Advance one tick under ``actions``, grouped by ``apply_effects``."""
         self.advance(self.apply_effects(actions), trace)
 
-    def advance(self, effects: Effects, trace: list[TraceEvent] | None = None) -> None:
+    def advance(self, effects: Effects, trace: list[str] | None = None) -> None:
         """Advance one tick under ``effects``: simultaneous variable update,
-        mailbox swap, context re-selection."""
-        if trace is not None:
-            for sender, value in effects.get(COMM_CHANNEL, ()):
-                trace.append(TraceEvent(self.tick, sender, "emitted", COMM_CHANNEL, repr(value)))
+        mailbox swap, context re-selection.  With ``trace``, append one text
+        piece: the comm messages sent at this tick as ``emitted`` lines,
+        then each variable that changed as a ``perturbed`` line of the next
+        tick, if there are any."""
         previous = self.values
         new_tick = self.tick + 1
         new_values = self.update(new_tick, previous, MappingProxyType(effects))
@@ -97,12 +96,17 @@ class Environment:
             raise UnknownChannel(f"update must return exactly the variables {sorted(previous)}")
         _finite(new_values)
         if trace is not None:
-            for name, value in new_values.items():
-                old = previous[name]
-                if value != old:
-                    trace.append(
-                        TraceEvent(new_tick, "env", "perturbed", name, f"{old!r}->{value!r}")
-                    )
+            lines = [
+                f"{self.tick}\t{sender}\temitted\t{COMM_CHANNEL}\t{value!r}\n"
+                for sender, value in effects.get(COMM_CHANNEL, ())
+            ]
+            lines += [
+                f"{new_tick}\tenv\tperturbed\t{name}\t{previous[name]!r}->{value!r}\n"
+                for name, value in new_values.items()
+                if value != previous[name]
+            ]
+            if lines:
+                trace.append("".join(lines))
         self.values = new_values
 
         # messages sent at tick t are readable at t+1 and gone at t+2
@@ -162,10 +166,13 @@ def snapshot_row(env: Environment) -> TickSnapshot:
 
 @dataclass
 class EpisodeTrace:
-    """Variable/context history of one episode plus optional engine trace."""
+    """Variable/context history of one episode plus, when traced, the
+    engine trace as trace.log text: a list of pieces, each of whole lines
+    that end in a newline, to be written in order.  ``events`` is None for
+    an untraced episode."""
 
     snapshots: list[TickSnapshot] = field(default_factory=list)
-    events: list[TraceEvent] | None = None
+    events: list[str] | None = None
 
     def to_csv(self) -> str:
         if not self.snapshots:

@@ -22,20 +22,19 @@ import numpy as np
 
 from .body import (
     COMM_CHANNEL,
-    Agent,
     DeviceSpec,
     configure_body,
     derive_controller,
+    pass_text,
     quantize,
     require_mirror,
     step_agent,  # noqa: F401  perfbench's layer sites wrap it at this name
-    walk_behavior_chart,
+    tick_text,
 )
 from .controller import ControllerTopology, MutationPolicy, activate, mutate_connections
 from .environment import Effects, EpisodeTrace, TickSnapshot, comm_mean, snapshot_row
 from .errors import NonFiniteInput, require
 from .serialize import config_digest
-from .statechart import TraceEvent
 from .streetlight import StreetLightScenario
 
 ADJUST = "adjust"
@@ -108,12 +107,15 @@ def run_episode(
 
     Each agent's inputs and outputs are resolved to plan slots once; every
     tick runs each agent's sense -> decide -> act pass over activation
-    lists, walking its behavior chart only when ``collect_events``.  An
+    lists.  With ``collect_events`` each agent's behavior-chart pass is
+    rendered from its ``pass_text``, built once, and each tick appends one
+    text piece of every agent's pass lines, in agent order, ahead of
+    ``Environment.advance``'s lines.  An
     inoperable genotype (its shared body enables no input or no output)
     scores +inf so that structural search can still enumerate it.
     """
     require(seed >= 0, "seed must be >= 0")
-    events: list[TraceEvent] | None = [] if collect_events else None
+    events: list[str] | None = [] if collect_events else None
     if not genotype_operable(scenario, genotype):
         return EvaluationRecord(episode, math.inf, {}), EpisodeTrace([], events)
     ids = scenario.agent_ids()
@@ -127,7 +129,6 @@ def run_episode(
     wired = [
         (
             aid,
-            Agent(aid, body, genotype.topology),
             [(d.id, slots[d.id], d.channel) for d in body.enabled_inputs],
             [(d.id, slots[d.id], d.channel, d.output_levels) for d in body.enabled_outputs],
         )
@@ -135,12 +136,14 @@ def run_episode(
     ]
     # the effects table's channels in the order agents first drive them
     channels = dict.fromkeys(channel for *_, outputs in wired for _, _, channel, _ in outputs)
+    texts = [pass_text(aid, body) for aid, body in bodies.items()] if collect_events else []
     previous = [[0.0] * n_slots for _ in wired]
     snapshots: list[TickSnapshot] = []
     for t in range(scenario.episode_ticks):
         values, mailbox = env.values, env.comm_mailbox
         effects: Effects = {channel: [] for channel in channels}
-        for k, (aid, agent, inputs, outputs) in enumerate(wired):
+        tails: list[str] = []
+        for k, (aid, inputs, outputs) in enumerate(wired):
             act = [0.0] * n_slots
             for did, slot, channel in inputs:
                 value = comm_mean(mailbox[aid]) if channel == COMM_CHANNEL else values[channel]
@@ -152,9 +155,11 @@ def run_episode(
             for _, slot, channel, levels in outputs:
                 effects[channel].append((aid, quantize(act[slot], levels)))
             if events is not None:
-                percept = {did: act[slot] for did, slot, _ in inputs}
-                actions = {did: quantize(act[slot], levels) for did, slot, _, levels in outputs}
-                walk_behavior_chart(agent, percept, actions, t, events)
+                sensed = [act[slot] for _, slot, _ in inputs]
+                actuated = [quantize(act[slot], levels) for _, slot, _, levels in outputs]
+                texts[k].render(tails, sensed, actuated)
+        if events is not None:
+            events.append(tick_text(t, tails))
         env.advance(effects, events)
         snapshots.append(snapshot_row(env))
     trace = EpisodeTrace(snapshots, events)

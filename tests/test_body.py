@@ -19,10 +19,11 @@ from agentchart.body import (
     compile_pass,
     configure_body,
     derive_controller,
+    pass_text,
     quantize,
     require_mirror,
     step_agent,
-    walk_behavior_chart,
+    tick_text,
 )
 from agentchart.controller import Connection, ControllerTopology, Neuron
 from agentchart.errors import BehaviorNotConfigured, PassNotReplayable, UnknownDevice
@@ -182,6 +183,16 @@ def make_agent(selection, weights=None):
     return Agent("a0", body, ControllerTopology(neurons, connections))
 
 
+def parse_trace(pieces):
+    """The trace.log lines of ``pieces`` as TraceEvents; every line ends in
+    a newline and has exactly four tabs."""
+    text = "".join(pieces)
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
+    assert all(line.count("\t") == 4 for line in lines)
+    return [TraceEvent(int(tick), *rest) for tick, *rest in (line.split("\t") for line in lines)]
+
+
 class TestStepAgent:
     def test_low_output_selects_off(self):
         # sigmoid(-2.5) ~ 0.076 < 1/3
@@ -235,18 +246,20 @@ class TestStepAgent:
 
     def test_perception_substate_entered_first(self):
         agent = make_agent({"lighting_sensor": True, "light_switch": True})
-        trace: list[TraceEvent] = []
+        trace: list[str] = []
         step_agent(agent, {"lighting_sensor": 0.5}, tick=0, trace=trace)
-        first_entered = next(t for t in trace if t.kind == "entered")
+        assert len(trace) == 1  # one text piece per pass
+        first_entered = next(t for t in parse_trace(trace) if t.kind == "entered")
         assert first_entered.subject == "processing_inputs"
 
     def test_chart_configuration_returns_to_start_each_tick(self):
         # the same percept every tick: a pass that ends where it started
         # gives the same block of lines each tick, bar the tick itself
         agent = make_agent({"lighting_sensor": True, "light_switch": True})
-        trace: list[TraceEvent] = []
+        pieces: list[str] = []
         for tick in range(3):
-            step_agent(agent, {"lighting_sensor": 0.5}, tick=tick, trace=trace)
+            step_agent(agent, {"lighting_sensor": 0.5}, tick=tick, trace=pieces)
+        trace = parse_trace(pieces)
         blocks = [[t._replace(tick=0) for t in trace if t.tick == tick] for tick in range(3)]
         assert blocks[0] and blocks[0] == blocks[1] == blocks[2]
         assert sum(map(len, blocks)) == len(trace)
@@ -257,8 +270,9 @@ class TestStepAgent:
         agent = make_agent(
             {"lighting_sensor": True, "motion_sensor": True, "light_switch": True}
         )
-        trace: list[TraceEvent] = []
-        step_agent(agent, {"motion_sensor": 0.2, "lighting_sensor": 0.5}, tick=4, trace=trace)
+        pieces: list[str] = []
+        step_agent(agent, {"motion_sensor": 0.2, "lighting_sensor": 0.5}, tick=4, trace=pieces)
+        trace = parse_trace(pieces)
         fired = [t.subject for t in trace if t.kind == "fired"]
         assert fired == [
             "sense",
@@ -327,9 +341,12 @@ class TestCompiledPass:
         st.data(),
     )
     def test_compiled_walk_equals_interpreter_walk(self, selection, aid, ticks, data):
+        # byte for byte: the pass rendered from the agent's templates against
+        # the to_line() lines of a walk that dispatches every event
         body = configure_body(street_devices(), selection)
         agent = Agent(aid, body, ControllerTopology())
-        trace: list[TraceEvent] = []
+        template = pass_text(aid, body)
+        trace: list[str] = []
         expected: list[TraceEvent] = []
         config = BEHAVIOR_START
         for tick in ticks:
@@ -337,10 +354,11 @@ class TestCompiledPass:
             actions = {
                 d.id: quantize(data.draw(outputs), d.output_levels) for d in body.enabled_outputs
             }
-            walk_behavior_chart(agent, percept, actions, tick, trace)
+            tails: list[str] = []
+            template.render(tails, percept.values(), actions.values())
+            trace.append(tick_text(tick, tails))
             config = reference_walk(agent, percept, actions, tick, expected, config)
-        assert trace == expected
-        assert all(type(t) is TraceEvent for t in trace)
+        assert "".join(trace) == "".join(f"{t.to_line()}\n" for t in expected)
         assert config == BEHAVIOR_START
 
 

@@ -3,15 +3,18 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from agentchart import cli
+from agentchart.body import BEHAVIOR_PASS, configure_body, derive_controller
 from agentchart.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from agentchart.config import build_scenario, default_config, load_scenario
 from agentchart.errors import ConfigError, RangeError, UnknownKey
-from agentchart.evaluation import initial_genotype, run_episode
+from agentchart.evaluation import Genotype, SearchResult, initial_genotype, run_episode
 
 SMALL = {
     "n_lights": 2,
@@ -207,6 +210,12 @@ class TestValidateCommand:
         assert run_cli("validate", "--scenario", path) == EXIT_VALIDATION
         assert shown in capsys.readouterr().err
 
+    def test_scenario_range_error_says_out_of_range(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n_lights": 0}))
+        assert run_cli("validate", "--scenario", path) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("out of range: ")
+
     @settings(
         max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
@@ -333,6 +342,62 @@ class TestRunCommand:
         code = run_cli(command, "--scenario", scenario_file, "--seed", 1, flag, value, *target)
         assert code == EXIT_VALIDATION
         assert flag.lstrip("-") in capsys.readouterr().err
+
+    def test_bad_flag_says_out_of_range_not_invalid_scenario(self, scenario_file, tmp_path, capsys):
+        # --seed is a flag, not a scenario value
+        code = run_cli("run", "--scenario", scenario_file, "--seed", -1, "--out", tmp_path / "out")
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("out of range: ") and "scenario" not in err
+
+
+def write_traced_run(scenario_file, out):
+    """Write a run's artifacts with --trace, as ``run`` ends, for the small
+    scenario's every device enabled: both comm devices, so the trace has
+    ``emitted`` lines."""
+    loaded = load_scenario(scenario_file)
+    scenario = loaded.scenario
+    selection = {d.id: True for d in scenario.devices}
+    body = configure_body(list(scenario.devices), selection)
+    genotype = Genotype(selection, derive_controller(body, rng=np.random.default_rng(3)))
+    record, _ = run_episode(scenario, genotype, 5)
+    args = cli.build_parser().parse_args(
+        ["run", "--scenario", str(scenario_file), "--seed", "5", "--out", str(out), "--trace"]
+    )
+    cli.write_outputs(Path(out), args, loaded, SearchResult(genotype, record, [record], []))
+    return scenario, body
+
+
+class TestTraceLog:
+    def test_layout(self, scenario_file, tmp_path):
+        scenario, body = write_traced_run(scenario_file, tmp_path)
+        text = (tmp_path / "trace.log").read_text()
+        assert text.endswith("\n")
+        header, *lines = text[:-1].split("\n")
+        assert header.startswith("# seed=5 config_digest=")
+        assert all(line.count("\t") == 4 for line in lines)
+
+        # within tick t: each agent's pass lines, in agent order, then the
+        # messages emitted at t, then the variables perturbed at t + 1
+        agents = scenario.agent_ids()
+        order = []
+        for line in lines:
+            tick, agent, kind, subject, detail = line.split("\t")
+            if kind == "perturbed":
+                assert agent == "env"
+                order.append((int(tick) - 1, 2, 0))
+            elif kind == "emitted":
+                assert subject == "comm"
+                order.append((int(tick), 1, agents.index(agent)))
+            else:
+                order.append((int(tick), 0, agents.index(agent)))
+        assert order == sorted(order)
+        pass_lines = sum(map(len, BEHAVIOR_PASS)) + len(body.enabled_inputs + body.enabled_outputs)
+        ticks = range(scenario.episode_ticks)
+        for phase, per_tick in ((0, pass_lines * len(agents)), (1, len(agents))):
+            counts = [sum(key[:2] == (t, phase) for key in order) for t in ticks]
+            assert counts == [per_tick] * len(ticks)
+        assert any(key[1] == 2 for key in order)
 
 
 @pytest.fixture(scope="module")
