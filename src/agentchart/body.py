@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -269,6 +269,14 @@ def pass_text(agent_id: str, body: BodyConfig) -> PassText:
     )
 
 
+class TextSink(Protocol):
+    """Where trace.log text goes as it is made: an open text file, or an
+    ``io.StringIO``.  Each ``write`` gets whole lines, each ending in a
+    newline."""
+
+    def write(self, text: str, /) -> object: ...
+
+
 def tick_text(tick: int, tails: list[str]) -> str:
     """The non-empty ``tails`` as whole trace.log lines of ``tick``."""
     sep = f"\n{tick}\t"
@@ -303,13 +311,13 @@ def step_agent(
     agent: Agent,
     percept: Percept,
     tick: int = 0,
-    trace: list[str] | None = None,
+    trace: TextSink | None = None,
 ) -> ActionSet:
     """One sense -> decide -> act pass: the controller maps the percept to
     the ActionSet and its state is updated in place on ``agent``.
 
     The behavior chart's pass never changes an action; it is rendered only
-    to append its lines to ``trace``, as one text piece.
+    to write its lines to ``trace``.
     """
     body = agent.body
     if not body.is_operable():
@@ -327,5 +335,5 @@ def step_agent(
         tails: list[str] = []
         sensed = [percept[d.id] for d in body.enabled_inputs]
         pass_text(agent.agent_id, body).render(tails, sensed, actions.values())
-        trace.append(tick_text(tick, tails))
+        trace.write(tick_text(tick, tails))
     return actions

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .body import configure_body, require_mirror
 from .config import LoadedScenario, load_scenario, read_json
@@ -82,12 +84,14 @@ def cmd_run(args) -> int:
 
 
 def write_outputs(out: Path, args, loaded: LoadedScenario, result: SearchResult) -> None:
+    """Write the run's artifacts to ``out``; with ``--trace``, trace.log is
+    written as its episode runs, so a failure partway leaves it partial."""
     digest = genotype_digest(loaded.scenario, result.best)
     header = f"# seed={args.seed} config_digest={digest}\n"
 
     lines = [header, "generation,best_score,mean_score,command,config_digest\n"]
     lines += [row.to_csv() + "\n" for row in result.metrics]
-    (out / "metrics.csv").write_text("".join(lines))
+    _write(out / "metrics.csv", "".join(lines))
 
     best = {
         "seed": args.seed,
@@ -97,7 +101,7 @@ def write_outputs(out: Path, args, loaded: LoadedScenario, result: SearchResult)
         "selection": {k: bool(v) for k, v in sorted(result.best.selection.items())},
         "controller": topology_to_dict(result.best.topology),
     }
-    (out / "best_agent.json").write_text(canonical_json(best) + "\n")
+    _write(out / "best_agent.json", canonical_json(best) + "\n")
 
     manifest = {
         "seed": args.seed,
@@ -112,14 +116,29 @@ def write_outputs(out: Path, args, loaded: LoadedScenario, result: SearchResult)
         "best_score": result.best_record.score,
         "episodes": len(result.history),
     }
-    (out / "run_manifest.json").write_text(canonical_json(manifest) + "\n")
+    _write(out / "run_manifest.json", canonical_json(manifest) + "\n")
 
     if args.trace:
-        _, trace = run_episode(loaded.scenario, result.best, args.seed, collect_events=True)
-        with (out / "trace.log").open("w") as fh:
+        with _output(out / "trace.log") as fh:
             fh.write(header)
-            fh.writelines(trace.events)
-        (out / "episode.csv").write_text(trace.to_csv())
+            _, history = run_episode(loaded.scenario, result.best, args.seed, trace=fh)
+        _write(out / "episode.csv", history.to_csv())
+
+
+@contextmanager
+def _output(path: Path) -> Iterator[TextIO]:
+    """``path`` open for writing text; an OSError while opening, writing or
+    closing it is a ConfigError that names it."""
+    try:
+        with path.open("w") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write(path: Path, text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def cmd_replay(args) -> int:

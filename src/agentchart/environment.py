@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .body import COMM_CHANNEL, BodyConfig, Percept
+from .body import COMM_CHANNEL, BodyConfig, Percept, TextSink
 from .errors import NonFiniteVariable, UnknownChannel, UnknownDevice
 
 # each agent's id and ActionSet, and the same values grouped by the channel
@@ -79,14 +79,14 @@ class Environment:
                 effects.setdefault(channel, []).append((agent_id, value))
         return effects
 
-    def step(self, actions: Actions = (), trace: list[str] | None = None) -> None:
+    def step(self, actions: Actions = (), trace: TextSink | None = None) -> None:
         """Advance one tick under ``actions``, grouped by ``apply_effects``."""
         self.advance(self.apply_effects(actions), trace)
 
-    def advance(self, effects: Effects, trace: list[str] | None = None) -> None:
+    def advance(self, effects: Effects, trace: TextSink | None = None) -> None:
         """Advance one tick under ``effects``: simultaneous variable update,
-        mailbox swap, context re-selection.  With ``trace``, append one text
-        piece: the comm messages sent at this tick as ``emitted`` lines,
+        mailbox swap, context re-selection.  With ``trace``, write one text
+        piece to it: the comm messages sent at this tick as ``emitted`` lines,
         then each variable that changed as a ``perturbed`` line of the next
         tick, if there are any."""
         previous = self.values
@@ -106,7 +106,7 @@ class Environment:
                 if value != previous[name]
             ]
             if lines:
-                trace.append("".join(lines))
+                trace.write("".join(lines))
         self.values = new_values
 
         # messages sent at tick t are readable at t+1 and gone at t+2
@@ -166,13 +166,12 @@ def snapshot_row(env: Environment) -> TickSnapshot:
 
 @dataclass
 class EpisodeTrace:
-    """Variable/context history of one episode plus, when traced, the
-    engine trace as trace.log text: a list of pieces, each of whole lines
-    that end in a newline, to be written in order.  ``events`` is None for
-    an untraced episode."""
+    """Variable/context history of one episode plus, when traced, the sink
+    its engine trace was written to as trace.log text while it ran.
+    ``events`` is None for an untraced episode."""
 
     snapshots: list[TickSnapshot] = field(default_factory=list)
-    events: list[str] | None = None
+    events: TextSink | None = None
 
     def to_csv(self) -> str:
         if not self.snapshots:

@@ -23,6 +23,7 @@ import numpy as np
 from .body import (
     COMM_CHANNEL,
     DeviceSpec,
+    TextSink,
     configure_body,
     derive_controller,
     pass_text,
@@ -101,23 +102,24 @@ def run_episode(
     genotype: Genotype,
     seed: int,
     episode: int = 0,
-    collect_events: bool = False,
+    trace: TextSink | None = None,
 ) -> tuple[EvaluationRecord, EpisodeTrace]:
     """One fixed-length episode of every agent under one configuration.
 
     Each agent's inputs and outputs are resolved to plan slots once; every
     tick runs each agent's sense -> decide -> act pass over activation
-    lists.  With ``collect_events`` each agent's behavior-chart pass is
-    rendered from its ``pass_text``, built once, and each tick appends one
-    text piece of every agent's pass lines, in agent order, ahead of
-    ``Environment.advance``'s lines.  An
-    inoperable genotype (its shared body enables no input or no output)
-    scores +inf so that structural search can still enumerate it.
+    lists.  With a ``trace`` sink each agent's behavior-chart pass is
+    rendered from its ``pass_text``, built once, and each tick writes one
+    text piece of every agent's pass lines, in agent order, then
+    ``Environment.advance``'s lines, before the next tick runs: no text is
+    kept back, and a ``write`` that raises ends the episode.  The returned
+    ``EpisodeTrace.events`` is the sink.  An inoperable genotype (its
+    shared body enables no input or no output) scores +inf so that
+    structural search can still enumerate it.
     """
     require(seed >= 0, "seed must be >= 0")
-    events: list[str] | None = [] if collect_events else None
     if not genotype_operable(scenario, genotype):
-        return EvaluationRecord(episode, math.inf, {}), EpisodeTrace([], events)
+        return EvaluationRecord(episode, math.inf, {}), EpisodeTrace([], trace)
     ids = scenario.agent_ids()
     bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
     require_mirror(bodies[ids[0]], genotype.topology)
@@ -136,7 +138,7 @@ def run_episode(
     ]
     # the effects table's channels in the order agents first drive them
     channels = dict.fromkeys(channel for *_, outputs in wired for _, _, channel, _ in outputs)
-    texts = [pass_text(aid, body) for aid, body in bodies.items()] if collect_events else []
+    texts = [pass_text(aid, body) for aid, body in bodies.items()] if trace is not None else []
     previous = [[0.0] * n_slots for _ in wired]
     snapshots: list[TickSnapshot] = []
     for t in range(scenario.episode_ticks):
@@ -154,16 +156,16 @@ def run_episode(
             previous[k] = act
             for _, slot, channel, levels in outputs:
                 effects[channel].append((aid, quantize(act[slot], levels)))
-            if events is not None:
+            if trace is not None:
                 sensed = [act[slot] for _, slot, _ in inputs]
                 actuated = [quantize(act[slot], levels) for _, slot, _, levels in outputs]
                 texts[k].render(tails, sensed, actuated)
-        if events is not None:
-            events.append(tick_text(t, tails))
-        env.advance(effects, events)
+        if trace is not None:
+            trace.write(tick_text(t, tails))
+        env.advance(effects, trace)
         snapshots.append(snapshot_row(env))
-    trace = EpisodeTrace(snapshots, events)
-    return EvaluationRecord(episode, *scenario.score(trace)), trace
+    history = EpisodeTrace(snapshots, trace)
+    return EvaluationRecord(episode, *scenario.score(history)), history
 
 
 # --- (1+λ) search --------------------------------------------------------

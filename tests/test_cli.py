@@ -326,6 +326,31 @@ class TestRunCommand:
         assert "--out" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "name", ["metrics.csv", "best_agent.json", "run_manifest.json", "trace.log", "episode.csv"]
+    )
+    def test_unwritable_output_exits_2(self, scenario_file, tmp_path, capsys, name):
+        # each once ended in an IsADirectoryError traceback
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        code = run_cli(
+            "run", "--scenario", scenario_file, "--seed", 1, "--generations", 1,
+            "--out", out, "--trace",
+        )
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out / name) in err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_disk_while_tracing_exits_2(self, scenario_file, tmp_path, capsys):
+        # trace.log opens, and its writes fail as the episode runs
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "trace.log").symlink_to("/dev/full")
+        code = run_cli("run", "--scenario", scenario_file, "--seed", 1, "--out", out, "--trace")
+        assert code == EXIT_PARSE
+        assert f"cannot write {out / 'trace.log'}: No space left" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command,flag,value",
         [
             pytest.param("run", "--generations", 0, id="--generations"),

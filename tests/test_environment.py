@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 
@@ -165,7 +166,7 @@ class TestStepEnv:
     def test_update_must_return_every_variable(self, update, traced):
         env = Environment({"x": 0.0, "y": 1.0}, update, CATCH_ALL)
         with pytest.raises(UnknownChannel):
-            env.step([], [] if traced else None)
+            env.step([], io.StringIO() if traced else None)
 
 
 class TestPerceive:

@@ -1,6 +1,9 @@
+import io
 import math
 import random
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -257,14 +260,13 @@ class TestRunEpisode:
             mp.setattr(statechart, "dispatch", counting_dispatch)
             plain, plain_trace = run_episode(scenario, genotype, seed=seed % 1000)
             assert calls == []
-            traced, traced_trace = run_episode(
-                scenario, genotype, seed=seed % 1000, collect_events=True
-            )
+            sink = io.StringIO()
+            traced, traced_trace = run_episode(scenario, genotype, seed=seed % 1000, trace=sink)
         assert calls == []
         assert math.isfinite(plain.score)
         assert plain == traced
         assert plain_trace.snapshots == traced_trace.snapshots
-        assert plain_trace.events is None and traced_trace.events
+        assert plain_trace.events is None and traced_trace.events is sink and sink.getvalue()
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -273,23 +275,73 @@ class TestRunEpisode:
         # it replaced, bit for bit, traced and untraced
         scenario = small_scenario(n_lights=4, episode_ticks=15)
         genotype = random_genotype(scenario, random.Random(seed))
-        for collect_events in (False, True):
-            record, trace = run_episode(scenario, genotype, seed % 1000, 3, collect_events)
+        for traced in (False, True):
+            sink, expected_sink = (io.StringIO(), io.StringIO()) if traced else (None, None)
+            record, trace = run_episode(scenario, genotype, seed % 1000, 3, sink)
             expected, expected_trace = reference_episode(
-                scenario, genotype, seed % 1000, 3, collect_events
+                scenario, genotype, seed % 1000, 3, expected_sink
             )
             assert repr(record) == repr(expected)
             assert trace.snapshots == expected_trace.snapshots
-            if collect_events:
+            assert trace.events is sink and expected_trace.events is expected_sink
+            if traced:
                 # the text of trace.log, byte for byte, however it is pieced;
                 # compared as lines, which pytest explains cheaply when they differ
-                text, expected_text = "".join(trace.events), "".join(expected_trace.events)
+                text, expected_text = sink.getvalue(), expected_sink.getvalue()
                 assert text.splitlines(True) == expected_text.splitlines(True)
-            else:
-                assert trace.events is expected_trace.events is None
+
+    def test_trace_is_written_as_the_episode_runs(self):
+        # a sink whose k-th write raises ends the episode there, having had
+        # the first k-1 pieces of the full run; every tick writes, so fewer
+        # than k ticks ran: no text waits for the end of the episode
+        scenario = small_scenario(n_lights=3, episode_ticks=12)
+        genotype = random_genotype(scenario, random.Random(7))
+        full: list[str] = []
+        run_episode(scenario, genotype, 1, trace=SimpleNamespace(write=full.append))
+        assert len(full) >= scenario.episode_ticks
+        for k in range(1, len(full) + 1):
+            received: list[str] = []
+            ticks_run: list[int] = []
+
+            def write(text):
+                if len(received) == k - 1:
+                    raise OSError("sink full")
+                received.append(text)
+
+            def counted_snapshot(env):
+                ticks_run.append(env.tick)
+                return snapshot_row(env)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluation, "snapshot_row", counted_snapshot)
+                with pytest.raises(OSError, match="sink full"):
+                    run_episode(scenario, genotype, 1, trace=SimpleNamespace(write=write))
+            assert received == full[: k - 1]
+            assert len(ticks_run) < k
+
+    def test_traced_episode_holds_no_trace_text(self):
+        # the heap peak of a traced episode stays under a quarter of the
+        # trace.log characters it writes (a tenth here, mostly the snapshots);
+        # kept until the episode ended, the text took 1.1 times as much
+        scenario = small_scenario(n_lights=20, episode_ticks=300)
+        genotype = random_genotype(scenario, random.Random(3))
+        written = 0
+
+        def discard(text):
+            nonlocal written
+            written += len(text)
+
+        tracemalloc.start()
+        try:
+            run_episode(scenario, genotype, 0, trace=SimpleNamespace(write=discard))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert written > 5_000_000
+        assert peak < 0.25 * written
 
 
-def reference_episode(scenario, genotype, seed, episode=0, collect_events=False):
+def reference_episode(scenario, genotype, seed, episode=0, trace=None):
     """The episode as the dict-level views run it: every tick, each agent's
     ``perceive`` -> ``step_agent``, then ``Environment.step`` and a
     ``snapshot_row``; for operable genotypes only."""
@@ -297,14 +349,13 @@ def reference_episode(scenario, genotype, seed, episode=0, collect_events=False)
     bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
     env = scenario.build_env(seed, bodies)
     agents = [Agent(aid, bodies[aid], genotype.topology) for aid in ids]
-    events = [] if collect_events else None
     snapshots = []
     for t in range(scenario.episode_ticks):
-        actions = [(a.agent_id, step_agent(a, env.perceive(a.agent_id), t, events)) for a in agents]
-        env.step(actions, events)
+        actions = [(a.agent_id, step_agent(a, env.perceive(a.agent_id), t, trace)) for a in agents]
+        env.step(actions, trace)
         snapshots.append(snapshot_row(env))
-    trace = EpisodeTrace(snapshots, events)
-    return EvaluationRecord(episode, *scenario.score(trace)), trace
+    history = EpisodeTrace(snapshots, trace)
+    return EvaluationRecord(episode, *scenario.score(history)), history
 
 
 def random_genotype(scenario, rng: random.Random) -> Genotype:

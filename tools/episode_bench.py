@@ -14,11 +14,17 @@ street-light scenario (10 lights, 200 ticks):
 - ``episode_s``: the median of ``EPISODE_REPEATS`` untraced ``run_episode``
   calls of the initial genotype, after one untimed call;
 - ``traced_episode_s``: the median of ``TRACED_REPEATS`` traced
-  ``run_episode`` calls of the same genotype;
+  ``run_episode`` calls of the same genotype, writing to a sink that
+  discards the text;
 - ``traced_run_s``: the median of ``TRACED_REPEATS`` calls of
   ``cli.write_outputs`` with ``--trace`` for the same genotype, that is the
   traced episode plus writing ``trace.log`` and ``episode.csv`` (and the
-  three small artifacts ahead of them), as ``run --trace`` ends.
+  three small artifacts ahead of them), as ``run --trace`` ends;
+- ``traced_run_heap_mb``: the ``tracemalloc`` peak of one more such
+  ``cli.write_outputs`` call, made after the timed ones;
+- ``big_run_maxrss_mb``: the peak RSS (``ru_maxrss``) of one
+  ``agentchart run --trace --generations 1 --lambda 1`` of 64 lights x
+  1,000 ticks in a fresh interpreter of its own.
 
 The report gives each side's median and quartiles, the change's median
 over the base's, and how many pairs the change won.  The two sides must
@@ -32,15 +38,18 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,7 +61,19 @@ METRICS = {  # name -> better
     "episode_s": "lower",
     "traced_episode_s": "lower",
     "traced_run_s": "lower",
+    "traced_run_heap_mb": "lower",
+    "big_run_maxrss_mb": "lower",
 }
+BIG_SCENARIO = {"n_lights": 64, "episode_ticks": 1000}
+
+
+def traced_episode(run_episode, scenario, genotype, seed):
+    """A traced ``run_episode`` whose text is discarded; a base revision
+    from before the trace sink takes ``collect_events`` instead."""
+    if "collect_events" in inspect.signature(run_episode).parameters:
+        return run_episode(scenario, genotype, seed, collect_events=True)
+    with open(os.devnull, "w") as sink:
+        return run_episode(scenario, genotype, seed, trace=sink)
 
 
 def measure(seed: int) -> dict:
@@ -80,7 +101,7 @@ def measure(seed: int) -> dict:
     traced_times = []
     for _ in range(TRACED_REPEATS):
         start = time.perf_counter()
-        traced, _ = run_episode(scenario, genotype, seed, collect_events=True)
+        traced, _ = traced_episode(run_episode, scenario, genotype, seed)
         traced_times.append(time.perf_counter() - start)
     with tempfile.TemporaryDirectory() as out:
         args = build_parser().parse_args(
@@ -92,6 +113,12 @@ def measure(seed: int) -> dict:
             start = time.perf_counter()
             write_outputs(Path(out), args, loaded, best)
             run_times.append(time.perf_counter() - start)
+        tracemalloc.start()
+        try:
+            write_outputs(Path(out), args, loaded, best)
+            heap_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         trace_log = (Path(out) / "trace.log").read_bytes()
     return {
         "search_s": search_s,
@@ -99,19 +126,37 @@ def measure(seed: int) -> dict:
         "episode_s": statistics.median(times),
         "traced_episode_s": statistics.median(traced_times),
         "traced_run_s": statistics.median(run_times),
+        "traced_run_heap_mb": heap_peak / 2**20,
         "scores": [repr(result.best_record.score), repr(record.score), repr(traced.score)],
         "trace_events": trace_log.count(b"\n") - 1,  # the lines after the header
         "trace_log_sha256": hashlib.sha256(trace_log).hexdigest(),
     }
 
 
+def big_run_maxrss_mb(seed: int) -> float:
+    """The peak RSS of a traced ``BIG_SCENARIO`` run in this interpreter."""
+    from agentchart.cli import main
+
+    with tempfile.TemporaryDirectory() as out:
+        scenario = Path(out) / "scenario.json"
+        scenario.write_text(json.dumps(BIG_SCENARIO))
+        argv = ["run", "--scenario", str(scenario), "--seed", str(seed), "--out", out,
+                "--trace", "--generations", "1", "--lambda", "1"]
+        if main(argv) != 0:
+            raise SystemExit("the big traced run failed")
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def run_side(tree: Path, seed: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run(
-        [sys.executable, __file__, "--measure", str(seed)],
-        env=env, cwd=tree, capture_output=True, text=True, check=True,
-    )
-    return json.loads(proc.stdout)
+    sample = {}
+    for mode in ("--measure", "--big-run"):
+        proc = subprocess.run(
+            [sys.executable, __file__, mode, str(seed)],
+            env=env, cwd=tree, capture_output=True, text=True, check=True,
+        )
+        sample.update(json.loads(proc.stdout))
+    return sample
 
 
 def tier1_s(tree: Path) -> float:
@@ -154,9 +199,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tier1", action="store_true", help="also time the tier-1 suite")
     parser.add_argument("--out", help="write the report as JSON here")
     parser.add_argument("--measure", type=int, metavar="SEED", help=argparse.SUPPRESS)
+    parser.add_argument("--big-run", type=int, metavar="SEED", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure is not None:
         print(json.dumps(measure(args.measure)))
+        return 0
+    if args.big_run is not None:
+        print(json.dumps({"big_run_maxrss_mb": big_run_maxrss_mb(args.big_run)}))
         return 0
     if not args.base or args.pairs < 2:
         parser.error("--base is required and --pairs must be >= 2")
@@ -177,6 +226,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
             print(f"pair {k}: " + ", ".join(
                 f"{side} {pair[side]['search_s']:.3f}s/{pair[side]['episode_s'] * 1e3:.2f}ms"
+                f"/{pair[side]['big_run_maxrss_mb']:.1f}MB"
                 for side in order
             ), file=sys.stderr)
         tier1 = {side: tier1_s(tree) for side, tree in trees.items()} if args.tier1 else None
@@ -190,6 +240,7 @@ def main(argv: list[str] | None = None) -> int:
             "cpus": os.cpu_count(),
         },
         "scenario": "default street-light scenario: 10 lights x 200 ticks",
+        "big_run_scenario": BIG_SCENARIO,
         "pairs": args.pairs,
         "episode_repeats": EPISODE_REPEATS,
         "traced_repeats": TRACED_REPEATS,
