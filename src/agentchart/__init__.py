@@ -25,7 +25,7 @@ from .controller import (
     eval_net,
     mutate_connections,
 )
-from .environment import Environment, EpisodeTrace, TickSnapshot
+from .environment import Environment, EpisodeTrace
 from .evaluation import (
     EvaluationRecord,
     Genotype,

@@ -1,9 +1,11 @@
 """Perturbable environment: orthogonal scalar variables, a context
 function, actuation routing and next-tick neighbor messaging.
 
-One update function computes every variable from the previous tick's
-values, so the order in which it computes them never changes the result;
-one context function names the context of each tick's values.
+The variables are one row of floats, in an order of names fixed when the
+environment is built.  One update function computes every variable's new
+row from the previous tick's row, so the order in which it computes them
+never changes the result; one context function names the context of each
+tick's row.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from .errors import NonFiniteVariable, UnknownChannel, UnknownDevice
 # they drive: channel -> [(agent id, value)]
 Actions = Iterable[tuple[str, dict[str, object]]]
 Effects = dict[str, list[tuple[str, object]]]
-# update: (new_tick, previous values, effects) -> a new dict of every
-# variable's value; it never mutates the previous mapping
-Update = Callable[
-    [int, Mapping[str, float], Mapping[str, list[tuple[str, object]]]], dict[str, float]
-]
+# update: (new_tick, previous row, effects) -> a new row of every variable's
+# value, in the environment's ``names`` order; it never mutates the previous row
+Update = Callable[[int, list[float], Mapping[str, list[tuple[str, object]]]], list[float]]
 
 
 class Environment:
@@ -32,11 +32,13 @@ class Environment:
 
     def __init__(
         self,
-        initial: dict[str, float],
+        initial: Mapping[str, float],
         update: Update,
-        context: Callable[[Mapping[str, float]], str],
+        context: Callable[[list[float]], str],
         neighbors: dict[str, list[str]] | None = None,
     ):
+        # the variables' order, the order of ``initial``, is each row's order
+        self.names: tuple[str, ...] = tuple(initial)
         self.update = update
         self.context_of = context
         self.neighbors = dict(neighbors or {})
@@ -45,16 +47,22 @@ class Environment:
         self.effect_channels: dict[str, dict[str, str]] = {}
         self.tick = 0
         self.comm_mailbox: dict[str, list[tuple[str, object]]] = {}
-        # current values; advance() replaces this mapping and never mutates it,
-        # so snapshots and the update function may hold on to it
-        self.values: dict[str, float] = _finite(dict(initial))
-        self.context = context(self.values)
+        # current values; advance() replaces this row and never mutates it, so
+        # an episode's record and the update function may hold on to it
+        self.row: list[float] = self._checked(list(initial.values()))
+        self.context = context(self.row)
+
+    @property
+    def values(self) -> Mapping[str, float]:
+        """The current row by variable name, a read-only mapping built on
+        each call."""
+        return MappingProxyType(dict(zip(self.names, self.row)))
 
     def register_agent(self, agent_id: str, body: BodyConfig) -> None:
         """Add an agent; every enabled device must read or drive a declared
         variable or the comm channel."""
         for device in body.enabled_inputs + body.enabled_outputs:
-            if device.channel != COMM_CHANNEL and device.channel not in self.values:
+            if device.channel != COMM_CHANNEL and device.channel not in self.names:
                 raise UnknownChannel(
                     f"device {device.id!r} uses unknown channel {device.channel!r}"
                 )
@@ -85,29 +93,27 @@ class Environment:
 
     def advance(self, effects: Effects, trace: TextSink | None = None) -> None:
         """Advance one tick under ``effects``: simultaneous variable update,
-        mailbox swap, context re-selection.  With ``trace``, write one text
-        piece to it: the comm messages sent at this tick as ``emitted`` lines,
-        then each variable that changed as a ``perturbed`` line of the next
-        tick, if there are any."""
-        previous = self.values
+        mailbox swap, context re-selection.  The new row is checked before
+        anything of the tick is written or kept.  With ``trace``, write one
+        text piece to it: the comm messages sent at this tick as ``emitted``
+        lines, then each variable that changed as a ``perturbed`` line of the
+        next tick, if there are any."""
+        previous = self.row
         new_tick = self.tick + 1
-        new_values = self.update(new_tick, previous, MappingProxyType(effects))
-        if new_values.keys() != previous.keys():
-            raise UnknownChannel(f"update must return exactly the variables {sorted(previous)}")
-        _finite(new_values)
+        row = self._checked(self.update(new_tick, previous, MappingProxyType(effects)))
         if trace is not None:
             lines = [
                 f"{self.tick}\t{sender}\temitted\t{COMM_CHANNEL}\t{value!r}\n"
                 for sender, value in effects.get(COMM_CHANNEL, ())
             ]
             lines += [
-                f"{new_tick}\tenv\tperturbed\t{name}\t{previous[name]!r}->{value!r}\n"
-                for name, value in new_values.items()
-                if value != previous[name]
+                f"{new_tick}\tenv\tperturbed\t{name}\t{old!r}->{value!r}\n"
+                for name, old, value in zip(self.names, previous, row)
+                if value != old
             ]
             if lines:
                 trace.write("".join(lines))
-        self.values = new_values
+        self.row = row
 
         # messages sent at tick t are readable at t+1 and gone at t+2
         mailbox: dict[str, list[tuple[str, object]]] = {aid: [] for aid in self.bodies}
@@ -117,7 +123,16 @@ class Environment:
                     mailbox[neighbor].append((sender, value))
         self.comm_mailbox = mailbox
         self.tick = new_tick
-        self.context = self.context_of(new_values)
+        self.context = self.context_of(row)
+
+    def _checked(self, row: list[float]) -> list[float]:
+        """``row`` if it holds one finite value per variable."""
+        if len(row) != len(self.names):
+            raise UnknownChannel(f"update must return one value for each of {list(self.names)}")
+        if not all(map(math.isfinite, row)):
+            name, value = next((n, v) for n, v in zip(self.names, row) if not math.isfinite(v))
+            raise NonFiniteVariable(f"variable {name!r} is not finite: {value}")
+        return row
 
     def perceive(self, agent_id: str) -> Percept:
         """One value per enabled input device of the agent.
@@ -128,9 +143,9 @@ class Environment:
         body = self.bodies.get(agent_id)
         if body is None:
             raise UnknownChannel(f"agent {agent_id!r} is not registered")
-        messages = self.comm_mailbox[agent_id]
+        messages, values = self.comm_mailbox[agent_id], self.values
         return {
-            d.id: comm_mean(messages) if d.channel == COMM_CHANNEL else self.values[d.channel]
+            d.id: comm_mean(messages) if d.channel == COMM_CHANNEL else values[d.channel]
             for d in body.enabled_inputs
         }
 
@@ -144,41 +159,30 @@ def comm_mean(messages: list[tuple[str, object]]) -> float:
     return total / len(messages) if messages else 0.0
 
 
-def _finite(values: dict[str, float]) -> dict[str, float]:
-    if not all(map(math.isfinite, values.values())):
-        name, value = next((n, v) for n, v in values.items() if not math.isfinite(v))
-        raise NonFiniteVariable(f"variable {name!r} is not finite: {value}")
-    return values
-
-
-@dataclass(frozen=True)
-class TickSnapshot:
-    """Per-tick record consumed by task evaluation."""
-
-    tick: int
-    variables: dict[str, float]
-    context: str
-
-
-def snapshot_row(env: Environment) -> TickSnapshot:
-    return TickSnapshot(env.tick, env.values, env.context)
+def snapshot_row(env: Environment) -> tuple[list[float], str]:
+    """The current tick's record: its row and its context."""
+    return env.row, env.context
 
 
 @dataclass
 class EpisodeTrace:
     """Variable/context history of one episode plus, when traced, the sink
     its engine trace was written to as trace.log text while it ran.
-    ``events`` is None for an untraced episode."""
+    ``rows[k]`` holds tick k+1's values in ``names`` order and
+    ``contexts[k]`` its context; ``events`` is None for an untraced
+    episode."""
 
-    snapshots: list[TickSnapshot] = field(default_factory=list)
+    names: tuple[str, ...] = ()
+    rows: list[list[float]] = field(default_factory=list)
+    contexts: list[str] = field(default_factory=list)
     events: TextSink | None = None
 
     def to_csv(self) -> str:
-        if not self.snapshots:
+        if not self.rows:
             return ""
-        names = sorted(self.snapshots[0].variables)
-        lines = ["tick," + ",".join(names) + ",context"]
-        for snap in self.snapshots:
-            cells = [str(snap.tick)] + [repr(snap.variables[n]) for n in names] + [snap.context]
-            lines.append(",".join(cells))
+        names = self.names
+        order = sorted(range(len(names)), key=names.__getitem__)
+        lines = ["tick," + ",".join(names[k] for k in order) + ",context"]
+        for tick, (row, context) in enumerate(zip(self.rows, self.contexts), 1):
+            lines.append(",".join([str(tick), *[repr(row[k]) for k in order], context]))
         return "\n".join(lines) + "\n"

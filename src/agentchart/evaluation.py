@@ -33,7 +33,12 @@ from .body import (
     tick_text,
 )
 from .controller import ControllerTopology, MutationPolicy, activate, mutate_connections
-from .environment import Effects, EpisodeTrace, TickSnapshot, comm_mean, snapshot_row
+from .environment import (
+    Effects,
+    EpisodeTrace,
+    comm_mean,
+    snapshot_row,  # noqa: F401  perfbench's layer sites wrap it at this name
+)
 from .errors import NonFiniteInput, require
 from .serialize import config_digest
 from .streetlight import StreetLightScenario
@@ -106,20 +111,21 @@ def run_episode(
 ) -> tuple[EvaluationRecord, EpisodeTrace]:
     """One fixed-length episode of every agent under one configuration.
 
-    Each agent's inputs and outputs are resolved to plan slots once; every
-    tick runs each agent's sense -> decide -> act pass over activation
-    lists.  With a ``trace`` sink each agent's behavior-chart pass is
-    rendered from its ``pass_text``, built once, and each tick writes one
-    text piece of every agent's pass lines, in agent order, then
-    ``Environment.advance``'s lines, before the next tick runs: no text is
-    kept back, and a ``write`` that raises ends the episode.  The returned
-    ``EpisodeTrace.events`` is the sink.  An inoperable genotype (its
-    shared body enables no input or no output) scores +inf so that
+    Each agent's inputs and outputs are resolved to plan slots, and its
+    sensors to columns of the environment's row, once; every tick runs each
+    agent's sense -> decide -> act pass over activation lists and keeps the
+    environment's new row and context.  With a ``trace`` sink each agent's
+    behavior-chart pass is rendered from its ``pass_text``, built once, and
+    each tick writes one text piece of every agent's pass lines, in agent
+    order, then ``Environment.advance``'s lines, before the next tick runs:
+    no text is kept back, and a ``write`` that raises ends the episode.  The
+    returned ``EpisodeTrace.events`` is the sink.  An inoperable genotype
+    (its shared body enables no input or no output) scores +inf so that
     structural search can still enumerate it.
     """
     require(seed >= 0, "seed must be >= 0")
     if not genotype_operable(scenario, genotype):
-        return EvaluationRecord(episode, math.inf, {}), EpisodeTrace([], trace)
+        return EvaluationRecord(episode, math.inf, {}), EpisodeTrace(events=trace)
     ids = scenario.agent_ids()
     bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
     require_mirror(bodies[ids[0]], genotype.topology)
@@ -127,11 +133,13 @@ def run_episode(
     env = scenario.build_env(seed, bodies)
     _, steps, _, slots = genotype.topology.eval_plan
     n_slots = len(slots)
-    # per agent: inputs (id, slot, channel) and outputs (id, slot, channel, levels)
+    column = {name: k for k, name in enumerate(env.names)}
+    column[COMM_CHANNEL] = None  # a comm input reads the mailbox
+    # per agent: inputs (id, slot, row column) and outputs (id, slot, channel, levels)
     wired = [
         (
             aid,
-            [(d.id, slots[d.id], d.channel) for d in body.enabled_inputs],
+            [(d.id, slots[d.id], column[d.channel]) for d in body.enabled_inputs],
             [(d.id, slots[d.id], d.channel, d.output_levels) for d in body.enabled_outputs],
         )
         for aid, body in bodies.items()
@@ -140,15 +148,16 @@ def run_episode(
     channels = dict.fromkeys(channel for *_, outputs in wired for _, _, channel, _ in outputs)
     texts = [pass_text(aid, body) for aid, body in bodies.items()] if trace is not None else []
     previous = [[0.0] * n_slots for _ in wired]
-    snapshots: list[TickSnapshot] = []
+    rows: list[list[float]] = []
+    contexts: list[str] = []
     for t in range(scenario.episode_ticks):
-        values, mailbox = env.values, env.comm_mailbox
+        row, mailbox = env.row, env.comm_mailbox
         effects: Effects = {channel: [] for channel in channels}
         tails: list[str] = []
         for k, (aid, inputs, outputs) in enumerate(wired):
             act = [0.0] * n_slots
-            for did, slot, channel in inputs:
-                value = comm_mean(mailbox[aid]) if channel == COMM_CHANNEL else values[channel]
+            for did, slot, col in inputs:
+                value = comm_mean(mailbox[aid]) if col is None else row[col]
                 if not math.isfinite(value):
                     raise NonFiniteInput(f"input for neuron {did!r} is not finite: {value}")
                 act[slot] = value
@@ -163,8 +172,9 @@ def run_episode(
         if trace is not None:
             trace.write(tick_text(t, tails))
         env.advance(effects, trace)
-        snapshots.append(snapshot_row(env))
-    history = EpisodeTrace(snapshots, trace)
+        rows.append(env.row)
+        contexts.append(env.context)
+    history = EpisodeTrace(env.names, rows, contexts, trace)
     return EvaluationRecord(episode, *scenario.score(history)), history
 
 

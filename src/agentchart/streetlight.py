@@ -167,14 +167,15 @@ class StreetLightScenario:
         spill = self.spillover
         n = self.n_lights
         lights = [f"light_{i}" for i in range(n)]
-        keys = ("daylight",) + tuple(
+        names = ("daylight",) + tuple(
             name
             for i in range(n)
             for name in (f"light_{i}", f"brightness_{i}", f"people_flow_{i}", f"energy_{i}")
         )
         windows = self.neighbor_windows()
+        dusk = self.dusk_threshold
 
-        def update(t, previous, effects) -> dict[str, float]:
+        def update(t, previous, effects) -> list[float]:
             daylight = float(ambient(t, ticks))
             light = []
             energy = []
@@ -192,12 +193,13 @@ class StreetLightScenario:
                     spilled += light[j]
                 brightness = daylight + own + spill * spilled
                 row += (own, brightness if brightness < 1.0 else 1.0, flow, spent)
-            return dict(zip(keys, row))
+            return row
 
-        def context(values) -> str:
-            return DAY if values["daylight"] >= self.dusk_threshold else NIGHT
+        def context(row) -> str:
+            return DAY if row[0] >= dusk else NIGHT  # the daylight column
 
-        env = Environment(update(0, {}, {}), update, context, self.neighbor_map())
+        initial = dict(zip(names, update(0, [], {})))
+        env = Environment(initial, update, context, self.neighbor_map())
         for aid, body in bodies.items():
             env.register_agent(aid, body)
         return env
@@ -227,16 +229,19 @@ def streetlight_score(
     """The episode's score and its per-context breakdown: the sum over
     ticks of context-weighted energy plus context-weighted
     darkness-under-people service penalty; lower is better."""
-    names = [(f"energy_{i}", f"people_flow_{i}", f"brightness_{i}") for i in range(n_lights)]
+    column = {name: k for k, name in enumerate(trace.names)}
+    columns = [
+        (column[f"energy_{i}"], column[f"people_flow_{i}"], column[f"brightness_{i}"])
+        for i in range(n_lights)
+    ]
     target = rules.target_brightness
     breakdown: dict[str, float] = {}
-    for snap in trace.snapshots:
-        values = snap.variables
+    for row, context in zip(trace.rows, trace.contexts):
         energy = deficit = 0  # left to right: sum() compensates from Python 3.12
-        for e, f, b in names:
-            energy += values[e]
-            gap = target - values[b]
-            deficit += values[f] * (gap if gap > 0.0 else 0.0)
-        term = rules.w_energy[snap.context] * energy + rules.w_dark[snap.context] * deficit
-        breakdown[snap.context] = breakdown.get(snap.context, 0.0) + term
+        for e, f, b in columns:
+            energy += row[e]
+            gap = target - row[b]
+            deficit += row[f] * (gap if gap > 0.0 else 0.0)
+        term = rules.w_energy[context] * energy + rules.w_dark[context] * deficit
+        breakdown[context] = breakdown.get(context, 0.0) + term
     return reduce(add, breakdown.values(), 0), breakdown

@@ -1,9 +1,12 @@
-"""Shared helpers: random chart generation and the configuration invariant
-oracle used by unit and acceptance tests."""
+"""Shared helpers: random chart generation, the configuration invariant
+oracle and the name-keyed episode-record oracles used by unit and
+acceptance tests."""
 
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import add
 
 from agentchart.statechart import (
     AND,
@@ -131,3 +134,38 @@ def history_motif_chart(rng: random.Random):
             Transition((rng.choice(kids),), rng.choice(kids), event=f"move{i % 2}")
         )
     return build_chart(nodes, transitions), kids
+
+
+# --- name-keyed episode records ----------------------------------------
+# A tick as ``(tick, {variable name: value}, context)``: the record the
+# episode's rows and contexts are checked against, mapped through the names.
+
+
+def reference_score(ticks, rules, n_lights):
+    """The street-light score over name-keyed ticks, as one fold per
+    generator with ``max(0.0, gap)``; each fold adds left to right from the
+    int 0, as ``sum()`` does before Python 3.12."""
+    names = [(f"energy_{i}", f"people_flow_{i}", f"brightness_{i}") for i in range(n_lights)]
+    breakdown = {}
+    for _, values, context in ticks:
+        energy = reduce(add, (values[e] for e, _, _ in names), 0)
+        deficit = reduce(
+            add,
+            (values[f] * max(0.0, rules.target_brightness - values[b]) for _, f, b in names),
+            0,
+        )
+        term = rules.w_energy[context] * energy + rules.w_dark[context] * deficit
+        breakdown[context] = breakdown.get(context, 0.0) + term
+    return reduce(add, breakdown.values(), 0), breakdown
+
+
+def reference_csv(ticks) -> str:
+    """episode.csv's text from name-keyed ticks: the variables in sorted
+    name order, each value's repr, then the context."""
+    if not ticks:
+        return ""
+    names = sorted(ticks[0][1])
+    lines = ["tick," + ",".join(names) + ",context"]
+    for tick, values, context in ticks:
+        lines.append(",".join([str(tick)] + [repr(values[n]) for n in names] + [context]))
+    return "\n".join(lines) + "\n"

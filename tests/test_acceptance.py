@@ -16,7 +16,7 @@ from test_controller import oracle_eval, random_topology
 from agentchart.body import Agent, configure_body, derive_controller, step_agent
 from agentchart.cli import EXIT_OK, main as cli_main
 from agentchart.controller import Neuron, ControllerTopology, eval_net
-from agentchart.environment import EpisodeTrace, TickSnapshot
+from agentchart.environment import EpisodeTrace
 from agentchart.evaluation import (
     ADJUST,
     Genotype,
@@ -301,16 +301,19 @@ def test_criterion_9_scoring_linearity():
     n_lights = 3
     ok = True
 
+    names = tuple(
+        f"{name}_{i}" for i in range(n_lights) for name in ("energy", "people_flow", "brightness")
+    )
+
     def random_trace():
-        snapshots = []
-        for t in range(6):
-            variables = {}
-            for i in range(n_lights):
-                variables[f"energy_{i}"] = rng.choice([0.0, 0.5, 1.0])
-                variables[f"people_flow_{i}"] = rng.random()
-                variables[f"brightness_{i}"] = rng.random()
-            snapshots.append(TickSnapshot(t + 1, variables, rng.choice(contexts)))
-        return EpisodeTrace(snapshots)
+        rows, row_contexts = [], []
+        for _ in range(6):
+            row = []
+            for _ in range(n_lights):
+                row += (rng.choice([0.0, 0.5, 1.0]), rng.random(), rng.random())
+            rows.append(row)
+            row_contexts.append(rng.choice(contexts))
+        return EpisodeTrace(names, rows, row_contexts)
 
     for trial in range(30):
         rules = StreetlightRules(

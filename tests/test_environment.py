@@ -9,13 +9,13 @@ from agentchart.environment import Environment, comm_mean
 from agentchart.errors import NonFiniteVariable, UnknownChannel, UnknownDevice
 
 
-def CATCH_ALL(values):
+def CATCH_ALL(row):
     return "default"
 
 
 def constant_env(**values):
     """An environment whose update keeps every variable at its initial value."""
-    return Environment(values, lambda t, snap, eff: dict(values), CATCH_ALL)
+    return Environment(values, lambda t, row, eff: list(row), CATCH_ALL)
 
 
 def comm_body(extra=()):
@@ -40,9 +40,9 @@ class TestApplyEffects:
     def test_effects_accumulate_for_update_rules(self):
         seen = {}
 
-        def update(t, snap, eff):
+        def update(t, row, eff):
             seen.update(eff)
-            return {"bright": snap["bright"] + sum(v for _, v in eff.get("bright", ()))}
+            return [row[0] + sum(v for _, v in eff.get("bright", ()))]
 
         env = Environment({"bright": 0.1}, update, CATCH_ALL)
         body = configure_body([DeviceSpec("lamp", "output", "bright")], {"lamp": True})
@@ -79,7 +79,7 @@ class TestApplyEffects:
         ],
     )
     def test_action_must_name_an_enabled_output(self, device_id, selection):
-        env = Environment({"bright": 0.1}, lambda t, s, e: {"bright": s["bright"]}, CATCH_ALL)
+        env = Environment({"bright": 0.1}, lambda t, r, e: list(r), CATCH_ALL)
         devices = [DeviceSpec("lamp", "output", "bright"), DeviceSpec("eye", "input", "bright")]
         env.register_agent("a0", configure_body(devices, selection))
         with pytest.raises(UnknownDevice):
@@ -88,7 +88,7 @@ class TestApplyEffects:
         assert env.values == {"bright": 0.1}
 
     def test_empty_actions_only_tick_bookkeeping(self):
-        env = Environment({"x": 0.4}, lambda t, s, e: {"x": s["x"]}, CATCH_ALL)
+        env = Environment({"x": 0.4}, lambda t, r, e: list(r), CATCH_ALL)
         env.step([])
         assert env.tick == 1
         assert env.values["x"] == 0.4
@@ -119,54 +119,115 @@ class TestStepEnv:
 
     def test_simultaneous_update_order_independent(self):
         # each variable reads the other's previous value; whatever order the
-        # update writes its keys in, it must give the same snapshot
-        formulas = {"u": lambda s: s["v"] + 1.0, "v": lambda s: s["u"] * 2.0}
+        # update fills its row in, it must give the same row
+        names = ("u", "v")
+        formulas = {"u": lambda r: r[1] + 1.0, "v": lambda r: r[0] * 2.0}
 
         def update_in(order):
-            return lambda t, s, e: {k: formulas[k](s) for k in order}
+            def update(t, r, e):
+                row = [None, None]
+                for name in order:
+                    row[names.index(name)] = formulas[name](r)
+                return row
+
+            return update
 
         results = []
-        for order in itertools.permutations(["u", "v"]):
+        for order in itertools.permutations(names):
             env = Environment({"u": 1.0, "v": 10.0}, update_in(order), CATCH_ALL)
             env.step()
-            results.append(env.values)
-        assert results[0] == results[1] == {"u": 11.0, "v": 2.0}
+            results.append(env.row)
+        assert results[0] == results[1] == [11.0, 2.0]
+        assert env.values == {"u": 11.0, "v": 2.0}
+
+    def test_names_keep_the_initial_order(self):
+        env = Environment({"z": 3.0, "a": 1.0, "m": 2.0}, lambda t, r, e: list(r), CATCH_ALL)
+        assert env.names == ("z", "a", "m")
+        assert env.row == [3.0, 1.0, 2.0]
+        assert list(env.values.items()) == [("z", 3.0), ("a", 1.0), ("m", 2.0)]
+
+    def test_values_is_a_read_only_view_of_the_row(self):
+        env = constant_env(x=0.5)
+        with pytest.raises(TypeError):
+            env.values["x"] = 1.0
+        assert env.row == [0.5]
 
     def test_context_flips_in_same_step(self):
-        def context(values):
-            return "day" if values["daylight"] >= 0.5 else "night"
+        def context(row):
+            return "day" if row[0] >= 0.5 else "night"
 
-        env = Environment({"daylight": 1.0}, lambda t, s, e: {"daylight": 0.1}, context)
+        env = Environment({"daylight": 1.0}, lambda t, r, e: [0.1], context)
         assert env.context == "day"
         env.step()
         assert env.context == "night"
 
+    def test_context_reads_the_new_row(self):
+        seen = []
+
+        def context(row):
+            seen.append(list(row))
+            return "default"
+
+        env = Environment({"x": 0.0, "y": 5.0}, lambda t, r, e: [r[0] + 1.0, r[1]], context)
+        env.step()
+        env.step()
+        assert seen == [[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]]
+
     def test_non_finite_variable_rejected(self):
-        env = Environment({"x": 0.0}, lambda t, s, e: {"x": float("inf")}, CATCH_ALL)
-        with pytest.raises(NonFiniteVariable):
+        env = Environment({"x": 0.0, "y": 0.0}, lambda t, r, e: [0.0, float("inf")], CATCH_ALL)
+        with pytest.raises(NonFiniteVariable, match="'y'"):
             env.step()
 
     def test_non_finite_initial_value_rejected(self):
         # built as the street lights build theirs, from the update at tick 0;
         # a NaN there was once handed out by perceive
-        def update(t, s, e):
-            return {"x": float("nan") if t == 0 else 0.0, "y": 1.0}
+        def update(t, r, e):
+            return [float("nan") if t == 0 else 0.0, 1.0]
 
-        with pytest.raises(NonFiniteVariable):
-            Environment(update(0, {}, {}), update, CATCH_ALL)
+        with pytest.raises(NonFiniteVariable, match="'x'"):
+            Environment(dict(zip("xy", update(0, [], {}))), update, CATCH_ALL)
 
     @pytest.mark.parametrize("traced", [False, True])
     @pytest.mark.parametrize(
         "update",
         [
-            pytest.param(lambda t, s, e: {**s, "extra": 0.0}, id="added"),
-            pytest.param(lambda t, s, e: {"x": s["x"]}, id="dropped"),
+            pytest.param(lambda t, r, e: [*r, 0.0], id="added"),
+            pytest.param(lambda t, r, e: r[:1], id="dropped"),
         ],
     )
     def test_update_must_return_every_variable(self, update, traced):
+        # a row longer or shorter than the names
         env = Environment({"x": 0.0, "y": 1.0}, update, CATCH_ALL)
-        with pytest.raises(UnknownChannel):
+        with pytest.raises(UnknownChannel, match=r"\['x', 'y'\]"):
             env.step([], io.StringIO() if traced else None)
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            pytest.param(lambda r: [*r, 0.0], id="longer"),
+            pytest.param(lambda r: r[:1], id="shorter"),
+            pytest.param(lambda r: [r[0], math.nan], id="non_finite"),
+        ],
+    )
+    def test_bad_row_raises_before_its_tick_reaches_the_trace(self, bad_row):
+        # tick 2's row is bad: its emitted and perturbed lines are never
+        # written, and the environment stays at tick 1
+        def update(t, r, e):
+            row = [r[0] + 1.0, r[1]]
+            return bad_row(row) if t == 2 else row
+
+        env = Environment({"x": 0.0, "y": 1.0}, update, CATCH_ALL, {"a0": ["a1"], "a1": ["a0"]})
+        for aid in ("a0", "a1"):
+            env.register_agent(aid, comm_body())
+        sink = io.StringIO()
+        env.step([("a0", {"wireless_speaker": 0.5})], sink)
+        first = sink.getvalue()
+        assert "\temitted\t" in first and "\tperturbed\t" in first
+        with pytest.raises((UnknownChannel, NonFiniteVariable)):
+            env.step([("a1", {"wireless_speaker": 0.25})], sink)
+        assert sink.getvalue() == first
+        assert env.tick == 1 and env.row == [1.0, 1.0]
+        assert env.comm_mailbox == {"a0": [], "a1": [("a0", 0.5)]}
 
 
 class TestPerceive:
@@ -207,8 +268,8 @@ class TestEmbodimentLoop:
     def test_action_perturbs_variable_which_perturbs_next_percept(self):
         # closed two-tick loop: actuation raises brightness, which the
         # same agent senses on the following tick
-        def update(t, snap, eff):
-            return {"brightness": 0.1 + sum(v for _, v in eff.get("brightness", ()))}
+        def update(t, row, eff):
+            return [0.1 + sum(v for _, v in eff.get("brightness", ()))]
 
         env = Environment({"brightness": 0.1}, update, CATCH_ALL)
         body = configure_body(

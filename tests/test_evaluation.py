@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from agentchart import evaluation, statechart
 from agentchart.body import Agent, configure_body, derive_controller, step_agent
 from agentchart.controller import HIDDEN, OUTPUT, Connection, ControllerTopology, Neuron
-from agentchart.environment import EpisodeTrace, TickSnapshot, snapshot_row
+from agentchart.environment import Environment, EpisodeTrace
 from agentchart.errors import BehaviorNotConfigured
 from agentchart.evaluation import (
     ADJUST,
@@ -37,19 +37,21 @@ from agentchart.streetlight import (
     streetlight_score,
 )
 
+from conftest import reference_csv, reference_score
+
 
 def lights_trace(rows):
     """rows: one (context, [(energy, people_flow, brightness) per light])
     per tick, at ticks 1..len(rows)."""
-    snapshots = []
-    for t, (ctx, lights) in enumerate(rows):
-        variables = {}
-        for i, (energy, flow, brightness) in enumerate(lights):
-            variables[f"energy_{i}"] = energy
-            variables[f"people_flow_{i}"] = flow
-            variables[f"brightness_{i}"] = brightness
-        snapshots.append(TickSnapshot(t + 1, variables, ctx))
-    return EpisodeTrace(snapshots)
+    n = len(rows[0][1])
+    names = tuple(
+        f"{name}_{i}" for i in range(n) for name in ("energy", "people_flow", "brightness")
+    )
+    return EpisodeTrace(
+        names,
+        [[value for light in lights for value in light] for _, lights in rows],
+        [ctx for ctx, _ in rows],
+    )
 
 
 def small_scenario(**overrides):
@@ -191,7 +193,7 @@ class TestRunEpisode:
         dead = type(genotype)({d.id: False for d in scenario.devices}, genotype.topology)
         record, trace = run_episode(scenario, dead, seed=1)
         assert record.score == math.inf
-        assert trace.snapshots == []
+        assert trace.rows == [] and trace.contexts == [] and trace.to_csv() == ""
 
     @pytest.mark.parametrize(
         "neurons,motion_sensor",
@@ -240,13 +242,16 @@ class TestRunEpisode:
         scenario = small_scenario(episode_ticks=7)
         genotype = run_search(scenario, seed=3, generations=1).best
         _, trace = run_episode(scenario, genotype, seed=3)
-        assert [s.tick for s in trace.snapshots] == list(range(1, 8))
+        assert len(trace.rows) == len(trace.contexts) == 7
+        assert all(len(row) == len(trace.names) for row in trace.rows)
+        ticks = [line.split(",")[0] for line in trace.to_csv().splitlines()[1:]]
+        assert ticks == [str(t) for t in range(1, 8)]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_traced_and_untraced_episodes_agree(self, seed):
         # differential: replaying the behavior chart for the trace must not
-        # change a single snapshot or score, and neither run dispatches: the
+        # change a single row, context or score, and neither run dispatches: the
         # pass is compiled once at import
         scenario = small_scenario(n_lights=3, episode_ticks=12)
         genotype = random_genotype(scenario, random.Random(seed))
@@ -265,25 +270,35 @@ class TestRunEpisode:
         assert calls == []
         assert math.isfinite(plain.score)
         assert plain == traced
-        assert plain_trace.snapshots == traced_trace.snapshots
+        assert plain_trace.names == traced_trace.names
+        assert plain_trace.rows == traced_trace.rows
+        assert plain_trace.contexts == traced_trace.contexts
         assert plain_trace.events is None and traced_trace.events is sink and sink.getvalue()
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_kernel_equals_dict_level_reference(self, seed):
-        # differential: the compiled tick loop against the dict-level views
-        # it replaced, bit for bit, traced and untraced
+        # differential: the compiled tick loop and its column-indexed record
+        # against the dict-level views and name-keyed ticks they replaced,
+        # bit for bit, traced and untraced: the score and its breakdown, the
+        # rows mapped through the names, and episode.csv's text
         scenario = small_scenario(n_lights=4, episode_ticks=15)
         genotype = random_genotype(scenario, random.Random(seed))
         for traced in (False, True):
             sink, expected_sink = (io.StringIO(), io.StringIO()) if traced else (None, None)
             record, trace = run_episode(scenario, genotype, seed % 1000, 3, sink)
-            expected, expected_trace = reference_episode(
+            expected, expected_ticks = reference_episode(
                 scenario, genotype, seed % 1000, 3, expected_sink
             )
             assert repr(record) == repr(expected)
-            assert trace.snapshots == expected_trace.snapshots
-            assert trace.events is sink and expected_trace.events is expected_sink
+            assert [
+                (tick, repr(dict(zip(trace.names, row))), context)
+                for tick, (row, context) in enumerate(zip(trace.rows, trace.contexts), 1)
+            ] == [(tick, repr(values), context) for tick, values, context in expected_ticks]
+            # as lines, like trace.log's text below
+            csv, expected_csv = trace.to_csv(), reference_csv(expected_ticks)
+            assert csv.splitlines(True) == expected_csv.splitlines(True)
+            assert trace.events is sink
             if traced:
                 # the text of trace.log, byte for byte, however it is pieced;
                 # compared as lines, which pytest explains cheaply when they differ
@@ -293,12 +308,13 @@ class TestRunEpisode:
     def test_trace_is_written_as_the_episode_runs(self):
         # a sink whose k-th write raises ends the episode there, having had
         # the first k-1 pieces of the full run; every tick writes, so fewer
-        # than k ticks ran: no text waits for the end of the episode
+        # than k ticks were advanced: no text waits for the end of the episode
         scenario = small_scenario(n_lights=3, episode_ticks=12)
         genotype = random_genotype(scenario, random.Random(7))
         full: list[str] = []
         run_episode(scenario, genotype, 1, trace=SimpleNamespace(write=full.append))
         assert len(full) >= scenario.episode_ticks
+        advance = Environment.advance
         for k in range(1, len(full) + 1):
             received: list[str] = []
             ticks_run: list[int] = []
@@ -308,20 +324,22 @@ class TestRunEpisode:
                     raise OSError("sink full")
                 received.append(text)
 
-            def counted_snapshot(env):
+            def counted_advance(env, effects, trace=None):
+                advance(env, effects, trace)
                 ticks_run.append(env.tick)
-                return snapshot_row(env)
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(evaluation, "snapshot_row", counted_snapshot)
+                mp.setattr(Environment, "advance", counted_advance)
                 with pytest.raises(OSError, match="sink full"):
                     run_episode(scenario, genotype, 1, trace=SimpleNamespace(write=write))
             assert received == full[: k - 1]
             assert len(ticks_run) < k
+        # the last write fails in the last tick, after every earlier tick advanced
+        assert len(ticks_run) == scenario.episode_ticks - 1
 
     def test_traced_episode_holds_no_trace_text(self):
         # the heap peak of a traced episode stays under a quarter of the
-        # trace.log characters it writes (a tenth here, mostly the snapshots);
+        # trace.log characters it writes (a tenth here, mostly the rows);
         # kept until the episode ended, the text took 1.1 times as much
         scenario = small_scenario(n_lights=20, episode_ticks=300)
         genotype = random_genotype(scenario, random.Random(3))
@@ -344,18 +362,19 @@ class TestRunEpisode:
 def reference_episode(scenario, genotype, seed, episode=0, trace=None):
     """The episode as the dict-level views run it: every tick, each agent's
     ``perceive`` -> ``step_agent``, then ``Environment.step`` and a
-    ``snapshot_row``; for operable genotypes only."""
+    name-keyed tick ``(tick, values, context)``, scored by
+    ``reference_score``; for operable genotypes only."""
     ids = scenario.agent_ids()
     bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
     env = scenario.build_env(seed, bodies)
     agents = [Agent(aid, bodies[aid], genotype.topology) for aid in ids]
-    snapshots = []
+    ticks = []
     for t in range(scenario.episode_ticks):
         actions = [(a.agent_id, step_agent(a, env.perceive(a.agent_id), t, trace)) for a in agents]
         env.step(actions, trace)
-        snapshots.append(snapshot_row(env))
-    history = EpisodeTrace(snapshots, trace)
-    return EvaluationRecord(episode, *scenario.score(history)), history
+        ticks.append((env.tick, dict(env.values), env.context))
+    score = reference_score(ticks, scenario.rules, scenario.n_lights)
+    return EvaluationRecord(episode, *score), ticks
 
 
 def random_genotype(scenario, rng: random.Random) -> Genotype:

@@ -1,8 +1,6 @@
 import math
 import random
 import struct
-from functools import reduce
-from operator import add
 from types import MappingProxyType
 
 import numpy as np
@@ -10,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agentchart.controller import Connection, ControllerTopology, Neuron
-from agentchart.environment import COMM_CHANNEL, EpisodeTrace, TickSnapshot
+from agentchart.environment import COMM_CHANNEL, EpisodeTrace
 from agentchart.errors import InvalidParams
 from agentchart.evaluation import Genotype, run_episode
 from agentchart.streetlight import (
@@ -25,17 +23,25 @@ from agentchart.streetlight import (
     streetlight_score,
 )
 
+from conftest import reference_score
+
+SCORED = ("energy", "people_flow", "brightness")
+
+
+def scored_names(n_lights):
+    """The scored variables of ``n_lights`` lights, light by light."""
+    return tuple(f"{name}_{i}" for i in range(n_lights) for name in SCORED)
+
 
 def synthetic_trace(n_lights, ticks, context, energy=0.0, flow=0.0, brightness=1.0):
-    rows = []
-    for t in range(1, ticks + 1):
-        variables = {}
-        for i in range(n_lights):
-            variables[f"energy_{i}"] = energy
-            variables[f"people_flow_{i}"] = flow
-            variables[f"brightness_{i}"] = brightness
-        rows.append(TickSnapshot(t, variables, context))
-    return EpisodeTrace(rows)
+    row = [energy, flow, brightness] * n_lights
+    return EpisodeTrace(scored_names(n_lights), [list(row) for _ in range(ticks)], [context] * ticks)
+
+
+def column(trace, name):
+    """One variable's value at every tick of ``trace``."""
+    k = trace.names.index(name)
+    return [row[k] for row in trace.rows]
 
 
 def dark_scenario(**overrides):
@@ -165,21 +171,18 @@ class TestScore:
         unit = {c: 1.0 for c in ("a", "b", "c")}
         rules = StreetlightRules(w_energy=unit, w_dark=unit, target_brightness=1.0)
 
-        def tick(context, **columns):
-            variables = {}
-            for i in range(3):
-                for name in ("energy", "people_flow", "brightness"):
-                    variables[f"{name}_{i}"] = columns.get(name, (0.0,) * 3)[i]
-            return TickSnapshot(1, variables, context)
+        def row(**columns):
+            return [columns.get(name, (0.0,) * 3)[i] for i in range(3) for name in SCORED]
 
-        energy = EpisodeTrace([tick("a", energy=triple, brightness=(1.0,) * 3)])
-        deficit = EpisodeTrace([tick("a", people_flow=triple)])
+        def trace(contexts, rows):
+            return EpisodeTrace(scored_names(3), rows, list(contexts))
+
+        energy = trace("a", [row(energy=triple, brightness=(1.0,) * 3)])
+        deficit = trace("a", [row(people_flow=triple)])
         assert streetlight_score(energy, rules, 3) == (0.0, {"a": 0.0})
         assert streetlight_score(deficit, rules, 3) == (0.0, {"a": 0.0})
         # one context per term: the total adds the breakdown's three values
-        total = EpisodeTrace(
-            [tick(c, energy=(e, 0.0, 0.0), brightness=(1.0,) * 3) for c, e in zip("abc", triple)]
-        )
+        total = trace("abc", [row(energy=(e, 0.0, 0.0), brightness=(1.0,) * 3) for e in triple])
         assert streetlight_score(total, rules, 3)[0] == 0.0
 
 
@@ -261,6 +264,16 @@ class TestEnvironmentWiring:
         env, _ = self.build(scenario, {"lighting_sensor": True, "light_switch": True})
         assert env.context == NIGHT
 
+    @pytest.mark.parametrize("daylight,context", [(0.5, DAY), (0.4999, NIGHT), (1.0, DAY)])
+    def test_context_reads_the_daylight_column(self, daylight, context):
+        # day from the dusk threshold up, whatever the lights add
+        scenario = dark_scenario(ambient=AmbientProfile(kind="constant", value=daylight))
+        env, _ = self.build(scenario, {"lighting_sensor": True, "light_switch": True})
+        assert env.names[0] == "daylight" and env.row[0] == daylight
+        assert env.context == context
+        env.step([("light_0", {"light_switch": "ON"}), ("light_1", {"light_switch": "ON"})])
+        assert env.context == context
+
     def test_enabling_motion_sensor_enlarges_percept(self):
         scenario = dark_scenario()
         env, _ = self.build(
@@ -293,14 +306,14 @@ class TestCommunication:
         # switch input becomes 20 * 0.5, driving the light to ON
         scenario = dark_scenario(n_lights=2, episode_ticks=4)
         _, trace = run_episode(scenario, comm_genotype(True), seed=0)
-        energies = [s.variables["energy_0"] for s in trace.snapshots]
+        energies = column(trace, "energy_0")
         assert energies[0] == 0.5  # tick 0: empty mailbox, sigmoid(0) -> DIM
         assert energies[1:] == [1.0, 1.0, 1.0]
 
     def test_disabled_speaker_silences_the_network(self):
         scenario = dark_scenario(n_lights=2, episode_ticks=4)
         _, trace = run_episode(scenario, comm_genotype(False), seed=0)
-        energies = [s.variables["energy_0"] for s in trace.snapshots]
+        energies = column(trace, "energy_0")
         assert energies == [0.5] * 4  # mailbox stays empty, switch stays DIM
 
 
@@ -382,24 +395,6 @@ def reference_update(scenario, seed):
     return update
 
 
-def reference_score(trace, rules, n_lights):
-    """The score as one fold per generator, with ``max(0.0, gap)``; each fold
-    adds left to right from the int 0, as ``sum()`` does before Python 3.12."""
-    names = [(f"energy_{i}", f"people_flow_{i}", f"brightness_{i}") for i in range(n_lights)]
-    breakdown = {}
-    for snap in trace.snapshots:
-        values = snap.variables
-        energy = reduce(add, (values[e] for e, _, _ in names), 0)
-        deficit = reduce(
-            add,
-            (values[f] * max(0.0, rules.target_brightness - values[b]) for _, f, b in names),
-            0,
-        )
-        term = rules.w_energy[snap.context] * energy + rules.w_dark[snap.context] * deficit
-        breakdown[snap.context] = breakdown.get(snap.context, 0.0) + term
-    return reduce(add, breakdown.values(), 0), breakdown
-
-
 unit = st.floats(0.0, 1.0)
 
 
@@ -427,7 +422,9 @@ class TestAgainstReferenceForms:
     @settings(max_examples=60, deadline=None)
     @given(scenarios(), st.integers(0, 2**32 - 1))
     def test_update_matches_reference_bit_for_bit(self, scenario, seed):
-        update = scenario.build_env(seed, {}).update
+        # the row, mapped through the environment's names, against the dict
+        env = scenario.build_env(seed, {})
+        update = env.update
         reference = reference_update(scenario, seed)
         rng = random.Random(seed)
         for t in range(scenario.episode_ticks + 3):
@@ -438,7 +435,8 @@ class TestAgainstReferenceForms:
                 if levels or rng.random() < 0.5:
                     effects[f"light_{i}"] = [(f"light_{i}", level) for level in levels]
             effects = MappingProxyType(effects)
-            assert bits(update(t, {}, effects).items()) == bits(reference(t, {}, effects).items())
+            row = update(t, [], effects)
+            assert bits(zip(env.names, row)) == bits(reference(t, {}, effects).items())
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -461,16 +459,15 @@ class TestAgainstReferenceForms:
                 return rng.choice([0.0, -0.0, target, 1.0])
             return rng.uniform(-0.5, 1.5)
 
-        rows = []
+        ticks = []
         for t in range(rng.randrange(7)):
-            variables = {}
-            for i in range(n):
-                variables[f"energy_{i}"] = value()
-                variables[f"people_flow_{i}"] = value()
-                variables[f"brightness_{i}"] = value()
-            rows.append(TickSnapshot(t, variables, rng.choice([DAY, NIGHT])))
-        trace = EpisodeTrace(rows)
+            variables = {name: value() for name in scored_names(n)}
+            ticks.append((t + 1, variables, rng.choice([DAY, NIGHT])))
+        # the columns in a random order, resolved through the names
+        names = tuple(rng.sample(scored_names(n), 3 * n))
+        rows = [[variables[name] for name in names] for _, variables, _ in ticks]
+        trace = EpisodeTrace(names, rows, [context for _, _, context in ticks])
         got, got_breakdown = streetlight_score(trace, rules, n)
-        score, breakdown = reference_score(trace, rules, n)
+        score, breakdown = reference_score(ticks, rules, n)
         assert bits([("score", got)]) == bits([("score", score)])
         assert bits(got_breakdown.items()) == bits(breakdown.items())
