@@ -5,7 +5,8 @@ builds its record from the scenario's own score and breakdown (for the
 street lights, ``agentchart.streetlight.streetlight_score``).  A
 patience-based policy picks between "adjust" (connection-only mutation)
 and "reconfigure" (structural body search), driving a (1+λ) hill climb
-over the genotype; the climb digests only the genotypes it keeps.
+over the genotype; the climb digests only the genotypes it keeps and runs
+each distinct genotype's episode once.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ def run_episode(
     seed: int,
     episode: int = 0,
     trace: TextSink | None = None,
+    scores: dict | None = None,
 ) -> tuple[EvaluationRecord, EpisodeTrace]:
     """One fixed-length episode of every agent under one configuration.
 
@@ -122,10 +124,22 @@ def run_episode(
     returned ``EpisodeTrace.events`` is the sink.  An inoperable genotype
     (its shared body enables no input or no output) scores +inf so that
     structural search can still enumerate it.
+
+    ``scores`` is a search's memo of the operable genotypes it has run on
+    one scenario, keyed by seed, selection and topology: a genotype found
+    there takes its ``(score, breakdown)`` with this call's ``episode`` and
+    an empty ``EpisodeTrace``, and one not found runs and is stored.  A
+    traced call neither reads nor stores it.
     """
     require(seed >= 0, "seed must be >= 0")
     if not genotype_operable(scenario, genotype):
         return EvaluationRecord(episode, math.inf, {}), EpisodeTrace(events=trace)
+    key = None
+    if scores is not None and trace is None:
+        key = (seed, frozenset(genotype.selection.items()), genotype.topology)
+        if key in scores:
+            score, breakdown = scores[key]
+            return EvaluationRecord(episode, score, dict(breakdown)), EpisodeTrace()
     ids = scenario.agent_ids()
     bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
     require_mirror(bodies[ids[0]], genotype.topology)
@@ -175,7 +189,10 @@ def run_episode(
         rows.append(env.row)
         contexts.append(env.context)
     history = EpisodeTrace(env.names, rows, contexts, trace)
-    return EvaluationRecord(episode, *scenario.score(history)), history
+    score, breakdown = scenario.score(history)
+    if key is not None:
+        scores[key] = score, dict(breakdown)
+    return EvaluationRecord(episode, score, breakdown), history
 
 
 # --- (1+λ) search --------------------------------------------------------
@@ -287,9 +304,13 @@ def run_search(
     require(jobs >= 1, "jobs must be >= 1")
     policy = policy or SearchPolicy()
     episode_seed = seed  # constant across episodes: scores stay comparable
+    # one memo per search, so each distinct genotype's episode runs once: a
+    # RECONFIGURE flip re-derives the incumbent's controller deterministically.
+    # Threads may race on it, which only reruns a deterministic episode.
+    scores: dict = {}
 
     def evaluate(genotype: Genotype, episode: int) -> EvaluationRecord:
-        return run_episode(scenario, genotype, episode_seed, episode=episode)[0]
+        return run_episode(scenario, genotype, episode_seed, episode=episode, scores=scores)[0]
 
     incumbent = initial_genotype(scenario, seed)
     record = best_record = evaluate(incumbent, 0)

@@ -4,12 +4,14 @@ benchmark runs report missing layer functions."""
 
 import importlib
 import inspect
+import math
 import runpy
 from pathlib import Path
 
 import pytest
 
 from agentchart import evaluation
+from agentchart.streetlight import AmbientProfile, PeopleProcess, StreetLightScenario
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -37,6 +39,36 @@ def test_layer_site_resolves(layer, target, attr):
 def test_run_episode_binds_scenario_and_genotype_by_name():
     parameters = inspect.signature(evaluation.run_episode).parameters
     assert {"scenario", "genotype"} <= set(parameters)
+
+
+def test_search_calls_run_episode_once_per_history_entry():
+    # perfbench's EpisodeCapture wraps evaluation.run_episode and fails an
+    # operation whose call count differs from run_manifest.json's episodes,
+    # len(history): the search's score memo must sit under that call, never
+    # skip it.  Seed 4 repeats genotypes, so the memo is hit.
+    scenario = StreetLightScenario(
+        n_lights=2,
+        episode_ticks=10,
+        ambient=AmbientProfile(kind="cosine", period=10),
+        people=PeopleProcess(kind="random", rate=0.5),
+    )
+    calls, built = [], []
+    run_episode, build_env = evaluation.run_episode, StreetLightScenario.build_env
+
+    def counting_run_episode(*args, **kwargs):
+        calls.append(args)
+        return run_episode(*args, **kwargs)
+
+    def counting_build_env(self, *args, **kwargs):
+        built.append(args)
+        return build_env(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "run_episode", counting_run_episode)
+        mp.setattr(StreetLightScenario, "build_env", counting_build_env)
+        result = evaluation.run_search(scenario, seed=4, generations=30, lam=4)
+    assert len(calls) == len(result.history)
+    assert len(built) < sum(math.isfinite(r.score) for r in result.history)
 
 
 # names perfbench/worker.py reads outside the layer sites; nothing else in the

@@ -23,6 +23,7 @@ from agentchart.evaluation import (
     all_selections,
     decide,
     genotype_digest,
+    initial_genotype,
     run_episode,
     run_search,
 )
@@ -359,6 +360,68 @@ class TestRunEpisode:
         assert peak < 0.25 * written
 
 
+class TestScoreMemo:
+    """``run_episode``'s ``scores=``: a search's memo of the operable
+    genotypes it has run, keyed by seed, selection and topology."""
+
+    def setup_method(self):
+        self.scenario = small_scenario(n_lights=3, episode_ticks=12)
+        self.genotype = random_genotype(self.scenario, random.Random(5))
+
+    def test_hit_keeps_the_callers_episode_index(self):
+        scores = {}
+        first, first_trace = run_episode(self.scenario, self.genotype, 1, 3, scores=scores)
+        assert len(scores) == 1 and len(first_trace.rows) == 12
+        hit, hit_trace = run_episode(self.scenario, self.genotype, 1, 8, scores=scores)
+        assert hit == replace(first, episode=8)
+        # a hit runs no episode, so it has no rows to return
+        assert hit_trace == EpisodeTrace()
+        assert len(scores) == 1
+
+    def test_mutating_a_breakdown_does_not_change_a_later_hit(self):
+        scores = {}
+        miss, _ = run_episode(self.scenario, self.genotype, 1, scores=scores)
+        expected = dict(miss.breakdown)
+        miss.breakdown.clear()
+        hit, _ = run_episode(self.scenario, self.genotype, 1, scores=scores)
+        assert hit.breakdown == expected
+        hit.breakdown["day"] = -1.0
+        again, _ = run_episode(self.scenario, self.genotype, 1, scores=scores)
+        assert again.breakdown == expected
+
+    def test_traced_call_neither_reads_nor_stores(self):
+        plain, _ = run_episode(self.scenario, self.genotype, 1)
+        scores = {}
+        run_episode(self.scenario, self.genotype, 1, trace=io.StringIO(), scores=scores)
+        assert scores == {}
+        # a planted entry for the same key is not read by a traced call
+        run_episode(self.scenario, self.genotype, 1, scores=scores)
+        (key,) = scores
+        scores[key] = (-1.0, {})
+        traced, trace = run_episode(
+            self.scenario, self.genotype, 1, trace=io.StringIO(), scores=scores
+        )
+        assert traced == plain and len(trace.rows) == 12
+        assert scores == {key: (-1.0, {})}
+        # while an untraced call reads it
+        assert run_episode(self.scenario, self.genotype, 1, scores=scores)[0].score == -1.0
+
+    def test_another_seed_misses(self):
+        scores = {}
+        run_episode(self.scenario, self.genotype, 1, scores=scores)
+        other, trace = run_episode(self.scenario, self.genotype, 2, scores=scores)
+        assert len(trace.rows) == 12 and len(scores) == 2
+        assert other == run_episode(self.scenario, self.genotype, 2)[0]
+
+    def test_inoperable_genotype_is_never_stored(self):
+        dead = Genotype({d.id: False for d in self.scenario.devices}, self.genotype.topology)
+        scores = {}
+        for episode in range(2):
+            record, _ = run_episode(self.scenario, dead, 1, episode, scores=scores)
+            assert record == EvaluationRecord(episode, math.inf, {})
+        assert scores == {}
+
+
 def reference_episode(scenario, genotype, seed, episode=0, trace=None):
     """The episode as the dict-level views run it: every tick, each agent's
     ``perceive`` -> ``step_agent``, then ``Environment.step`` and a
@@ -439,6 +502,47 @@ class TestRunSearch:
             for cand in candidates:
                 assert body_digest(configure_body(devices, cand.selection)) == base_body
                 assert neuron_digest(cand.topology) == base_neurons
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_memo_equals_memo_free_episodes(self, jobs):
+        # differential: every history entry of a search, re-run by a plain
+        # run_episode without the memo, gives the same episode, score and
+        # breakdown; the seeds are ones whose RECONFIGURE generations repeat
+        # genotypes, so the memo is hit
+        scenario = small_scenario()
+        built = []
+        build_env = StreetLightScenario.build_env
+
+        def counting_build_env(self, *args, **kwargs):
+            built.append(args)
+            return build_env(self, *args, **kwargs)
+
+        for seed in (4, 11):
+            candidates = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(StreetLightScenario, "build_env", counting_build_env)
+                result = run_search(
+                    scenario,
+                    seed=seed,
+                    generations=30,
+                    lam=4,
+                    jobs=jobs,
+                    on_generation=lambda g, kind, incumbent, cands: candidates.extend(cands),
+                )
+            genotypes = [initial_genotype(scenario, seed)] + candidates
+            assert len(genotypes) == len(result.history)
+            operable = 0
+            for k, (genotype, record) in enumerate(zip(genotypes, result.history)):
+                expected, _ = run_episode(scenario, genotype, seed, episode=k)
+                assert (record.episode, record.score, record.breakdown) == (
+                    expected.episode,
+                    expected.score,
+                    expected.breakdown,
+                )
+                operable += math.isfinite(expected.score)
+            # fewer episodes were built than operable entries: the memo was hit
+            assert len(built) < operable
+            built.clear()
 
     def test_exhaustive_matches_brute_force_argmin(self):
         scenario = small_scenario(n_lights=2, episode_ticks=6)

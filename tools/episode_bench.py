@@ -8,9 +8,17 @@ runs one fresh interpreter per side, alternating which side goes first, and
 both sides of a pair use the same seed.  A side measures, on the default
 street-light scenario (10 lights, 200 ticks):
 
-- ``search_s``: one ``run_search`` (30 generations, lambda 4);
+- ``search_s``: one ``run_search`` (30 generations, lambda 4), scaled to
+  a host of fixed speed: a fixed pure-Python loop (``reference_s``, the
+  same loop as perfbench's ``worker.reference_s``) is timed
+  ``REFERENCE_SAMPLES`` times before and after the search, and the search
+  time counts as ``time * REFERENCE_S / median loop time``;
 - ``search_agent_ticks_per_s``: the agent ticks of that search's operable
-  episodes per second;
+  episodes per scaled second.  A search runs each distinct genotype's
+  episode once and gives a repeat the stored score, so the ticks of those
+  memo hits count here though they were not run again;
+- ``search_s_raw`` and ``search_agent_ticks_per_s_raw``: the same two in
+  plain wall-clock time;
 - ``episode_s``: the median of ``EPISODE_REPEATS`` untraced ``run_episode``
   calls of the initial genotype, after one untimed call;
 - ``traced_episode_s``: the median of ``TRACED_REPEATS`` traced
@@ -27,11 +35,14 @@ street-light scenario (10 lights, 200 ticks):
   1,000 ticks in a fresh interpreter of its own.
 
 The report gives each side's median and quartiles, the change's median
-over the base's, and how many pairs the change won.  The two sides must
-agree on every search's best score, every episode's score and the bytes
-of ``trace.log``, or the script exits 1.  ``trace_events`` is the number
-of event lines in the change's ``trace.log``.  With ``--tier1`` it also times
-the tier-1 suite once per side.
+over the base's, and how many pairs the change won.  ``searches`` lists,
+per pair, the search's episodes (``len(history)``) and, per side, the
+episodes it ran (``StreetLightScenario.build_env`` calls, one per episode
+actually run).  The two sides must agree on every search's best score and
+episode count, every episode's score and the bytes of ``trace.log``, or
+the script exits 1.  ``trace_events`` is the number of event lines in the
+change's ``trace.log``.  With ``--tier1`` it also times the tier-1 suite
+once per side.
 """
 
 from __future__ import annotations
@@ -55,9 +66,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 EPISODE_REPEATS = 31
 TRACED_REPEATS = 7
+# timings of the reference loop taken before and after the search, and the
+# loop time of the fixed-speed host the search time is scaled to (perfbench's)
+REFERENCE_SAMPLES = 3
+REFERENCE_S = 0.020
 METRICS = {  # name -> better
     "search_s": "lower",
     "search_agent_ticks_per_s": "higher",
+    "search_s_raw": "lower",
+    "search_agent_ticks_per_s_raw": "higher",
     "episode_s": "lower",
     "traced_episode_s": "lower",
     "traced_run_s": "lower",
@@ -65,6 +82,16 @@ METRICS = {  # name -> better
     "big_run_maxrss_mb": "lower",
 }
 BIG_SCENARIO = {"n_lights": 64, "episode_ticks": 1000}
+
+
+def reference_s() -> float:
+    """Time of a fixed pure-Python loop that calls nothing of agentchart:
+    how fast the host runs this process now."""
+    start = time.perf_counter()
+    acc = 0
+    for i in range(200_000):
+        acc += i * i % 7
+    return time.perf_counter() - start
 
 
 def traced_episode(run_episode, scenario, genotype, seed):
@@ -83,13 +110,29 @@ def measure(seed: int) -> dict:
     from agentchart.cli import build_parser, write_outputs
     from agentchart.config import build_scenario
     from agentchart.evaluation import SearchResult, initial_genotype, run_episode, run_search
+    from agentchart.streetlight import StreetLightScenario
 
     loaded = build_scenario({})
     scenario = loaded.scenario
-    start = time.perf_counter()
-    result = run_search(scenario, seed=seed, generations=30, lam=4)
-    search_s = time.perf_counter() - start
+    built = []
+    build_env = StreetLightScenario.build_env
+
+    def counting_build_env(self, *args, **kwargs):
+        built.append(None)
+        return build_env(self, *args, **kwargs)
+
+    reference = [reference_s() for _ in range(REFERENCE_SAMPLES)]
+    StreetLightScenario.build_env = counting_build_env
+    try:
+        start = time.perf_counter()
+        result = run_search(scenario, seed=seed, generations=30, lam=4)
+        search_s = time.perf_counter() - start
+    finally:
+        StreetLightScenario.build_env = build_env
+    reference += [reference_s() for _ in range(REFERENCE_SAMPLES)]
+    scaled_s = search_s * REFERENCE_S / statistics.median(reference)
     operable = sum(math.isfinite(r.score) for r in result.history)
+    agent_ticks = operable * scenario.n_agents * scenario.episode_ticks
 
     genotype = initial_genotype(scenario, seed)
     record, _ = run_episode(scenario, genotype, seed)
@@ -121,8 +164,13 @@ def measure(seed: int) -> dict:
             tracemalloc.stop()
         trace_log = (Path(out) / "trace.log").read_bytes()
     return {
-        "search_s": search_s,
-        "search_agent_ticks_per_s": operable * scenario.n_agents * scenario.episode_ticks / search_s,
+        "search_s": scaled_s,
+        "search_agent_ticks_per_s": agent_ticks / scaled_s,
+        "search_s_raw": search_s,
+        "search_agent_ticks_per_s_raw": agent_ticks / search_s,
+        "reference_s": reference,
+        "search_episodes": len(result.history),
+        "search_episodes_run": len(built),
         "episode_s": statistics.median(times),
         "traced_episode_s": statistics.median(traced_times),
         "traced_run_s": statistics.median(run_times),
@@ -219,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
             pair = {side: run_side(trees[side], seed=k) for side in order}
             for side in order:
                 samples[side].append(pair[side])
-            compared = ("scores", "trace_log_sha256")
+            compared = ("scores", "search_episodes", "trace_log_sha256")
             if any(pair["base"][key] != pair["change"][key] for key in compared):
                 mismatches.append(
                     {"seed": k, **{s: [pair[s][key] for key in compared] for s in order}}
@@ -244,7 +292,17 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "episode_repeats": EPISODE_REPEATS,
         "traced_repeats": TRACED_REPEATS,
+        "reference_samples": 2 * REFERENCE_SAMPLES,
+        "reference_loop_s": REFERENCE_S,
         "metrics": {},
+        "searches": [
+            {
+                "seed": k,
+                "episodes": samples["change"][k]["search_episodes"],
+                "episodes_run": {s: samples[s][k]["search_episodes_run"] for s in samples},
+            }
+            for k in range(args.pairs)
+        ],
         "scores_and_trace_logs_identical": not mismatches,
         "mismatches": mismatches,
         "trace_events": samples["change"][0]["trace_events"],
