@@ -1,0 +1,31 @@
+"""tools/episode_bench.py pairs a base revision against the working tree; these
+checks keep its metric list in step with BENCHMARK.json and its in-process
+sample runnable against the current program."""
+
+import json
+import runpy
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = runpy.run_path(str(ROOT / "tools" / "episode_bench.py"))
+IN_PROCESS = {"episode_s", "traced_episode_s", "traced_run_heap_mb"}
+
+
+def test_metrics_follow_the_benchmark():
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    gated = {
+        f"{workload['name']}/{metric['name']}": metric["better"]
+        for workload in benchmark["workloads"]
+        for metric in benchmark["end_to_end"]
+    }
+    own = {name: "lower" for name in IN_PROCESS | {"big_run_maxrss_mb"}}
+    assert TOOL["METRICS"] == {**gated, **own}
+
+
+def test_measure_gives_the_in_process_metrics():
+    sample = TOOL["measure"](TOOL["SEED"])
+    assert IN_PROCESS <= set(sample)
+    assert all(sample[name] > 0 for name in IN_PROCESS)
+    untraced, traced = sample["scores"]
+    assert traced == untraced
+    assert sample["trace_events"] > 0

@@ -1,55 +1,44 @@
-"""Time a change against a base revision: default searches and single episodes.
+"""Time a change against a base revision: the benchmark's metrics and single episodes.
 
     python tools/episode_bench.py --base REV [--pairs 10] [--tier1] [--out FILE]
 
 The base revision is extracted with ``git archive`` into a temporary
 directory; the change is the working tree this script lives in.  Each pair
-runs one fresh interpreter per side, alternating which side goes first, and
-both sides of a pair use the same seed.  A side measures, on the default
-street-light scenario (10 lights, 200 ticks):
+runs one side after the other, alternating which goes first, and every side
+of every pair does the same work, on seed ``SEED``.  A side runs, in its own
+tree:
 
-- ``search_s``: one ``run_search`` (30 generations, lambda 4), scaled to
-  a host of fixed speed: a fixed pure-Python loop (``reference_s``, the
-  same loop as perfbench's ``worker.reference_s``) is timed
-  ``REFERENCE_SAMPLES`` times before and after the search, and the search
-  time counts as ``time * REFERENCE_S / median loop time``;
-- ``search_agent_ticks_per_s``: the agent ticks of that search's operable
-  episodes per scaled second.  A search runs each distinct genotype's
-  episode once and gives a repeat the stored score, so the ticks of those
-  memo hits count here though they were not run again;
-- ``search_s_raw`` and ``search_agent_ticks_per_s_raw``: the same two in
-  plain wall-clock time;
-- ``episode_s``: the median of ``EPISODE_REPEATS`` untraced ``run_episode``
-  calls of the initial genotype, after one untimed call;
-- ``traced_episode_s``: the median of ``TRACED_REPEATS`` traced
-  ``run_episode`` calls of the same genotype, writing to a sink that
-  discards the text;
-- ``traced_run_s``: the median of ``TRACED_REPEATS`` calls of
-  ``cli.write_outputs`` with ``--trace`` for the same genotype, that is the
-  traced episode plus writing ``trace.log`` and ``episode.csv`` (and the
-  three small artifacts ahead of them), as ``run --trace`` ends;
-- ``traced_run_heap_mb``: the ``tracemalloc`` peak of one more such
-  ``cli.write_outputs`` call, made after the timed ones;
+- ``perfbench/run.py --workload W --seed SEED --seconds PERFBENCH_SECONDS
+  --trace 0`` for every workload W of ``BENCHMARK.json``, and records each
+  end-to-end metric of the result line as ``W/<metric>``: the numbers the
+  benchmark gates on;
+- in a fresh interpreter, on the default street-light scenario (10 lights,
+  200 ticks) and the initial genotype, what perfbench cannot give:
+  - ``episode_s``: the median of ``EPISODE_REPEATS`` untraced
+    ``run_episode`` calls, after one untimed call;
+  - ``traced_episode_s``: the median of ``TRACED_REPEATS`` traced
+    ``run_episode`` calls, writing to a sink that discards the text;
+  - ``traced_run_heap_mb``: the ``tracemalloc`` peak of one
+    ``cli.write_outputs`` call with ``--trace``, as ``run --trace`` ends;
 - ``big_run_maxrss_mb``: the peak RSS (``ru_maxrss``) of one
   ``agentchart run --trace --generations 1 --lambda 1`` of 64 lights x
   1,000 ticks in a fresh interpreter of its own.
 
 The report gives each side's median and quartiles, the change's median
-over the base's, and how many pairs the change won.  ``searches`` lists,
-per pair, the search's episodes (``len(history)``) and, per side, the
-episodes it ran (``StreetLightScenario.build_env`` calls, one per episode
-actually run).  The two sides must agree on every search's best score and
-episode count, every episode's score and the bytes of ``trace.log``, or
-the script exits 1.  ``trace_events`` is the number of event lines in the
-change's ``trace.log``.  With ``--tier1`` it also times the tier-1 suite
-once per side.
+over the base's, and how many pairs the change won, and each side's count
+of perfbench operations and of those that failed their checks.  The two
+sides must agree on every episode's score, the bytes of ``trace.log`` and
+perfbench's exact counts (``det``: the best score's repr, the episode count
+and others) of every operation seed both ran, and no perfbench operation
+may fail, or the script exits 1.  ``trace_events`` is the number of event
+lines in the change's ``trace.log``.  With ``--tier1`` it also times the
+tier-1 suite once per side.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import os
 import platform
@@ -64,76 +53,33 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+SEED = 1
+PERFBENCH_SECONDS = 10
 EPISODE_REPEATS = 31
 TRACED_REPEATS = 7
-# timings of the reference loop taken before and after the search, and the
-# loop time of the fixed-speed host the search time is scaled to (perfbench's)
-REFERENCE_SAMPLES = 3
-REFERENCE_S = 0.020
 METRICS = {  # name -> better
-    "search_s": "lower",
-    "search_agent_ticks_per_s": "higher",
-    "search_s_raw": "lower",
-    "search_agent_ticks_per_s_raw": "higher",
+    **{
+        f"{workload['name']}/{metric['name']}": metric["better"]
+        for workload in BENCHMARK["workloads"]
+        for metric in BENCHMARK["end_to_end"]
+    },
     "episode_s": "lower",
     "traced_episode_s": "lower",
-    "traced_run_s": "lower",
     "traced_run_heap_mb": "lower",
     "big_run_maxrss_mb": "lower",
 }
 BIG_SCENARIO = {"n_lights": 64, "episode_ticks": 1000}
 
 
-def reference_s() -> float:
-    """Time of a fixed pure-Python loop that calls nothing of agentchart:
-    how fast the host runs this process now."""
-    start = time.perf_counter()
-    acc = 0
-    for i in range(200_000):
-        acc += i * i % 7
-    return time.perf_counter() - start
-
-
-def traced_episode(run_episode, scenario, genotype, seed):
-    """A traced ``run_episode`` whose text is discarded; a base revision
-    from before the trace sink takes ``collect_events`` instead."""
-    if "collect_events" in inspect.signature(run_episode).parameters:
-        return run_episode(scenario, genotype, seed, collect_events=True)
-    with open(os.devnull, "w") as sink:
-        return run_episode(scenario, genotype, seed, trace=sink)
-
-
 def measure(seed: int) -> dict:
-    """One side's sample, taken in this interpreter."""
-    import math
-
+    """One side's in-process sample, taken in this interpreter."""
     from agentchart.cli import build_parser, write_outputs
     from agentchart.config import build_scenario
-    from agentchart.evaluation import SearchResult, initial_genotype, run_episode, run_search
-    from agentchart.streetlight import StreetLightScenario
+    from agentchart.evaluation import SearchResult, initial_genotype, run_episode
 
     loaded = build_scenario({})
     scenario = loaded.scenario
-    built = []
-    build_env = StreetLightScenario.build_env
-
-    def counting_build_env(self, *args, **kwargs):
-        built.append(None)
-        return build_env(self, *args, **kwargs)
-
-    reference = [reference_s() for _ in range(REFERENCE_SAMPLES)]
-    StreetLightScenario.build_env = counting_build_env
-    try:
-        start = time.perf_counter()
-        result = run_search(scenario, seed=seed, generations=30, lam=4)
-        search_s = time.perf_counter() - start
-    finally:
-        StreetLightScenario.build_env = build_env
-    reference += [reference_s() for _ in range(REFERENCE_SAMPLES)]
-    scaled_s = search_s * REFERENCE_S / statistics.median(reference)
-    operable = sum(math.isfinite(r.score) for r in result.history)
-    agent_ticks = operable * scenario.n_agents * scenario.episode_ticks
-
     genotype = initial_genotype(scenario, seed)
     record, _ = run_episode(scenario, genotype, seed)
     times = []
@@ -142,20 +88,16 @@ def measure(seed: int) -> dict:
         run_episode(scenario, genotype, seed)
         times.append(time.perf_counter() - start)
     traced_times = []
-    for _ in range(TRACED_REPEATS):
-        start = time.perf_counter()
-        traced, _ = traced_episode(run_episode, scenario, genotype, seed)
-        traced_times.append(time.perf_counter() - start)
+    with open(os.devnull, "w") as sink:
+        for _ in range(TRACED_REPEATS):
+            start = time.perf_counter()
+            traced, _ = run_episode(scenario, genotype, seed, trace=sink)
+            traced_times.append(time.perf_counter() - start)
     with tempfile.TemporaryDirectory() as out:
         args = build_parser().parse_args(
             ["run", "--scenario", "{}", "--seed", str(seed), "--out", out, "--trace"]
         )
         best = SearchResult(genotype, record, [record], [])
-        run_times = []
-        for _ in range(TRACED_REPEATS):
-            start = time.perf_counter()
-            write_outputs(Path(out), args, loaded, best)
-            run_times.append(time.perf_counter() - start)
         tracemalloc.start()
         try:
             write_outputs(Path(out), args, loaded, best)
@@ -164,18 +106,10 @@ def measure(seed: int) -> dict:
             tracemalloc.stop()
         trace_log = (Path(out) / "trace.log").read_bytes()
     return {
-        "search_s": scaled_s,
-        "search_agent_ticks_per_s": agent_ticks / scaled_s,
-        "search_s_raw": search_s,
-        "search_agent_ticks_per_s_raw": agent_ticks / search_s,
-        "reference_s": reference,
-        "search_episodes": len(result.history),
-        "search_episodes_run": len(built),
         "episode_s": statistics.median(times),
         "traced_episode_s": statistics.median(traced_times),
-        "traced_run_s": statistics.median(run_times),
         "traced_run_heap_mb": heap_peak / 2**20,
-        "scores": [repr(result.best_record.score), repr(record.score), repr(traced.score)],
+        "scores": [repr(record.score), repr(traced.score)],
         "trace_events": trace_log.count(b"\n") - 1,  # the lines after the header
         "trace_log_sha256": hashlib.sha256(trace_log).hexdigest(),
     }
@@ -195,16 +129,54 @@ def big_run_maxrss_mb(seed: int) -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def run_side(tree: Path, seed: int) -> dict:
+def perfbench(tree: Path, workload: str, env: dict) -> tuple[dict, dict]:
+    """One perfbench run of ``workload`` in ``tree``: its result line and,
+    per operation seed, the exact counts of that seed's operations."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"],
+        env=env, cwd=tree, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = tree / "perfbench" / "results" / f"run-{workload}-seed{SEED}-trace0.json"
+    ops = json.loads(record.read_text())["operations"]
+    return result, {op["seed"]: op["det"] for op in ops}
+
+
+def run_side(tree: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    sample = {}
+    sample: dict = {"attempted": 0, "failed": 0, "det": {}}
+    for workload in (w["name"] for w in BENCHMARK["workloads"]):
+        result, sample["det"][workload] = perfbench(tree, workload, env)
+        for name, metric in result["metrics"].items():
+            sample[f"{workload}/{name}"] = metric["value"]
+        sample["attempted"] += result["attempted"]
+        sample["failed"] += result["failed"]
     for mode in ("--measure", "--big-run"):
         proc = subprocess.run(
-            [sys.executable, __file__, mode, str(seed)],
+            [sys.executable, __file__, mode],
             env=env, cwd=tree, capture_output=True, text=True, check=True,
         )
         sample.update(json.loads(proc.stdout))
     return sample
+
+
+def differences(base: dict, change: dict) -> list[dict]:
+    """What the two sides of a pair disagree on: the episode scores, trace.log,
+    or the exact counts of an operation seed that both sides' perfbench ran."""
+    found = [
+        {"what": key, "base": base[key], "change": change[key]}
+        for key in ("scores", "trace_log_sha256")
+        if base[key] != change[key]
+    ]
+    for workload, ops in base["det"].items():
+        other = change["det"][workload]
+        found += [
+            {"what": f"{workload} op seed {seed}", "base": ops[seed], "change": other[seed]}
+            for seed in sorted(ops.keys() & other.keys())
+            if ops[seed] != other[seed]
+        ]
+    return found
 
 
 def tier1_s(tree: Path) -> float:
@@ -246,14 +218,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--tier1", action="store_true", help="also time the tier-1 suite")
     parser.add_argument("--out", help="write the report as JSON here")
-    parser.add_argument("--measure", type=int, metavar="SEED", help=argparse.SUPPRESS)
-    parser.add_argument("--big-run", type=int, metavar="SEED", help=argparse.SUPPRESS)
+    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--big-run", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.measure is not None:
-        print(json.dumps(measure(args.measure)))
+    if args.measure:
+        print(json.dumps(measure(SEED)))
         return 0
-    if args.big_run is not None:
-        print(json.dumps({"big_run_maxrss_mb": big_run_maxrss_mb(args.big_run)}))
+    if args.big_run:
+        print(json.dumps({"big_run_maxrss_mb": big_run_maxrss_mb(SEED)}))
         return 0
     if not args.base or args.pairs < 2:
         parser.error("--base is required and --pairs must be >= 2")
@@ -264,21 +236,21 @@ def main(argv: list[str] | None = None) -> int:
         mismatches = []
         for k in range(args.pairs):
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
-            pair = {side: run_side(trees[side], seed=k) for side in order}
+            pair = {side: run_side(trees[side]) for side in order}
             for side in order:
                 samples[side].append(pair[side])
-            compared = ("scores", "search_episodes", "trace_log_sha256")
-            if any(pair["base"][key] != pair["change"][key] for key in compared):
-                mismatches.append(
-                    {"seed": k, **{s: [pair[s][key] for key in compared] for s in order}}
-                )
-            print(f"pair {k}: " + ", ".join(
-                f"{side} {pair[side]['search_s']:.3f}s/{pair[side]['episode_s'] * 1e3:.2f}ms"
-                f"/{pair[side]['big_run_maxrss_mb']:.1f}MB"
+            mismatches += [{"pair": k, **d} for d in differences(pair["base"], pair["change"])]
+            print(f"pair {k}: " + "; ".join(
+                f"{side} " + ", ".join(f"{name} {pair[side][name]:.4g}" for name in METRICS)
+                + f", failed {pair[side]['failed']}"
                 for side in order
             ), file=sys.stderr)
         tier1 = {side: tier1_s(tree) for side, tree in trees.items()} if args.tier1 else None
 
+    operations = {
+        side: {key: sum(s[key] for s in samples[side]) for key in ("attempted", "failed")}
+        for side in samples
+    }
     report: dict = {
         "command": "python tools/episode_bench.py " + " ".join(sys.argv[1:]),
         "base": args.base,
@@ -290,19 +262,12 @@ def main(argv: list[str] | None = None) -> int:
         "scenario": "default street-light scenario: 10 lights x 200 ticks",
         "big_run_scenario": BIG_SCENARIO,
         "pairs": args.pairs,
+        "seed": SEED,
+        "perfbench_seconds": PERFBENCH_SECONDS,
         "episode_repeats": EPISODE_REPEATS,
         "traced_repeats": TRACED_REPEATS,
-        "reference_samples": 2 * REFERENCE_SAMPLES,
-        "reference_loop_s": REFERENCE_S,
         "metrics": {},
-        "searches": [
-            {
-                "seed": k,
-                "episodes": samples["change"][k]["search_episodes"],
-                "episodes_run": {s: samples[s][k]["search_episodes_run"] for s in samples},
-            }
-            for k in range(args.pairs)
-        ],
+        "perfbench_operations": operations,
         "scores_and_trace_logs_identical": not mismatches,
         "mismatches": mismatches,
         "trace_events": samples["change"][0]["trace_events"],
@@ -324,7 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         Path(args.out).write_text(text)
     print(text)
-    return 1 if mismatches else 0
+    failed = any(ops["failed"] for ops in operations.values())
+    return 1 if mismatches or failed else 0
 
 
 if __name__ == "__main__":
