@@ -166,11 +166,11 @@ def snapshot_row(env: Environment) -> tuple[list[float], str]:
 
 @dataclass
 class EpisodeTrace:
-    """Variable/context history of one episode plus, when traced, the sink
-    its engine trace was written to as trace.log text while it ran.
+    """Variable/context history of a traced episode plus the sink its
+    engine trace was written to as trace.log text while it ran.
     ``rows[k]`` holds tick k+1's values in ``names`` order and
-    ``contexts[k]`` its context; ``events`` is None for an untraced
-    episode."""
+    ``contexts[k]`` its context; an untraced episode is ``EpisodeTrace()``,
+    whose ``events`` is None."""
 
     names: tuple[str, ...] = ()
     rows: list[list[float]] = field(default_factory=list)

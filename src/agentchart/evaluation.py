@@ -1,8 +1,8 @@
 """Episodes and the reconfiguration cycle.
 
 An episode runs every agent of a scenario under one shared genotype and
-builds its record from the scenario's own score and breakdown (for the
-street lights, ``agentchart.streetlight.streetlight_score``).  A
+adds up its score and breakdown tick by tick with the scenario's per-tick
+term (for the street lights, ``agentchart.streetlight.tick_score``).  A
 patience-based policy picks between "adjust" (connection-only mutation)
 and "reconfigure" (structural body search), driving a (1+λ) hill climb
 over the genotype; the climb digests only the genotypes it keeps and runs
@@ -115,10 +115,11 @@ def run_episode(
 
     Each agent's inputs and outputs are resolved to plan slots, and its
     sensors to columns of the environment's row, once; every tick runs each
-    agent's sense -> decide -> act pass over activation lists and keeps the
-    environment's new row and context.  With a ``trace`` sink each agent's
-    behavior-chart pass is rendered from its ``pass_text``, built once, and
-    each tick writes one text piece of every agent's pass lines, in agent
+    agent's sense -> decide -> act pass over activation lists and scores the
+    environment's new row with the scenario's ``tick_score``.  Untraced, it
+    keeps no row and returns ``EpisodeTrace()``.  With a ``trace`` sink it
+    keeps each tick's row and context, and each tick writes one text piece
+    of every agent's pass lines, rendered from its ``pass_text``, in agent
     order, then ``Environment.advance``'s lines, before the next tick runs:
     no text is kept back, and a ``write`` that raises ends the episode.  The
     returned ``EpisodeTrace.events`` is the sink.  An inoperable genotype
@@ -127,9 +128,9 @@ def run_episode(
 
     ``scores`` is a search's memo of the operable genotypes it has run on
     one scenario, keyed by seed, selection and topology: a genotype found
-    there takes its ``(score, breakdown)`` with this call's ``episode`` and
-    an empty ``EpisodeTrace``, and one not found runs and is stored.  A
-    traced call neither reads nor stores it.
+    there takes its ``(score, breakdown)`` with this call's ``episode``, and
+    one not found runs and is stored.  A traced call neither reads nor
+    stores it.
     """
     require(seed >= 0, "seed must be >= 0")
     if not genotype_operable(scenario, genotype):
@@ -162,8 +163,9 @@ def run_episode(
     channels = dict.fromkeys(channel for *_, outputs in wired for _, _, channel, _ in outputs)
     texts = [pass_text(aid, body) for aid, body in bodies.items()] if trace is not None else []
     previous = [[0.0] * n_slots for _ in wired]
-    rows: list[list[float]] = []
-    contexts: list[str] = []
+    add_tick = scenario.tick_score(env.names)
+    breakdown: dict[str, float] = {}
+    history = EpisodeTrace(env.names, events=trace) if trace is not None else EpisodeTrace()
     for t in range(scenario.episode_ticks):
         row, mailbox = env.row, env.comm_mailbox
         effects: Effects = {channel: [] for channel in channels}
@@ -186,10 +188,11 @@ def run_episode(
         if trace is not None:
             trace.write(tick_text(t, tails))
         env.advance(effects, trace)
-        rows.append(env.row)
-        contexts.append(env.context)
-    history = EpisodeTrace(env.names, rows, contexts, trace)
-    score, breakdown = scenario.score(history)
+        add_tick(breakdown, env.row, env.context)
+        if trace is not None:
+            history.rows.append(env.row)
+            history.contexts.append(env.context)
+    score = reduce(add, breakdown.values(), 0)
     if key is not None:
         scores[key] = score, dict(breakdown)
     return EvaluationRecord(episode, score, breakdown), history
@@ -293,10 +296,11 @@ def run_search(
     """(1+λ) hill climb over the shared genotype.
 
     Generation 0 evaluates the initial random genotype; each later
-    generation spawns λ candidates via the current reconfiguration
-    command and replaces the incumbent on strict improvement.  With
-    ``exhaustive`` the single search generation instead sweeps every
-    enabled-set, deriving each controller from the incumbent's weights.
+    generation spawns λ candidates via the current reconfiguration command,
+    the last only as many as the episode budget has left, and replaces the
+    incumbent on strict improvement.  With ``exhaustive`` the single search
+    generation instead sweeps every enabled-set, deriving each controller
+    from the incumbent's weights.
     """
     require(seed >= 0, "seed must be >= 0")
     require(generations >= 1, "generations must be >= 1")
@@ -326,7 +330,8 @@ def run_search(
             kind = decide(history, policy)
             if kind is None:
                 break
-            rngs = (_candidate_rng(seed, generation, k) for k in range(lam))
+            left = min(lam, policy.budget - len(history))
+            rngs = (_candidate_rng(seed, generation, k) for k in range(left))
             candidates = [_mutate(scenario, incumbent, kind, policy.mutation, r) for r in rngs]
         if on_generation:
             on_generation(generation, kind, incumbent, candidates)

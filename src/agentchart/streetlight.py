@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +30,7 @@ LIGHT_SWITCH = "light_switch"
 
 DAY = "day"
 NIGHT = "night"
+TickScore = Callable[[dict[str, float], list[float], str], None]  # add_tick, below
 
 
 @dataclass(frozen=True)
@@ -204,8 +206,8 @@ class StreetLightScenario:
             env.register_agent(aid, body)
         return env
 
-    def score(self, trace: EpisodeTrace) -> tuple[float, dict[str, float]]:
-        return streetlight_score(trace, self.rules, self.n_lights)
+    def tick_score(self, names: tuple[str, ...]) -> TickScore:
+        return tick_score(names, self.rules, self.n_lights)
 
 
 def _resolve(channel: str, index: int) -> str:
@@ -223,20 +225,18 @@ def device_template() -> tuple[DeviceSpec, ...]:
     )
 
 
-def streetlight_score(
-    trace: EpisodeTrace, rules: StreetlightRules, n_lights: int
-) -> tuple[float, dict[str, float]]:
-    """The episode's score and its per-context breakdown: the sum over
-    ticks of context-weighted energy plus context-weighted
-    darkness-under-people service penalty; lower is better."""
-    column = {name: k for k, name in enumerate(trace.names)}
+def tick_score(names: tuple[str, ...], rules: StreetlightRules, n_lights: int) -> TickScore:
+    """The score's one rule: ``add_tick(breakdown, row, context)`` adds a
+    row's context-weighted energy plus context-weighted darkness-under-people
+    service penalty to ``breakdown[context]``; lower is better."""
+    column = {name: k for k, name in enumerate(names)}
     columns = [
         (column[f"energy_{i}"], column[f"people_flow_{i}"], column[f"brightness_{i}"])
         for i in range(n_lights)
     ]
     target = rules.target_brightness
-    breakdown: dict[str, float] = {}
-    for row, context in zip(trace.rows, trace.contexts):
+
+    def add_tick(breakdown: dict[str, float], row: list[float], context: str) -> None:
         energy = deficit = 0  # left to right: sum() compensates from Python 3.12
         for e, f, b in columns:
             energy += row[e]
@@ -244,4 +244,15 @@ def streetlight_score(
             deficit += row[f] * (gap if gap > 0.0 else 0.0)
         term = rules.w_energy[context] * energy + rules.w_dark[context] * deficit
         breakdown[context] = breakdown.get(context, 0.0) + term
+    return add_tick
+
+
+def streetlight_score(
+    trace: EpisodeTrace, rules: StreetlightRules, n_lights: int
+) -> tuple[float, dict[str, float]]:
+    """The episode's score and breakdown: ``tick_score`` over its rows in order."""
+    add_tick = tick_score(trace.names, rules, n_lights)
+    breakdown: dict[str, float] = {}
+    for row, context in zip(trace.rows, trace.contexts):
+        add_tick(breakdown, row, context)
     return reduce(add, breakdown.values(), 0), breakdown

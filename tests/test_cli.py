@@ -14,7 +14,7 @@ from agentchart.body import BEHAVIOR_PASS, configure_body, derive_controller
 from agentchart.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from agentchart.config import build_scenario, default_config, load_scenario
 from agentchart.errors import ConfigError, RangeError, UnknownKey
-from agentchart.evaluation import Genotype, SearchResult, initial_genotype, run_episode
+from agentchart.evaluation import Genotype, SearchResult, initial_genotype, run_episode, run_search
 
 SMALL = {
     "n_lights": 2,
@@ -299,6 +299,19 @@ class TestRunCommand:
         run_small_search(scenario_file, out_b, "--jobs", 4)
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
         assert (out_a / "best_agent.json").read_bytes() == (out_b / "best_agent.json").read_bytes()
+
+    def test_search_stops_at_the_episode_budget(self, tmp_path):
+        # at budget 10 and lambda 4 the generations hold 1, 4, 4 and then
+        # only the 1 episode the budget has left, not 4
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"n_lights": 2, "episode_ticks": 5, "search": {"budget": 10}}))
+        out = tmp_path / "out"
+        argv = ["--scenario", path, "--seed", 0, "--generations", 30, "--lambda", 4]
+        assert run_cli("run", *argv, "--out", out) == EXIT_OK
+        assert json.loads((out / "run_manifest.json").read_text())["episodes"] == 10
+        loaded = load_scenario(path)
+        result = run_search(loaded.scenario, 0, 30, 4, loaded.policy)
+        assert len(result.history) == 10
 
     def test_ticks_override_recorded_and_applied(self, scenario_file, tmp_path):
         out = tmp_path / "out"

@@ -242,7 +242,7 @@ class TestRunEpisode:
     def test_trace_covers_every_tick(self):
         scenario = small_scenario(episode_ticks=7)
         genotype = run_search(scenario, seed=3, generations=1).best
-        _, trace = run_episode(scenario, genotype, seed=3)
+        _, trace = run_episode(scenario, genotype, seed=3, trace=io.StringIO())
         assert len(trace.rows) == len(trace.contexts) == 7
         assert all(len(row) == len(trace.names) for row in trace.rows)
         ticks = [line.split(",")[0] for line in trace.to_csv().splitlines()[1:]]
@@ -252,8 +252,9 @@ class TestRunEpisode:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_traced_and_untraced_episodes_agree(self, seed):
         # differential: replaying the behavior chart for the trace must not
-        # change a single row, context or score, and neither run dispatches: the
-        # pass is compiled once at import
+        # change the score, and neither run dispatches: the pass is compiled
+        # once at import.  An untraced episode keeps no rows; streetlight_score
+        # over the traced rows adds up the same per-tick term as the kernel
         scenario = small_scenario(n_lights=3, episode_ticks=12)
         genotype = random_genotype(scenario, random.Random(seed))
         calls = []
@@ -271,18 +272,19 @@ class TestRunEpisode:
         assert calls == []
         assert math.isfinite(plain.score)
         assert plain == traced
-        assert plain_trace.names == traced_trace.names
-        assert plain_trace.rows == traced_trace.rows
-        assert plain_trace.contexts == traced_trace.contexts
-        assert plain_trace.events is None and traced_trace.events is sink and sink.getvalue()
+        assert plain_trace == EpisodeTrace()
+        assert len(traced_trace.rows) == len(traced_trace.contexts) == scenario.episode_ticks
+        folded = streetlight_score(traced_trace, scenario.rules, scenario.n_lights)
+        assert repr(folded) == repr((plain.score, plain.breakdown))
+        assert traced_trace.events is sink and sink.getvalue()
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_kernel_equals_dict_level_reference(self, seed):
         # differential: the compiled tick loop and its column-indexed record
         # against the dict-level views and name-keyed ticks they replaced,
-        # bit for bit, traced and untraced: the score and its breakdown, the
-        # rows mapped through the names, and episode.csv's text
+        # bit for bit: the score and its breakdown, traced and untraced, and,
+        # traced, the rows mapped through the names and episode.csv's text
         scenario = small_scenario(n_lights=4, episode_ticks=15)
         genotype = random_genotype(scenario, random.Random(seed))
         for traced in (False, True):
@@ -292,6 +294,10 @@ class TestRunEpisode:
                 scenario, genotype, seed % 1000, 3, expected_sink
             )
             assert repr(record) == repr(expected)
+            assert trace.events is sink
+            if not traced:
+                assert trace == EpisodeTrace()
+                continue
             assert [
                 (tick, repr(dict(zip(trace.names, row))), context)
                 for tick, (row, context) in enumerate(zip(trace.rows, trace.contexts), 1)
@@ -299,12 +305,10 @@ class TestRunEpisode:
             # as lines, like trace.log's text below
             csv, expected_csv = trace.to_csv(), reference_csv(expected_ticks)
             assert csv.splitlines(True) == expected_csv.splitlines(True)
-            assert trace.events is sink
-            if traced:
-                # the text of trace.log, byte for byte, however it is pieced;
-                # compared as lines, which pytest explains cheaply when they differ
-                text, expected_text = sink.getvalue(), expected_sink.getvalue()
-                assert text.splitlines(True) == expected_text.splitlines(True)
+            # the text of trace.log, byte for byte, however it is pieced;
+            # compared as lines, which pytest explains cheaply when they differ
+            text, expected_text = sink.getvalue(), expected_sink.getvalue()
+            assert text.splitlines(True) == expected_text.splitlines(True)
 
     def test_trace_is_written_as_the_episode_runs(self):
         # a sink whose k-th write raises ends the episode there, having had
@@ -371,11 +375,11 @@ class TestScoreMemo:
     def test_hit_keeps_the_callers_episode_index(self):
         scores = {}
         first, first_trace = run_episode(self.scenario, self.genotype, 1, 3, scores=scores)
-        assert len(scores) == 1 and len(first_trace.rows) == 12
+        assert len(scores) == 1
         hit, hit_trace = run_episode(self.scenario, self.genotype, 1, 8, scores=scores)
         assert hit == replace(first, episode=8)
-        # a hit runs no episode, so it has no rows to return
-        assert hit_trace == EpisodeTrace()
+        # an untraced episode keeps no rows, whether it ran or was a hit
+        assert first_trace == hit_trace == EpisodeTrace()
         assert len(scores) == 1
 
     def test_mutating_a_breakdown_does_not_change_a_later_hit(self):
@@ -410,7 +414,8 @@ class TestScoreMemo:
         scores = {}
         run_episode(self.scenario, self.genotype, 1, scores=scores)
         other, trace = run_episode(self.scenario, self.genotype, 2, scores=scores)
-        assert len(trace.rows) == 12 and len(scores) == 2
+        # it ran and stored a second entry, and kept no rows
+        assert trace == EpisodeTrace() and len(scores) == 2
         assert other == run_episode(self.scenario, self.genotype, 2)[0]
 
     def test_inoperable_genotype_is_never_stored(self):

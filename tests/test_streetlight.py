@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import struct
@@ -305,14 +306,14 @@ class TestCommunication:
         # = 0.5 every tick; from tick 1 on wireless_in hears 0.5 and the
         # switch input becomes 20 * 0.5, driving the light to ON
         scenario = dark_scenario(n_lights=2, episode_ticks=4)
-        _, trace = run_episode(scenario, comm_genotype(True), seed=0)
+        _, trace = run_episode(scenario, comm_genotype(True), seed=0, trace=io.StringIO())
         energies = column(trace, "energy_0")
         assert energies[0] == 0.5  # tick 0: empty mailbox, sigmoid(0) -> DIM
         assert energies[1:] == [1.0, 1.0, 1.0]
 
     def test_disabled_speaker_silences_the_network(self):
         scenario = dark_scenario(n_lights=2, episode_ticks=4)
-        _, trace = run_episode(scenario, comm_genotype(False), seed=0)
+        _, trace = run_episode(scenario, comm_genotype(False), seed=0, trace=io.StringIO())
         energies = column(trace, "energy_0")
         assert energies == [0.5] * 4  # mailbox stays empty, switch stays DIM
 

@@ -3,7 +3,10 @@
     python tools/episode_bench.py --base REV [--pairs 10] [--tier1] [--out FILE]
 
 The base revision is extracted with ``git archive`` into a temporary
-directory; the change is the working tree this script lives in.  Each pair
+directory, and so is the change: the files of the working tree this script
+lives in, as ``git add -A`` would stage them, so that the two sides differ
+only in their files, not in where they lie or what runs left beside them
+(``perfbench/results/``, caches).  Each pair
 runs one side after the other, alternating which goes first, and every side
 of every pair does the same work, on seed ``SEED``.  A side runs, in its own
 tree:
@@ -198,12 +201,25 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def working_tree() -> str:
+    """The git tree object of the working tree's files, ignored ones left
+    out, staged by ``git add -A`` into a scratch index."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        subprocess.run(["git", "add", "-A"], cwd=ROOT, env=env, check=True)
+        return subprocess.run(
+            ["git", "write-tree"], cwd=ROOT, env=env, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+
 def extract(rev: str, directory: Path) -> Path:
+    """``rev``'s files in a new directory under ``directory``.  Every such
+    directory's path has the same length: a longer one reads about 0.1 MB
+    more in perfbench's ``trace_replay/peak_rss_mb``."""
     archive = subprocess.run(
         ["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True
     ).stdout
-    tree = directory / "base"
-    tree.mkdir()
+    tree = Path(tempfile.mkdtemp(dir=directory))
     with tempfile.TemporaryFile() as fh:
         fh.write(archive)
         fh.seek(0)
@@ -231,7 +247,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--base is required and --pairs must be >= 2")
 
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"base": extract(args.base, Path(tmp)), "change": ROOT}
+        change = working_tree()
+        trees = {"base": extract(args.base, Path(tmp)), "change": extract(change, Path(tmp))}
         samples: dict[str, list[dict]] = {"base": [], "change": []}
         mismatches = []
         for k in range(args.pairs):
