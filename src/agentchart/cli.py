@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, TextIO
 
 from .body import configure_body, require_mirror
 from .config import LoadedScenario, load_scenario, read_json
+from .environment import EpisodeTrace
 from .errors import BehaviorNotConfigured, ConfigError, RangeError, UnknownDevice
 from .evaluation import Genotype, SearchResult, genotype_digest, run_episode, run_search
 from .serialize import canonical_json, flag, known_keys, topology_from_dict, topology_to_dict
@@ -84,8 +83,9 @@ def cmd_run(args) -> int:
 
 
 def write_outputs(out: Path, args, loaded: LoadedScenario, result: SearchResult) -> None:
-    """Write the run's artifacts to ``out``; with ``--trace``, trace.log is
-    written as its episode runs, so a failure partway leaves it partial."""
+    """Write the run's artifacts to ``out``; with ``--trace``, trace.log and
+    episode.csv are written as their episode runs, so a failure partway
+    leaves them partial."""
     digest = genotype_digest(loaded.scenario, result.best)
     header = f"# seed={args.seed} config_digest={digest}\n"
 
@@ -119,25 +119,36 @@ def write_outputs(out: Path, args, loaded: LoadedScenario, result: SearchResult)
     _write(out / "run_manifest.json", canonical_json(manifest) + "\n")
 
     if args.trace:
-        with _output(out / "trace.log") as fh:
-            fh.write(header)
-            _, history = run_episode(loaded.scenario, result.best, args.seed, trace=fh)
-        _write(out / "episode.csv", history.to_csv())
+        with _Output(out / "trace.log") as events, _Output(out / "episode.csv") as table:
+            events.write(header)
+            run_episode(loaded.scenario, result.best, args.seed, trace=EpisodeTrace(events, table))
 
 
-@contextmanager
-def _output(path: Path) -> Iterator[TextIO]:
-    """``path`` open for writing text; an OSError while opening, writing or
-    closing it is a ConfigError that names it."""
-    try:
-        with path.open("w") as fh:
-            yield fh
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+class _Output:
+    """``path`` open for writing text; an OSError on it is a ConfigError naming it."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.fh = self._named(path.open, "w")
+
+    def _named(self, call, *args):
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {self.path}: {exc.strerror or exc}") from exc
+
+    def write(self, text: str) -> None:
+        self._named(self.fh.write, text)
+
+    def __enter__(self) -> _Output:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._named(self.fh.close)
 
 
 def _write(path: Path, text: str) -> None:
-    with _output(path) as fh:
+    with _Output(path) as fh:
         fh.write(text)
 
 

@@ -11,7 +11,7 @@ tick's row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -48,7 +48,7 @@ class Environment:
         self.tick = 0
         self.comm_mailbox: dict[str, list[tuple[str, object]]] = {}
         # current values; advance() replaces this row and never mutates it, so
-        # an episode's record and the update function may hold on to it
+        # an episode's tick loop and the update function may hold on to it
         self.row: list[float] = self._checked(list(initial.values()))
         self.context = context(self.row)
 
@@ -164,25 +164,11 @@ def snapshot_row(env: Environment) -> tuple[list[float], str]:
     return env.row, env.context
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeTrace:
-    """Variable/context history of a traced episode plus the sink its
-    engine trace was written to as trace.log text while it ran.
-    ``rows[k]`` holds tick k+1's values in ``names`` order and
-    ``contexts[k]`` its context; an untraced episode is ``EpisodeTrace()``,
-    whose ``events`` is None."""
+    """The two sinks a traced episode writes to as it runs: ``events``
+    receives trace.log's text and ``table`` episode.csv's.  An untraced
+    episode is ``EpisodeTrace()``, whose sinks are None."""
 
-    names: tuple[str, ...] = ()
-    rows: list[list[float]] = field(default_factory=list)
-    contexts: list[str] = field(default_factory=list)
     events: TextSink | None = None
-
-    def to_csv(self) -> str:
-        if not self.rows:
-            return ""
-        names = self.names
-        order = sorted(range(len(names)), key=names.__getitem__)
-        lines = ["tick," + ",".join(names[k] for k in order) + ",context"]
-        for tick, (row, context) in enumerate(zip(self.rows, self.contexts), 1):
-            lines.append(",".join([str(tick), *[repr(row[k]) for k in order], context]))
-        return "\n".join(lines) + "\n"
+    table: TextSink | None = None

@@ -24,7 +24,6 @@ import numpy as np
 from .body import (
     COMM_CHANNEL,
     DeviceSpec,
-    TextSink,
     configure_body,
     derive_controller,
     pass_text,
@@ -108,7 +107,7 @@ def run_episode(
     genotype: Genotype,
     seed: int,
     episode: int = 0,
-    trace: TextSink | None = None,
+    trace: EpisodeTrace | None = None,
     scores: dict | None = None,
 ) -> tuple[EvaluationRecord, EpisodeTrace]:
     """One fixed-length episode of every agent under one configuration.
@@ -116,14 +115,14 @@ def run_episode(
     Each agent's inputs and outputs are resolved to plan slots, and its
     sensors to columns of the environment's row, once; every tick runs each
     agent's sense -> decide -> act pass over activation lists and scores the
-    environment's new row with the scenario's ``tick_score``.  Untraced, it
-    keeps no row and returns ``EpisodeTrace()``.  With a ``trace`` sink it
-    keeps each tick's row and context, and each tick writes one text piece
-    of every agent's pass lines, rendered from its ``pass_text``, in agent
-    order, then ``Environment.advance``'s lines, before the next tick runs:
-    no text is kept back, and a ``write`` that raises ends the episode.  The
-    returned ``EpisodeTrace.events`` is the sink.  An inoperable genotype
-    (its shared body enables no input or no output) scores +inf so that
+    environment's new row with the scenario's ``tick_score``; it keeps no row.
+    Untraced, it returns ``EpisodeTrace()``.  With a ``trace`` it returns it,
+    and each tick writes one text piece of every agent's pass lines, rendered
+    from its ``pass_text``, in agent order, then ``Environment.advance``'s
+    lines, to ``trace.events``, then the tick's episode.csv line, whose header
+    it wrote first, to ``trace.table``: no text is kept back, and a ``write``
+    that raises ends the episode.  An inoperable genotype (its shared body
+    enables no input or no output) scores +inf without writing, so that
     structural search can still enumerate it.
 
     ``scores`` is a search's memo of the operable genotypes it has run on
@@ -133,14 +132,15 @@ def run_episode(
     stores it.
     """
     require(seed >= 0, "seed must be >= 0")
+    traced, trace = trace is not None, trace or EpisodeTrace()
     if not genotype_operable(scenario, genotype):
-        return EvaluationRecord(episode, math.inf, {}), EpisodeTrace(events=trace)
+        return EvaluationRecord(episode, math.inf, {}), trace
     key = None
-    if scores is not None and trace is None:
+    if scores is not None and not traced:
         key = (seed, frozenset(genotype.selection.items()), genotype.topology)
         if key in scores:
             score, breakdown = scores[key]
-            return EvaluationRecord(episode, score, dict(breakdown)), EpisodeTrace()
+            return EvaluationRecord(episode, score, dict(breakdown)), trace
     ids = scenario.agent_ids()
     bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
     require_mirror(bodies[ids[0]], genotype.topology)
@@ -161,11 +161,13 @@ def run_episode(
     ]
     # the effects table's channels in the order agents first drive them
     channels = dict.fromkeys(channel for *_, outputs in wired for _, _, channel, _ in outputs)
-    texts = [pass_text(aid, body) for aid, body in bodies.items()] if trace is not None else []
+    if traced:
+        texts = [pass_text(aid, body) for aid, body in bodies.items()]
+        order = sorted(range(len(env.names)), key=env.names.__getitem__)
+        trace.table.write("tick," + ",".join(env.names[k] for k in order) + ",context\n")
     previous = [[0.0] * n_slots for _ in wired]
     add_tick = scenario.tick_score(env.names)
     breakdown: dict[str, float] = {}
-    history = EpisodeTrace(env.names, events=trace) if trace is not None else EpisodeTrace()
     for t in range(scenario.episode_ticks):
         row, mailbox = env.row, env.comm_mailbox
         effects: Effects = {channel: [] for channel in channels}
@@ -181,21 +183,21 @@ def run_episode(
             previous[k] = act
             for _, slot, channel, levels in outputs:
                 effects[channel].append((aid, quantize(act[slot], levels)))
-            if trace is not None:
+            if traced:
                 sensed = [act[slot] for _, slot, _ in inputs]
                 actuated = [quantize(act[slot], levels) for _, slot, _, levels in outputs]
                 texts[k].render(tails, sensed, actuated)
-        if trace is not None:
-            trace.write(tick_text(t, tails))
-        env.advance(effects, trace)
+        if traced:
+            trace.events.write(tick_text(t, tails))
+        env.advance(effects, trace.events)
         add_tick(breakdown, env.row, env.context)
-        if trace is not None:
-            history.rows.append(env.row)
-            history.contexts.append(env.context)
+        if traced:
+            values = ",".join([repr(env.row[k]) for k in order])
+            trace.table.write(f"{env.tick},{values},{env.context}\n")
     score = reduce(add, breakdown.values(), 0)
     if key is not None:
         scores[key] = score, dict(breakdown)
-    return EvaluationRecord(episode, score, breakdown), history
+    return EvaluationRecord(episode, score, breakdown), trace
 
 
 # --- (1+λ) search --------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .body import BodyConfig, DeviceSpec, configure_body
-from .environment import Environment, EpisodeTrace
+from .environment import Environment
 from .errors import require
 
 LEVELS = ("OFF", "DIM", "ON")
@@ -248,11 +248,11 @@ def tick_score(names: tuple[str, ...], rules: StreetlightRules, n_lights: int) -
 
 
 def streetlight_score(
-    trace: EpisodeTrace, rules: StreetlightRules, n_lights: int
+    names: tuple[str, ...], rows: list, contexts: list[str], rules: StreetlightRules, n_lights: int
 ) -> tuple[float, dict[str, float]]:
-    """The episode's score and breakdown: ``tick_score`` over its rows in order."""
-    add_tick = tick_score(trace.names, rules, n_lights)
+    """An episode's score and breakdown: ``tick_score`` over its rows in order."""
+    add_tick = tick_score(names, rules, n_lights)
     breakdown: dict[str, float] = {}
-    for row, context in zip(trace.rows, trace.contexts):
+    for row, context in zip(rows, contexts):
         add_tick(breakdown, row, context)
     return reduce(add, breakdown.values(), 0), breakdown

@@ -169,3 +169,12 @@ def reference_csv(ticks) -> str:
     for tick, values, context in ticks:
         lines.append(",".join([str(tick)] + [repr(values[n]) for n in names] + [context]))
     return "\n".join(lines) + "\n"
+
+
+def read_csv(text):
+    """episode.csv's text as ``streetlight_score`` takes it: the names, the
+    rows of floats in the names' order and the contexts."""
+    header, *lines = text.splitlines()
+    fields = [line.split(",") for line in lines]
+    rows = [[float(value) for value in f[1:-1]] for f in fields]
+    return tuple(header.split(",")[1:-1]), rows, [f[-1] for f in fields]

@@ -16,7 +16,6 @@ from test_controller import oracle_eval, random_topology
 from agentchart.body import Agent, configure_body, derive_controller, step_agent
 from agentchart.cli import EXIT_OK, main as cli_main
 from agentchart.controller import Neuron, ControllerTopology, eval_net
-from agentchart.environment import EpisodeTrace
 from agentchart.evaluation import (
     ADJUST,
     Genotype,
@@ -313,7 +312,7 @@ def test_criterion_9_scoring_linearity():
                 row += (rng.choice([0.0, 0.5, 1.0]), rng.random(), rng.random())
             rows.append(row)
             row_contexts.append(rng.choice(contexts))
-        return EpisodeTrace(names, rows, row_contexts)
+        return names, rows, row_contexts
 
     for trial in range(30):
         rules = StreetlightRules(
@@ -326,8 +325,8 @@ def test_criterion_9_scoring_linearity():
             w_dark={k: c * w for k, w in rules.w_dark.items()},
         )
         candidates = [random_trace() for _ in range(8)]
-        base = [streetlight_score(t, rules, n_lights)[0] for t in candidates]
-        big = [streetlight_score(t, scaled, n_lights)[0] for t in candidates]
+        base = [streetlight_score(*t, rules, n_lights)[0] for t in candidates]
+        big = [streetlight_score(*t, scaled, n_lights)[0] for t in candidates]
         for s0, s1 in zip(base, big):
             scale = abs(s0) if s0 != 0 else 1.0
             if abs(s1 - c * s0) > 1e-12 * max(1.0, c * scale):

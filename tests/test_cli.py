@@ -15,6 +15,9 @@ from agentchart.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from agentchart.config import build_scenario, default_config, load_scenario
 from agentchart.errors import ConfigError, RangeError, UnknownKey
 from agentchart.evaluation import Genotype, SearchResult, initial_genotype, run_episode, run_search
+from agentchart.streetlight import streetlight_score
+
+from conftest import read_csv
 
 SMALL = {
     "n_lights": 2,
@@ -293,6 +296,21 @@ class TestRunCommand:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in golden}
         assert digests == golden
 
+    def test_episode_csv_reproduces_the_score(self, scenario_file, tmp_path, capsys):
+        # episode.csv holds every value's repr and every tick's context, so
+        # its rows fold to the recorded score, and replay's, exactly
+        out = tmp_path / "out"
+        run_small_search(scenario_file, out, "--trace")
+        table = read_csv((out / "episode.csv").read_text())
+        scenario = load_scenario(scenario_file).scenario
+        score, _ = streetlight_score(*table, scenario.rules, scenario.n_lights)
+        assert repr(score) == repr(json.loads((out / "best_agent.json").read_text())["score"])
+        capsys.readouterr()
+        agent = out / "best_agent.json"
+        code = run_cli("replay", "--agent", agent, "--scenario", scenario_file, "--seed", 5)
+        assert code == EXIT_OK
+        assert f"score={score!r}\n" in capsys.readouterr().out
+
     def test_jobs_do_not_change_results(self, scenario_file, tmp_path):
         out_a, out_b = tmp_path / "serial", tmp_path / "parallel"
         run_small_search(scenario_file, out_a)
@@ -354,14 +372,16 @@ class TestRunCommand:
         assert err.startswith("config error: ") and str(out / name) in err
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-    def test_full_disk_while_tracing_exits_2(self, scenario_file, tmp_path, capsys):
-        # trace.log opens, and its writes fail as the episode runs
+    @pytest.mark.parametrize("name", ["trace.log", "episode.csv"])
+    def test_full_disk_while_tracing_exits_2(self, scenario_file, tmp_path, capsys, name):
+        # the file opens, and its writes fail as the episode runs; the error
+        # names it, not the other file written beside it
         out = tmp_path / "out"
         out.mkdir()
-        (out / "trace.log").symlink_to("/dev/full")
+        (out / name).symlink_to("/dev/full")
         code = run_cli("run", "--scenario", scenario_file, "--seed", 1, "--out", out, "--trace")
         assert code == EXIT_PARSE
-        assert f"cannot write {out / 'trace.log'}: No space left" in capsys.readouterr().err
+        assert f"cannot write {out / name}: No space left" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command,flag,value",

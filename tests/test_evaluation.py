@@ -38,7 +38,7 @@ from agentchart.streetlight import (
     streetlight_score,
 )
 
-from conftest import reference_csv, reference_score
+from conftest import read_csv, reference_csv, reference_score
 
 
 def lights_trace(rows):
@@ -48,11 +48,21 @@ def lights_trace(rows):
     names = tuple(
         f"{name}_{i}" for i in range(n) for name in ("energy", "people_flow", "brightness")
     )
-    return EpisodeTrace(
+    return (
         names,
         [[value for light in lights for value in light] for _, lights in rows],
         [ctx for ctx, _ in rows],
     )
+
+
+def traced(**sinks):
+    """An ``EpisodeTrace`` whose sinks are new ``io.StringIO``s, but for those given."""
+    return EpisodeTrace(**{"events": io.StringIO(), "table": io.StringIO(), **sinks})
+
+
+def sink(write):
+    """A text sink that hands every piece to ``write``."""
+    return SimpleNamespace(write=write)
 
 
 def small_scenario(**overrides):
@@ -84,14 +94,14 @@ class TestEvaluateEpisode:
              ("day", [(0.5, 1.0, 0.25)]),
              ("night", [(1.0, 0.5, 0.25)])]
         )
-        score, breakdown = streetlight_score(trace, rules, 1)
+        score, breakdown = streetlight_score(*trace, rules, 1)
         assert score == 4.75
         assert breakdown == {"day": 3.25, "night": 1.5}
 
     def test_zero_weights_give_zero(self):
         rules = StreetlightRules(w_energy={"day": 0.0}, w_dark={"day": 0.0})
         trace = lights_trace([("day", [(1.0, 0.9, 0.0), (0.5, 1.0, 0.1)])] * 5)
-        assert streetlight_score(trace, rules, 2)[0] == 0.0
+        assert streetlight_score(*trace, rules, 2)[0] == 0.0
 
     def test_matches_double_loop_oracle_on_random_traces(self):
         rng = random.Random(17)
@@ -119,7 +129,7 @@ class TestEvaluateEpisode:
                 for energy, flow, brightness in lights:
                     deficit = flow * max(0.0, rules.target_brightness - brightness)
                     expected += rules.w_energy[ctx] * energy + rules.w_dark[ctx] * deficit
-            got = streetlight_score(lights_trace(rows), rules, n)[0]
+            got = streetlight_score(*lights_trace(rows), rules, n)[0]
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -193,8 +203,12 @@ class TestRunEpisode:
         genotype = result.best
         dead = type(genotype)({d.id: False for d in scenario.devices}, genotype.topology)
         record, trace = run_episode(scenario, dead, seed=1)
-        assert record.score == math.inf
-        assert trace.rows == [] and trace.contexts == [] and trace.to_csv() == ""
+        assert record.score == math.inf and trace == EpisodeTrace()
+        # traced, it writes nothing to either sink
+        sinks = traced()
+        record, trace = run_episode(scenario, dead, seed=1, trace=sinks)
+        assert record.score == math.inf and trace is sinks
+        assert sinks.events.getvalue() == sinks.table.getvalue() == ""
 
     @pytest.mark.parametrize(
         "neurons,motion_sensor",
@@ -242,10 +256,13 @@ class TestRunEpisode:
     def test_trace_covers_every_tick(self):
         scenario = small_scenario(episode_ticks=7)
         genotype = run_search(scenario, seed=3, generations=1).best
-        _, trace = run_episode(scenario, genotype, seed=3, trace=io.StringIO())
-        assert len(trace.rows) == len(trace.contexts) == 7
-        assert all(len(row) == len(trace.names) for row in trace.rows)
-        ticks = [line.split(",")[0] for line in trace.to_csv().splitlines()[1:]]
+        _, trace = run_episode(scenario, genotype, seed=3, trace=traced())
+        header, *lines = trace.table.getvalue().splitlines()
+        names = header.split(",")
+        assert names[0] == "tick" and names[-1] == "context"
+        assert names[1:-1] == sorted(names[1:-1])
+        assert all(line.count(",") == len(names) - 1 for line in lines)
+        ticks = [line.split(",")[0] for line in lines]
         assert ticks == [str(t) for t in range(1, 8)]
 
     @settings(max_examples=25, deadline=None)
@@ -253,8 +270,8 @@ class TestRunEpisode:
     def test_traced_and_untraced_episodes_agree(self, seed):
         # differential: replaying the behavior chart for the trace must not
         # change the score, and neither run dispatches: the pass is compiled
-        # once at import.  An untraced episode keeps no rows; streetlight_score
-        # over the traced rows adds up the same per-tick term as the kernel
+        # once at import.  streetlight_score over the rows of the written
+        # episode.csv adds up the same per-tick term as the kernel
         scenario = small_scenario(n_lights=3, episode_ticks=12)
         genotype = random_genotype(scenario, random.Random(seed))
         calls = []
@@ -267,16 +284,17 @@ class TestRunEpisode:
             mp.setattr(statechart, "dispatch", counting_dispatch)
             plain, plain_trace = run_episode(scenario, genotype, seed=seed % 1000)
             assert calls == []
-            sink = io.StringIO()
-            traced, traced_trace = run_episode(scenario, genotype, seed=seed % 1000, trace=sink)
+            sinks = traced()
+            record, trace = run_episode(scenario, genotype, seed=seed % 1000, trace=sinks)
         assert calls == []
         assert math.isfinite(plain.score)
-        assert plain == traced
+        assert plain == record
         assert plain_trace == EpisodeTrace()
-        assert len(traced_trace.rows) == len(traced_trace.contexts) == scenario.episode_ticks
-        folded = streetlight_score(traced_trace, scenario.rules, scenario.n_lights)
+        assert trace is sinks and sinks.events.getvalue()
+        names, rows, contexts = read_csv(sinks.table.getvalue())
+        assert len(rows) == len(contexts) == scenario.episode_ticks
+        folded = streetlight_score(names, rows, contexts, scenario.rules, scenario.n_lights)
         assert repr(folded) == repr((plain.score, plain.breakdown))
-        assert traced_trace.events is sink and sink.getvalue()
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -284,68 +302,72 @@ class TestRunEpisode:
         # differential: the compiled tick loop and its column-indexed record
         # against the dict-level views and name-keyed ticks they replaced,
         # bit for bit: the score and its breakdown, traced and untraced, and,
-        # traced, the rows mapped through the names and episode.csv's text
+        # traced, episode.csv's text, which holds every value's repr and
+        # every context, and trace.log's
         scenario = small_scenario(n_lights=4, episode_ticks=15)
         genotype = random_genotype(scenario, random.Random(seed))
-        for traced in (False, True):
-            sink, expected_sink = (io.StringIO(), io.StringIO()) if traced else (None, None)
-            record, trace = run_episode(scenario, genotype, seed % 1000, 3, sink)
+        for sinks in (None, traced()):
+            expected_sink = io.StringIO() if sinks else None
+            record, trace = run_episode(scenario, genotype, seed % 1000, 3, sinks)
             expected, expected_ticks = reference_episode(
                 scenario, genotype, seed % 1000, 3, expected_sink
             )
             assert repr(record) == repr(expected)
-            assert trace.events is sink
-            if not traced:
+            if sinks is None:
                 assert trace == EpisodeTrace()
                 continue
-            assert [
-                (tick, repr(dict(zip(trace.names, row))), context)
-                for tick, (row, context) in enumerate(zip(trace.rows, trace.contexts), 1)
-            ] == [(tick, repr(values), context) for tick, values, context in expected_ticks]
+            assert trace is sinks
             # as lines, like trace.log's text below
-            csv, expected_csv = trace.to_csv(), reference_csv(expected_ticks)
+            csv, expected_csv = sinks.table.getvalue(), reference_csv(expected_ticks)
             assert csv.splitlines(True) == expected_csv.splitlines(True)
             # the text of trace.log, byte for byte, however it is pieced;
             # compared as lines, which pytest explains cheaply when they differ
-            text, expected_text = sink.getvalue(), expected_sink.getvalue()
+            text, expected_text = sinks.events.getvalue(), expected_sink.getvalue()
             assert text.splitlines(True) == expected_text.splitlines(True)
 
     def test_trace_is_written_as_the_episode_runs(self):
         # a sink whose k-th write raises ends the episode there, having had
-        # the first k-1 pieces of the full run; every tick writes, so fewer
-        # than k ticks were advanced: no text waits for the end of the episode
+        # the first k-1 pieces of the full run; every tick writes to both
+        # sinks, so fewer than k ticks were advanced: no text of trace.log,
+        # and no line of episode.csv, waits for the end of the episode
         scenario = small_scenario(n_lights=3, episode_ticks=12)
         genotype = random_genotype(scenario, random.Random(7))
-        full: list[str] = []
-        run_episode(scenario, genotype, 1, trace=SimpleNamespace(write=full.append))
-        assert len(full) >= scenario.episode_ticks
         advance = Environment.advance
-        for k in range(1, len(full) + 1):
-            received: list[str] = []
-            ticks_run: list[int] = []
+        for failing in ("events", "table"):
+            full: list[str] = []
+            run_episode(scenario, genotype, 1, trace=traced(**{failing: sink(full.append)}))
+            assert len(full) >= scenario.episode_ticks
+            for k in range(1, len(full) + 1):
+                received: list[str] = []
+                ticks_run: list[int] = []
 
-            def write(text):
-                if len(received) == k - 1:
-                    raise OSError("sink full")
-                received.append(text)
+                def write(text):
+                    if len(received) == k - 1:
+                        raise OSError("sink full")
+                    received.append(text)
 
-            def counted_advance(env, effects, trace=None):
-                advance(env, effects, trace)
-                ticks_run.append(env.tick)
+                def counted_advance(env, effects, trace=None):
+                    advance(env, effects, trace)
+                    ticks_run.append(env.tick)
 
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(Environment, "advance", counted_advance)
-                with pytest.raises(OSError, match="sink full"):
-                    run_episode(scenario, genotype, 1, trace=SimpleNamespace(write=write))
-            assert received == full[: k - 1]
-            assert len(ticks_run) < k
-        # the last write fails in the last tick, after every earlier tick advanced
-        assert len(ticks_run) == scenario.episode_ticks - 1
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(Environment, "advance", counted_advance)
+                    with pytest.raises(OSError, match="sink full"):
+                        run_episode(scenario, genotype, 1, trace=traced(**{failing: sink(write)}))
+                assert received == full[: k - 1]
+                assert len(ticks_run) < k
+            if failing == "events":
+                # the last write fails in the last tick, after every earlier tick advanced
+                assert len(ticks_run) == scenario.episode_ticks - 1
+            else:
+                # the header, then each tick's line once that tick has advanced
+                assert len(full) == 1 + scenario.episode_ticks
+                assert len(ticks_run) == scenario.episode_ticks
 
     def test_traced_episode_holds_no_trace_text(self):
         # the heap peak of a traced episode stays under a quarter of the
-        # trace.log characters it writes (a tenth here, mostly the rows);
-        # kept until the episode ended, the text took 1.1 times as much
+        # trace.log characters it writes (a twentieth here: it keeps no
+        # row); kept until the episode ended, the text took 1.1 times as much
         scenario = small_scenario(n_lights=20, episode_ticks=300)
         genotype = random_genotype(scenario, random.Random(3))
         written = 0
@@ -356,7 +378,8 @@ class TestRunEpisode:
 
         tracemalloc.start()
         try:
-            run_episode(scenario, genotype, 0, trace=SimpleNamespace(write=discard))
+            sinks = EpisodeTrace(sink(discard), sink(len))
+            run_episode(scenario, genotype, 0, trace=sinks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -396,16 +419,14 @@ class TestScoreMemo:
     def test_traced_call_neither_reads_nor_stores(self):
         plain, _ = run_episode(self.scenario, self.genotype, 1)
         scores = {}
-        run_episode(self.scenario, self.genotype, 1, trace=io.StringIO(), scores=scores)
+        run_episode(self.scenario, self.genotype, 1, trace=traced(), scores=scores)
         assert scores == {}
         # a planted entry for the same key is not read by a traced call
         run_episode(self.scenario, self.genotype, 1, scores=scores)
         (key,) = scores
         scores[key] = (-1.0, {})
-        traced, trace = run_episode(
-            self.scenario, self.genotype, 1, trace=io.StringIO(), scores=scores
-        )
-        assert traced == plain and len(trace.rows) == 12
+        record, trace = run_episode(self.scenario, self.genotype, 1, trace=traced(), scores=scores)
+        assert record == plain and trace.table.getvalue().count("\n") == 1 + 12
         assert scores == {key: (-1.0, {})}
         # while an untraced call reads it
         assert run_episode(self.scenario, self.genotype, 1, scores=scores)[0].score == -1.0

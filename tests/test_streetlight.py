@@ -24,7 +24,7 @@ from agentchart.streetlight import (
     streetlight_score,
 )
 
-from conftest import reference_score
+from conftest import read_csv, reference_score
 
 SCORED = ("energy", "people_flow", "brightness")
 
@@ -35,14 +35,19 @@ def scored_names(n_lights):
 
 
 def synthetic_trace(n_lights, ticks, context, energy=0.0, flow=0.0, brightness=1.0):
+    """``streetlight_score``'s names, rows and contexts of ``ticks`` equal ticks."""
     row = [energy, flow, brightness] * n_lights
-    return EpisodeTrace(scored_names(n_lights), [list(row) for _ in range(ticks)], [context] * ticks)
+    return scored_names(n_lights), [list(row) for _ in range(ticks)], [context] * ticks
 
 
-def column(trace, name):
-    """One variable's value at every tick of ``trace``."""
-    k = trace.names.index(name)
-    return [row[k] for row in trace.rows]
+def column(scenario, genotype, name):
+    """One variable's value at every tick of a traced episode, read from
+    the episode.csv text it writes."""
+    table = io.StringIO()
+    run_episode(scenario, genotype, seed=0, trace=EpisodeTrace(io.StringIO(), table))
+    names, rows, _ = read_csv(table.getvalue())
+    k = names.index(name)
+    return [row[k] for row in rows]
 
 
 def dark_scenario(**overrides):
@@ -140,29 +145,29 @@ class TestProfiles:
 class TestScore:
     def test_all_off_nobody_around_scores_zero(self):
         trace = synthetic_trace(3, 5, NIGHT, energy=0.0, flow=0.0)
-        assert streetlight_score(trace, StreetlightRules(), 3)[0] == 0.0
+        assert streetlight_score(*trace, StreetlightRules(), 3)[0] == 0.0
 
     def test_all_on_at_night_costs_n_times_ticks(self):
         # w_energy[night] = 1, each light draws 1 per tick
         n, ticks = 4, 6
         trace = synthetic_trace(n, ticks, NIGHT, energy=1.0, flow=0.0)
-        assert streetlight_score(trace, StreetlightRules(), n)[0] == n * ticks
+        assert streetlight_score(*trace, StreetlightRules(), n)[0] == n * ticks
 
     def test_darkness_under_people_penalised(self):
         # deficit per light per tick: 1.0 * (0.6 - 0.1) weighted by 2 at night
         n, ticks = 2, 3
         trace = synthetic_trace(n, ticks, NIGHT, flow=1.0, brightness=0.1)
-        score = streetlight_score(trace, StreetlightRules(), n)[0]
+        score = streetlight_score(*trace, StreetlightRules(), n)[0]
         assert score == pytest.approx(2.0 * 0.5 * n * ticks, abs=1e-12)
 
     def test_bright_enough_means_no_deficit(self):
         trace = synthetic_trace(1, 4, NIGHT, flow=1.0, brightness=0.6)
-        assert streetlight_score(trace, StreetlightRules(), 1)[0] == 0.0
+        assert streetlight_score(*trace, StreetlightRules(), 1)[0] == 0.0
 
     def test_energy_costs_double_during_the_day(self):
         rules = StreetlightRules()
-        day = streetlight_score(synthetic_trace(1, 1, DAY, energy=1.0), rules, 1)[0]
-        night = streetlight_score(synthetic_trace(1, 1, NIGHT, energy=1.0), rules, 1)[0]
+        day = streetlight_score(*synthetic_trace(1, 1, DAY, energy=1.0), rules, 1)[0]
+        night = streetlight_score(*synthetic_trace(1, 1, NIGHT, energy=1.0), rules, 1)[0]
         assert day == 2.0 * night
 
     def test_sums_add_left_to_right_on_every_python(self):
@@ -176,15 +181,15 @@ class TestScore:
             return [columns.get(name, (0.0,) * 3)[i] for i in range(3) for name in SCORED]
 
         def trace(contexts, rows):
-            return EpisodeTrace(scored_names(3), rows, list(contexts))
+            return scored_names(3), rows, list(contexts)
 
         energy = trace("a", [row(energy=triple, brightness=(1.0,) * 3)])
         deficit = trace("a", [row(people_flow=triple)])
-        assert streetlight_score(energy, rules, 3) == (0.0, {"a": 0.0})
-        assert streetlight_score(deficit, rules, 3) == (0.0, {"a": 0.0})
+        assert streetlight_score(*energy, rules, 3) == (0.0, {"a": 0.0})
+        assert streetlight_score(*deficit, rules, 3) == (0.0, {"a": 0.0})
         # one context per term: the total adds the breakdown's three values
         total = trace("abc", [row(energy=(e, 0.0, 0.0), brightness=(1.0,) * 3) for e in triple])
-        assert streetlight_score(total, rules, 3)[0] == 0.0
+        assert streetlight_score(*total, rules, 3)[0] == 0.0
 
 
 class TestEnvironmentWiring:
@@ -306,15 +311,13 @@ class TestCommunication:
         # = 0.5 every tick; from tick 1 on wireless_in hears 0.5 and the
         # switch input becomes 20 * 0.5, driving the light to ON
         scenario = dark_scenario(n_lights=2, episode_ticks=4)
-        _, trace = run_episode(scenario, comm_genotype(True), seed=0, trace=io.StringIO())
-        energies = column(trace, "energy_0")
+        energies = column(scenario, comm_genotype(True), "energy_0")
         assert energies[0] == 0.5  # tick 0: empty mailbox, sigmoid(0) -> DIM
         assert energies[1:] == [1.0, 1.0, 1.0]
 
     def test_disabled_speaker_silences_the_network(self):
         scenario = dark_scenario(n_lights=2, episode_ticks=4)
-        _, trace = run_episode(scenario, comm_genotype(False), seed=0, trace=io.StringIO())
-        energies = column(trace, "energy_0")
+        energies = column(scenario, comm_genotype(False), "energy_0")
         assert energies == [0.5] * 4  # mailbox stays empty, switch stays DIM
 
 
@@ -467,8 +470,8 @@ class TestAgainstReferenceForms:
         # the columns in a random order, resolved through the names
         names = tuple(rng.sample(scored_names(n), 3 * n))
         rows = [[variables[name] for name in names] for _, variables, _ in ticks]
-        trace = EpisodeTrace(names, rows, [context for _, _, context in ticks])
-        got, got_breakdown = streetlight_score(trace, rules, n)
+        contexts = [context for _, _, context in ticks]
+        got, got_breakdown = streetlight_score(names, rows, contexts, rules, n)
         score, breakdown = reference_score(ticks, rules, n)
         assert bits([("score", got)]) == bits([("score", score)])
         assert bits(got_breakdown.items()) == bits(breakdown.items())

@@ -15,12 +15,15 @@ tree:
   --trace 0`` for every workload W of ``BENCHMARK.json``, and records each
   end-to-end metric of the result line as ``W/<metric>``: the numbers the
   benchmark gates on;
-- in a fresh interpreter, on the default street-light scenario (10 lights,
-  200 ticks) and the initial genotype, what perfbench cannot give:
+- in a fresh interpreter, with the side's own copy of this script, so that
+  each side calls the program the way its own tree does, on the default
+  street-light scenario (10 lights, 200 ticks) and the initial genotype,
+  what perfbench cannot give:
   - ``episode_s``: the median of ``EPISODE_REPEATS`` untraced
     ``run_episode`` calls, after one untimed call;
   - ``traced_episode_s``: the median of ``TRACED_REPEATS`` traced
-    ``run_episode`` calls, writing to a sink that discards the text;
+    ``run_episode`` calls, writing trace.log's and episode.csv's text to
+    two sinks that discard it;
   - ``traced_run_heap_mb``: the ``tracemalloc`` peak of one
     ``cli.write_outputs`` call with ``--trace``, as ``run --trace`` ends;
 - ``big_run_maxrss_mb``: the peak RSS (``ru_maxrss``) of one
@@ -79,6 +82,7 @@ def measure(seed: int) -> dict:
     """One side's in-process sample, taken in this interpreter."""
     from agentchart.cli import build_parser, write_outputs
     from agentchart.config import build_scenario
+    from agentchart.environment import EpisodeTrace
     from agentchart.evaluation import SearchResult, initial_genotype, run_episode
 
     loaded = build_scenario({})
@@ -91,10 +95,10 @@ def measure(seed: int) -> dict:
         run_episode(scenario, genotype, seed)
         times.append(time.perf_counter() - start)
     traced_times = []
-    with open(os.devnull, "w") as sink:
+    with open(os.devnull, "w") as events, open(os.devnull, "w") as table:
         for _ in range(TRACED_REPEATS):
             start = time.perf_counter()
-            traced, _ = run_episode(scenario, genotype, seed, trace=sink)
+            traced, _ = run_episode(scenario, genotype, seed, trace=EpisodeTrace(events, table))
             traced_times.append(time.perf_counter() - start)
     with tempfile.TemporaryDirectory() as out:
         args = build_parser().parse_args(
@@ -157,7 +161,7 @@ def run_side(tree: Path) -> dict:
         sample["failed"] += result["failed"]
     for mode in ("--measure", "--big-run"):
         proc = subprocess.run(
-            [sys.executable, __file__, mode],
+            [sys.executable, "tools/episode_bench.py", mode],
             env=env, cwd=tree, capture_output=True, text=True, check=True,
         )
         sample.update(json.loads(proc.stdout))
