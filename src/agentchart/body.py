@@ -1,7 +1,7 @@
 """Embodied-agent layer: device inventory with an enable/disable selection,
 controller derivation from the body, and the perception -> decision ->
-effector step, whose behavior statechart pass is compiled once and
-rendered as trace text to record a trace.
+effector step, whose behavior statechart pass is compiled once and laid
+out as trace text to record a trace.
 """
 
 from __future__ import annotations
@@ -229,43 +229,49 @@ BEHAVIOR_PASS = compile_pass(BEHAVIOR_CHART, BEHAVIOR_START)
 
 @dataclass(frozen=True)
 class PassText:
-    """One agent's compiled pass as trace.log text without the tick: the
-    tails of its static lines (agent, kind, subject and detail, separated by
-    tabs) around the heads of its ``sensed:`` and ``actuated:`` lines, which
-    wait for a value's repr."""
+    """One agent's tick layout: the trace.log line tails of its compiled
+    pass without the tick (agent, kind, subject and detail, separated by
+    tabs), in line order.  The tails at ``sensed`` and ``actuated``, one
+    position per enabled input and output in device order, are the heads of
+    the ``sensed:`` and ``actuated:`` lines, which wait for a value's repr;
+    ``levels`` holds each output's whole tail per level, and is empty for a
+    continuous output."""
 
-    sense: tuple[str, ...]
-    sensed: tuple[str, ...]
-    decide_act: tuple[str, ...]
-    actuated: tuple[str, ...]
-    rest: tuple[str, ...]
+    tails: tuple[str, ...]
+    sensed: tuple[int, ...]
+    actuated: tuple[int, ...]
+    levels: tuple[dict[str, str], ...]
 
-    def render(
-        self, tails: list[str], sensed: Iterable[object], actuated: Iterable[object]
-    ) -> None:
-        """Append one pass's line tails to ``tails``: the four macrosteps,
-        the first followed by the inputs read, the third by the outputs
-        driven, each in its device order."""
-        tails += self.sense
-        tails += [head + repr(value) for head, value in zip(self.sensed, sensed)]
-        tails += self.decide_act
-        tails += [head + repr(value) for head, value in zip(self.actuated, actuated)]
-        tails += self.rest
+    def filled(self, sensed: Iterable[object], actuated: Iterable[object]) -> list[str]:
+        """The tails with the value lines completed from the values read,
+        ``sensed``, and driven, ``actuated``, each in device order."""
+        tails = list(self.tails)
+        for p, value in zip(self.sensed, sensed):
+            tails[p] += repr(value)
+        for p, value, by_level in zip(self.actuated, actuated, self.levels):
+            tails[p] = by_level[value] if by_level else tails[p] + repr(value)
+        return tails
 
 
 def pass_text(agent_id: str, body: BodyConfig) -> PassText:
-    """``BEHAVIOR_PASS`` as ``agent_id``'s line tails, with one device line
-    head per enabled input and output of ``body``."""
+    """``BEHAVIOR_PASS`` as ``agent_id``'s tick layout: the four macrosteps'
+    lines, the first followed by one ``sensed:`` line per enabled input and
+    the third by one ``actuated:`` line per enabled output of ``body``."""
     sense, decide, act, rest = (
         tuple(f"{agent_id}\t{kind}\t{subject}\t{detail}" for kind, subject, detail in segment)
         for segment in BEHAVIOR_PASS
     )
+    sensed = tuple(f"{agent_id}\tfired\tsensed:{d.id}\t" for d in body.enabled_inputs)
+    actuated = tuple(f"{agent_id}\tfired\tactuated:{d.id}\t" for d in body.enabled_outputs)
+    first_actuated = len(sense) + len(sensed) + len(decide) + len(act)
     return PassText(
-        sense,
-        tuple(f"{agent_id}\tfired\tsensed:{d.id}\t" for d in body.enabled_inputs),
-        decide + act,
-        tuple(f"{agent_id}\tfired\tactuated:{d.id}\t" for d in body.enabled_outputs),
-        rest,
+        sense + sensed + decide + act + actuated + rest,
+        tuple(range(len(sense), len(sense) + len(sensed))),
+        tuple(range(first_actuated, first_actuated + len(actuated))),
+        tuple(
+            {level: head + repr(level) for level in d.output_levels}
+            for head, d in zip(actuated, body.enabled_outputs)
+        ),
     )
 
 
@@ -316,8 +322,8 @@ def step_agent(
     """One sense -> decide -> act pass: the controller maps the percept to
     the ActionSet and its state is updated in place on ``agent``.
 
-    The behavior chart's pass never changes an action; it is rendered only
-    to write its lines to ``trace``.
+    The behavior chart's pass never changes an action; its layout is filled
+    only to write its lines to ``trace``.
     """
     body = agent.body
     if not body.is_operable():
@@ -332,8 +338,7 @@ def step_agent(
     outputs, agent.controller_state = eval_net(agent.controller, agent.controller_state, percept)
     actions = {d.id: quantize(outputs[d.id], d.output_levels) for d in body.enabled_outputs}
     if trace is not None:
-        tails: list[str] = []
         sensed = [percept[d.id] for d in body.enabled_inputs]
-        pass_text(agent.agent_id, body).render(tails, sensed, actions.values())
+        tails = pass_text(agent.agent_id, body).filled(sensed, actions.values())
         trace.write(tick_text(tick, tails))
     return actions

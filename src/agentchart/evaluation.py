@@ -117,13 +117,15 @@ def run_episode(
     agent's sense -> decide -> act pass over activation lists and scores the
     environment's new row with the scenario's ``tick_score``; it keeps no row.
     Untraced, it returns ``EpisodeTrace()``.  With a ``trace`` it returns it,
-    and each tick writes one text piece of every agent's pass lines, rendered
-    from its ``pass_text``, in agent order, then ``Environment.advance``'s
-    lines, to ``trace.events``, then the tick's episode.csv line, whose header
-    it wrote first, to ``trace.table``: no text is kept back, and a ``write``
-    that raises ends the episode.  An inoperable genotype (its shared body
-    enables no input or no output) scores +inf without writing, so that
-    structural search can still enumerate it.
+    and each tick writes one text piece of every agent's pass lines, its
+    ``pass_text`` layout with only the value lines filled in again, in agent
+    order, then ``Environment.advance``'s lines, to ``trace.events``, then the
+    tick's episode.csv line, whose header it wrote first, to ``trace.table``:
+    no text is kept back, and a ``write`` that raises ends the episode.  Each
+    row value's repr is made once, by ``Environment.row_text``.  An
+    inoperable genotype (its shared body enables no input or no output)
+    scores +inf without writing, so that structural search can still
+    enumerate it.
 
     ``scores`` is a search's memo of the operable genotypes it has run on
     one scenario, keyed by seed, selection and topology: a genotype found
@@ -162,7 +164,26 @@ def run_episode(
     # the effects table's channels in the order agents first drive them
     channels = dict.fromkeys(channel for *_, outputs in wired for _, _, channel, _ in outputs)
     if traced:
-        texts = [pass_text(aid, body) for aid, body in bodies.items()]
+        # every agent's layout in agent order, whose value lines each tick
+        # fills: (position, head, slot, row column) per input, (position,
+        # head, slot, levels, tail per level) per output
+        tails, sensing, acting = [], [], []
+        for (aid, inputs, outputs), body in zip(wired, bodies.values()):
+            layout, at = pass_text(aid, body), len(tails)
+            tails += layout.tails
+            heads = layout.tails
+            sensing.append(
+                [(at + p, heads[p], slot, col) for p, (_, slot, col) in zip(layout.sensed, inputs)]
+            )
+            acting.append(
+                [
+                    (at + p, heads[p], slot, levels, by_level)
+                    for p, (_, slot, _, levels), by_level in zip(
+                        layout.actuated, outputs, layout.levels
+                    )
+                ]
+            )
+        texts = env.row_text()
         order = sorted(range(len(env.names)), key=env.names.__getitem__)
         trace.table.write("tick," + ",".join(env.names[k] for k in order) + ",context\n")
     previous = [[0.0] * n_slots for _ in wired]
@@ -171,7 +192,6 @@ def run_episode(
     for t in range(scenario.episode_ticks):
         row, mailbox = env.row, env.comm_mailbox
         effects: Effects = {channel: [] for channel in channels}
-        tails: list[str] = []
         for k, (aid, inputs, outputs) in enumerate(wired):
             act = [0.0] * n_slots
             for did, slot, col in inputs:
@@ -184,15 +204,19 @@ def run_episode(
             for _, slot, channel, levels in outputs:
                 effects[channel].append((aid, quantize(act[slot], levels)))
             if traced:
-                sensed = [act[slot] for _, slot, _ in inputs]
-                actuated = [quantize(act[slot], levels) for _, slot, _, levels in outputs]
-                texts[k].render(tails, sensed, actuated)
+                # a sensor's value is row[col], whose repr the row's text holds
+                for pos, head, slot, col in sensing[k]:
+                    tails[pos] = head + (repr(act[slot]) if col is None else texts[col])
+                for pos, head, slot, levels, by_level in acting[k]:
+                    value = quantize(act[slot], levels)
+                    tails[pos] = by_level[value] if by_level else head + repr(value)
         if traced:
             trace.events.write(tick_text(t, tails))
         env.advance(effects, trace.events)
         add_tick(breakdown, env.row, env.context)
         if traced:
-            values = ",".join([repr(env.row[k]) for k in order])
+            texts = env.row_text()
+            values = ",".join([texts[k] for k in order])
             trace.table.write(f"{env.tick},{values},{env.context}\n")
     score = reduce(add, breakdown.values(), 0)
     if key is not None:

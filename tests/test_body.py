@@ -318,9 +318,21 @@ def reference_walk(agent, percept, actions, tick, trace, config=BEHAVIOR_START):
     return config
 
 
+def levelled_devices():
+    """Outputs with other levels than the light switch's: a single level, and
+    levels whose reprs quote, escape or are empty."""
+    return [
+        DeviceSpec("thermometer", "input", "temperature"),
+        DeviceSpec("valve", "output", "flow", ("shut",)),
+        DeviceSpec("dial", "output", "dial", ("it's", 'say "hi"', "tab\tnew\nline", "")),
+    ]
+
+
 OPERABLE = [
-    s for s in all_selections(tuple(street_devices()))
-    if configure_body(street_devices(), s).is_operable()
+    (devices, s)
+    for devices in (street_devices(), levelled_devices())
+    for s in all_selections(tuple(devices))
+    if configure_body(devices, s).is_operable()
 ]
 # repr-sensitive floats: signed zero, the least subnormal, inexact decimals
 # and the edges of the light levels; percepts are finite, outputs in [0, 1]
@@ -340,12 +352,14 @@ class TestCompiledPass:
         st.lists(st.integers(min_value=0, max_value=2**31), min_size=1, max_size=3),
         st.data(),
     )
-    def test_compiled_walk_equals_interpreter_walk(self, selection, aid, ticks, data):
-        # byte for byte: the pass rendered from the agent's templates against
-        # the to_line() lines of a walk that dispatches every event
-        body = configure_body(street_devices(), selection)
+    def test_compiled_walk_equals_interpreter_walk(self, inventory, aid, ticks, data):
+        # byte for byte: the agent's layout, filled, against the to_line()
+        # lines of a walk that dispatches every event; a levelled output's
+        # line comes from its level's tail, a continuous one's from repr
+        devices, selection = inventory
+        body = configure_body(devices, selection)
         agent = Agent(aid, body, ControllerTopology())
-        template = pass_text(aid, body)
+        layout = pass_text(aid, body)
         trace: list[str] = []
         expected: list[TraceEvent] = []
         config = BEHAVIOR_START
@@ -354,8 +368,7 @@ class TestCompiledPass:
             actions = {
                 d.id: quantize(data.draw(outputs), d.output_levels) for d in body.enabled_outputs
             }
-            tails: list[str] = []
-            template.render(tails, percept.values(), actions.values())
+            tails = layout.filled(percept.values(), actions.values())
             trace.append(tick_text(tick, tails))
             config = reference_walk(agent, percept, actions, tick, expected, config)
         assert "".join(trace) == "".join(f"{t.to_line()}\n" for t in expected)

@@ -230,6 +230,49 @@ class TestStepEnv:
         assert env.comm_mailbox == {"a0": [], "a1": [("a0", 0.5)]}
 
 
+class TestRowText:
+    def test_perturbed_lines_never_use_stale_reprs(self):
+        # traced, untraced, traced, a traced tick whose bad row raises, then
+        # traced again: each perturbed line is the repr of its old and new
+        # value, never one made for another row, and a traced tick hands on
+        # its new row's reprs (row_text() is read only then, so that it does
+        # not mend what an untraced tick left behind)
+        bad = []
+
+        def update(t, r, e):
+            if bad:
+                return [bad.pop(), 0.0, 0.0]
+            return [t / 3, (-1) ** t * 0.1 * t, r[2] if t % 2 else 5e-324 * t]
+
+        env = Environment({"x": 0.0, "y": -0.0, "z": 1.0}, update, CATCH_ALL)
+        for traced, bad_value in [
+            (True, None),
+            (False, None),
+            (True, None),
+            (True, math.nan),
+            (True, None),
+            (False, None),
+            (False, None),
+            (True, math.inf),
+            (True, None),
+        ]:
+            previous, sink = env.row, io.StringIO()
+            if bad_value is not None:
+                bad.append(bad_value)
+                with pytest.raises(NonFiniteVariable):
+                    env.step([], sink)
+                assert sink.getvalue() == "" and env.row is previous
+                continue
+            env.step([], sink if traced else None)
+            assert sink.getvalue() == "".join(
+                f"{env.tick}\tenv\tperturbed\t{name}\t{old!r}->{new!r}\n"
+                for name, old, new in zip(env.names, previous, env.row)
+                if traced and new != old
+            )
+            if traced:
+                assert env.row_text() == [repr(value) for value in env.row]
+
+
 class TestPerceive:
     def test_sensor_reads_channel_variable(self):
         env = constant_env(brightness=0.3)

@@ -386,6 +386,22 @@ class TestRunEpisode:
         assert written > 5_000_000
         assert peak < 0.25 * written
 
+    def test_traced_episode_keeps_no_rows(self):
+        # a traced 10-light episode's heap peak grows by less than one kept
+        # row per tick: 361 B per tick, from the people flows drawn up front,
+        # against 1,122 B when each tick's (row, context) was kept
+        def peak(ticks):
+            scenario = small_scenario(n_lights=10, episode_ticks=ticks)
+            genotype = random_genotype(scenario, random.Random(3))
+            tracemalloc.start()
+            try:
+                run_episode(scenario, genotype, 0, trace=EpisodeTrace(sink(len), sink(len)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(800) - peak(200)) / 600 < 750
+
 
 class TestScoreMemo:
     """``run_episode``'s ``scores=``: a search's memo of the operable
