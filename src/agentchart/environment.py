@@ -51,25 +51,12 @@ class Environment:
         # an episode's tick loop and the update function may hold on to it
         self.row: list[float] = self._checked(list(initial.values()))
         self.context = context(self.row)
-        # a row and its values' reprs; keyed by the row object, which is
-        # never mutated, so reprs made for another row are never taken
-        self._text: tuple[list[float] | None, list[str]] = (None, [])
 
     @property
     def values(self) -> Mapping[str, float]:
         """The current row by variable name, a read-only mapping built on
         each call."""
         return MappingProxyType(dict(zip(self.names, self.row)))
-
-    def row_text(self) -> list[str]:
-        """The repr of each value of the current row, in ``names`` order,
-        made once per row: a traced ``advance`` makes the new row's as it
-        writes its ``perturbed`` lines, and an untraced one makes none."""
-        row, text = self._text
-        if row is not self.row:
-            text = [repr(value) for value in self.row]
-            self._text = self.row, text
-        return text
 
     def register_agent(self, agent_id: str, body: BodyConfig) -> None:
         """Add an agent; every enabled device must read or drive a declared
@@ -100,34 +87,16 @@ class Environment:
                 effects.setdefault(channel, []).append((agent_id, value))
         return effects
 
-    def step(self, actions: Actions = (), trace: TextSink | None = None) -> None:
+    def step(self, actions: Actions = ()) -> None:
         """Advance one tick under ``actions``, grouped by ``apply_effects``."""
-        self.advance(self.apply_effects(actions), trace)
+        self.advance(self.apply_effects(actions))
 
-    def advance(self, effects: Effects, trace: TextSink | None = None) -> None:
+    def advance(self, effects: Effects) -> None:
         """Advance one tick under ``effects``: simultaneous variable update,
         mailbox swap, context re-selection.  The new row is checked before
-        anything of the tick is written or kept.  With ``trace``, write one
-        text piece to it: the comm messages sent at this tick as ``emitted``
-        lines, then each variable that changed as a ``perturbed`` line of the
-        next tick, if there are any."""
-        previous = self.row
+        anything of the tick is kept."""
         new_tick = self.tick + 1
-        row = self._checked(self.update(new_tick, previous, MappingProxyType(effects)))
-        if trace is not None:
-            old_text, text = self.row_text(), [repr(value) for value in row]
-            self._text = row, text
-            lines = [
-                f"{self.tick}\t{sender}\temitted\t{COMM_CHANNEL}\t{value!r}\n"
-                for sender, value in effects.get(COMM_CHANNEL, ())
-            ]
-            lines += [
-                f"{new_tick}\tenv\tperturbed\t{name}\t{old_text[k]}->{text[k]}\n"
-                for k, name in enumerate(self.names)
-                if row[k] != previous[k]
-            ]
-            if lines:
-                trace.write("".join(lines))
+        row = self._checked(self.update(new_tick, self.row, MappingProxyType(effects)))
         self.row = row
 
         # messages sent at tick t are readable at t+1 and gone at t+2

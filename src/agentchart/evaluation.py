@@ -117,12 +117,14 @@ def run_episode(
     agent's sense -> decide -> act pass over activation lists and scores the
     environment's new row with the scenario's ``tick_score``; it keeps no row.
     Untraced, it returns ``EpisodeTrace()``.  With a ``trace`` it returns it,
-    and each tick writes one text piece of every agent's pass lines, its
-    ``pass_text`` layout with only the value lines filled in again, in agent
-    order, then ``Environment.advance``'s lines, to ``trace.events``, then the
-    tick's episode.csv line, whose header it wrote first, to ``trace.table``:
-    no text is kept back, and a ``write`` that raises ends the episode.  Each
-    row value's repr is made once, by ``Environment.row_text``.  An
+    and each tick writes two text pieces to ``trace.events``: every agent's
+    pass lines, its ``pass_text`` layout with only the value lines filled in
+    again, in agent order, before the environment advances; then the comm
+    messages sent at the tick as ``emitted`` lines and each variable that
+    changed as a ``perturbed`` line of the next tick, if there are any.  Then
+    it writes the tick's episode.csv line, whose header it wrote first, to
+    ``trace.table``: no text is kept back, and a ``write`` that raises ends
+    the episode.  Each row value's repr is made once.  An
     inoperable genotype (its shared body enables no input or no output)
     scores +inf without writing, so that structural search can still
     enumerate it.
@@ -183,7 +185,7 @@ def run_episode(
                     )
                 ]
             )
-        texts = env.row_text()
+        texts = [repr(value) for value in env.row]
         order = sorted(range(len(env.names)), key=env.names.__getitem__)
         trace.table.write("tick," + ",".join(env.names[k] for k in order) + ",context\n")
     previous = [[0.0] * n_slots for _ in wired]
@@ -212,10 +214,21 @@ def run_episode(
                     tails[pos] = by_level[value] if by_level else head + repr(value)
         if traced:
             trace.events.write(tick_text(t, tails))
-        env.advance(effects, trace.events)
+        env.advance(effects)
         add_tick(breakdown, env.row, env.context)
         if traced:
-            texts = env.row_text()
+            old_texts, texts = texts, [repr(value) for value in env.row]
+            lines = [
+                f"{t}\t{sender}\temitted\t{COMM_CHANNEL}\t{value!r}\n"
+                for sender, value in effects.get(COMM_CHANNEL, ())
+            ]
+            lines += [
+                f"{env.tick}\tenv\tperturbed\t{name}\t{old_texts[k]}->{texts[k]}\n"
+                for k, name in enumerate(env.names)
+                if env.row[k] != row[k]
+            ]
+            if lines:
+                trace.events.write("".join(lines))
             values = ",".join([texts[k] for k in order])
             trace.table.write(f"{env.tick},{values},{env.context}\n")
     score = reduce(add, breakdown.values(), 0)

@@ -161,7 +161,7 @@ class StreetLightScenario:
         return {ids[i]: [ids[j] for j in w] for i, w in enumerate(self.neighbor_windows())}
 
     def build_env(self, seed: int, bodies: dict[str, BodyConfig]) -> Environment:
-        flows = self.people.sample(seed, self.episode_ticks, self.n_lights).tolist()
+        flows = self.people.sample(seed, self.episode_ticks, self.n_lights)
         ambient = self.ambient
         ticks = self.episode_ticks
         contribution = dict(self.light_contribution)
@@ -188,8 +188,8 @@ class StreetLightScenario:
                     spent += energy_of[level]
                 light.append(own)
                 energy.append(spent)
-            row = [daylight]
-            for window, own, flow, spent in zip(windows, light, flows[min(t, ticks)], energy):
+            row, people = [daylight], flows[min(t, ticks)].tolist()  # this tick's, as floats
+            for window, own, flow, spent in zip(windows, light, people, energy):
                 spilled = 0.0
                 for j in window:
                     spilled += light[j]

@@ -196,10 +196,18 @@ class TestStepEnv:
         ],
     )
     def test_update_must_return_every_variable(self, update, traced):
-        # a row longer or shorter than the names
+        # a row longer or shorter than the names; traced, the tick runs as a
+        # traced episode runs it, through advance(), whose perturbed lines are
+        # written only once it returns, so none is
         env = Environment({"x": 0.0, "y": 1.0}, update, CATCH_ALL)
+        sink = io.StringIO()
         with pytest.raises(UnknownChannel, match=r"\['x', 'y'\]"):
-            env.step([], io.StringIO() if traced else None)
+            if traced:
+                env.advance({})
+                sink.write("".join(f"{env.tick}\tenv\tperturbed\t{n}\n" for n in env.names))
+            else:
+                env.step([])
+        assert sink.getvalue() == "" and env.tick == 0 and env.row == [0.0, 1.0]
 
     @pytest.mark.parametrize(
         "bad_row",
@@ -210,8 +218,10 @@ class TestStepEnv:
         ],
     )
     def test_bad_row_raises_before_its_tick_reaches_the_trace(self, bad_row):
-        # tick 2's row is bad: its emitted and perturbed lines are never
-        # written, and the environment stays at tick 1
+        # tick 2's row is bad: the environment keeps nothing of the tick and
+        # stays at tick 1, so a traced episode, which writes a tick's emitted
+        # and perturbed lines once advance() returns, writes none of them
+        # (test_evaluation's test_bad_row_writes_nothing_of_its_tick)
         def update(t, r, e):
             row = [r[0] + 1.0, r[1]]
             return bad_row(row) if t == 2 else row
@@ -219,58 +229,13 @@ class TestStepEnv:
         env = Environment({"x": 0.0, "y": 1.0}, update, CATCH_ALL, {"a0": ["a1"], "a1": ["a0"]})
         for aid in ("a0", "a1"):
             env.register_agent(aid, comm_body())
-        sink = io.StringIO()
-        env.step([("a0", {"wireless_speaker": 0.5})], sink)
-        first = sink.getvalue()
-        assert "\temitted\t" in first and "\tperturbed\t" in first
+        env.step([("a0", {"wireless_speaker": 0.5})])
+        row, context = env.row, env.context
         with pytest.raises((UnknownChannel, NonFiniteVariable)):
-            env.step([("a1", {"wireless_speaker": 0.25})], sink)
-        assert sink.getvalue() == first
-        assert env.tick == 1 and env.row == [1.0, 1.0]
+            env.step([("a1", {"wireless_speaker": 0.25})])
+        assert env.tick == 1 and env.row is row and row == [1.0, 1.0]
+        assert env.context == context
         assert env.comm_mailbox == {"a0": [], "a1": [("a0", 0.5)]}
-
-
-class TestRowText:
-    def test_perturbed_lines_never_use_stale_reprs(self):
-        # traced, untraced, traced, a traced tick whose bad row raises, then
-        # traced again: each perturbed line is the repr of its old and new
-        # value, never one made for another row, and a traced tick hands on
-        # its new row's reprs (row_text() is read only then, so that it does
-        # not mend what an untraced tick left behind)
-        bad = []
-
-        def update(t, r, e):
-            if bad:
-                return [bad.pop(), 0.0, 0.0]
-            return [t / 3, (-1) ** t * 0.1 * t, r[2] if t % 2 else 5e-324 * t]
-
-        env = Environment({"x": 0.0, "y": -0.0, "z": 1.0}, update, CATCH_ALL)
-        for traced, bad_value in [
-            (True, None),
-            (False, None),
-            (True, None),
-            (True, math.nan),
-            (True, None),
-            (False, None),
-            (False, None),
-            (True, math.inf),
-            (True, None),
-        ]:
-            previous, sink = env.row, io.StringIO()
-            if bad_value is not None:
-                bad.append(bad_value)
-                with pytest.raises(NonFiniteVariable):
-                    env.step([], sink)
-                assert sink.getvalue() == "" and env.row is previous
-                continue
-            env.step([], sink if traced else None)
-            assert sink.getvalue() == "".join(
-                f"{env.tick}\tenv\tperturbed\t{name}\t{old!r}->{new!r}\n"
-                for name, old, new in zip(env.names, previous, env.row)
-                if traced and new != old
-            )
-            if traced:
-                assert env.row_text() == [repr(value) for value in env.row]
 
 
 class TestPerceive:

@@ -13,7 +13,7 @@ from agentchart import evaluation, statechart
 from agentchart.body import Agent, configure_body, derive_controller, step_agent
 from agentchart.controller import HIDDEN, OUTPUT, Connection, ControllerTopology, Neuron
 from agentchart.environment import Environment, EpisodeTrace
-from agentchart.errors import BehaviorNotConfigured
+from agentchart.errors import BehaviorNotConfigured, NonFiniteVariable
 from agentchart.evaluation import (
     ADJUST,
     RECONFIGURE,
@@ -346,8 +346,8 @@ class TestRunEpisode:
                         raise OSError("sink full")
                     received.append(text)
 
-                def counted_advance(env, effects, trace=None):
-                    advance(env, effects, trace)
+                def counted_advance(env, effects):
+                    advance(env, effects)
                     ticks_run.append(env.tick)
 
                 with pytest.MonkeyPatch.context() as mp:
@@ -357,12 +357,46 @@ class TestRunEpisode:
                 assert received == full[: k - 1]
                 assert len(ticks_run) < k
             if failing == "events":
-                # the last write fails in the last tick, after every earlier tick advanced
-                assert len(ticks_run) == scenario.episode_ticks - 1
+                # the last write, the last tick's emitted and perturbed lines,
+                # fails once that tick has advanced
+                assert len(ticks_run) == scenario.episode_ticks
             else:
                 # the header, then each tick's line once that tick has advanced
                 assert len(full) == 1 + scenario.episode_ticks
                 assert len(ticks_run) == scenario.episode_ticks
+
+    def test_bad_row_writes_nothing_of_its_tick(self):
+        # the update's row for tick k holds a NaN: the episode raises, and of
+        # the step from tick k-1 to k, trace.log has the agents' lines but no
+        # emitted line (stamped k-1) and no perturbed line (stamped k), and
+        # episode.csv has no line for tick k
+        scenario = small_scenario(n_lights=3, episode_ticks=12)
+        genotype = random_genotype(scenario, random.Random(7))
+        build_env, k = StreetLightScenario.build_env, 5
+
+        def poisoned_build_env(self, *args):
+            env = build_env(self, *args)
+            update = env.update
+
+            def poisoned(t, previous, effects):
+                row = update(t, previous, effects)
+                return [math.nan, *row[1:]] if t == k else row
+
+            env.update = poisoned
+            return env
+
+        sinks = traced()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(StreetLightScenario, "build_env", poisoned_build_env)
+            with pytest.raises(NonFiniteVariable, match="'daylight'"):
+                run_episode(scenario, genotype, 1, trace=sinks)
+        events = {tuple(line.split("\t")[:3:2]) for line in sinks.events.getvalue().splitlines()}
+        # the step before wrote both kinds of line, the failing one neither
+        assert {(str(k - 2), "emitted"), (str(k - 1), "perturbed")} <= events
+        assert not {(str(k - 1), "emitted"), (str(k), "perturbed")} & events
+        assert (str(k - 1), "fired") in events
+        ticks = [line.split(",")[0] for line in sinks.table.getvalue().splitlines()]
+        assert ticks == ["tick", *map(str, range(1, k))]
 
     def test_traced_episode_holds_no_trace_text(self):
         # the heap peak of a traced episode stays under a quarter of the
@@ -387,9 +421,11 @@ class TestRunEpisode:
         assert peak < 0.25 * written
 
     def test_traced_episode_keeps_no_rows(self):
-        # a traced 10-light episode's heap peak grows by less than one kept
-        # row per tick: 361 B per tick, from the people flows drawn up front,
-        # against 1,122 B when each tick's (row, context) was kept
+        # a traced 10-light episode's heap peak grows by less than a quarter
+        # of one kept row per tick: about 100 B per tick, from the people
+        # flows drawn up front as one array, against about 400 B when they
+        # were drawn as Python floats and 1,122 B when each tick's (row,
+        # context) was kept
         def peak(ticks):
             scenario = small_scenario(n_lights=10, episode_ticks=ticks)
             genotype = random_genotype(scenario, random.Random(3))
@@ -400,7 +436,7 @@ class TestRunEpisode:
             finally:
                 tracemalloc.stop()
 
-        assert (peak(800) - peak(200)) / 600 < 750
+        assert (peak(800) - peak(200)) / 600 < 250
 
 
 class TestScoreMemo:
@@ -466,18 +502,31 @@ class TestScoreMemo:
 
 def reference_episode(scenario, genotype, seed, episode=0, trace=None):
     """The episode as the dict-level views run it: every tick, each agent's
-    ``perceive`` -> ``step_agent``, then ``Environment.step`` and a
-    name-keyed tick ``(tick, values, context)``, scored by
-    ``reference_score``; for operable genotypes only."""
+    ``perceive`` -> ``step_agent``, then an untraced ``Environment.step`` and
+    a name-keyed tick ``(tick, values, context)``, scored by
+    ``reference_score``; for operable genotypes only.  With ``trace`` it
+    writes each tick's ``emitted`` and ``perturbed`` lines itself, from the
+    agents' comm actions and the name-keyed values before and after the step."""
     ids = scenario.agent_ids()
     bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
     env = scenario.build_env(seed, bodies)
     agents = [Agent(aid, bodies[aid], genotype.topology) for aid in ids]
+    channel = {(aid, d.id): d.channel for aid, body in bodies.items() for d in body.enabled_outputs}
     ticks = []
     for t in range(scenario.episode_ticks):
         actions = [(a.agent_id, step_agent(a, env.perceive(a.agent_id), t, trace)) for a in agents]
-        env.step(actions, trace)
-        ticks.append((env.tick, dict(env.values), env.context))
+        before = dict(env.values)
+        env.step(actions)
+        after = dict(env.values)
+        if trace is not None:
+            for aid, action_set in actions:
+                for device_id, value in action_set.items():
+                    if channel[aid, device_id] == "comm":
+                        trace.write(f"{t}\t{aid}\temitted\tcomm\t{value!r}\n")
+            for name, value in after.items():
+                if value != before[name]:
+                    trace.write(f"{t + 1}\tenv\tperturbed\t{name}\t{before[name]!r}->{value!r}\n")
+        ticks.append((env.tick, after, env.context))
     score = reference_score(ticks, scenario.rules, scenario.n_lights)
     return EvaluationRecord(episode, *score), ticks
 
