@@ -124,31 +124,37 @@ def run_episode(
     changed as a ``perturbed`` line of the next tick, if there are any.  Then
     it writes the tick's episode.csv line, whose header it wrote first, to
     ``trace.table``: no text is kept back, and a ``write`` that raises ends
-    the episode.  Each row value's repr is made once.  An
-    inoperable genotype (its shared body enables no input or no output)
-    scores +inf without writing, so that structural search can still
-    enumerate it.
+    the episode.  Each row value's repr is made once, and each output's
+    value quantized once.  An inoperable genotype (its shared body enables
+    no input or no output) scores +inf without writing, so that structural
+    search can still enumerate it.
 
     ``scores`` is a search's memo of the operable genotypes it has run on
-    one scenario, keyed by seed, selection and topology: a genotype found
-    there takes its ``(score, breakdown)`` with this call's ``episode``, and
-    one not found runs and is stored.  A traced call neither reads nor
-    stores it.
+    one scenario: a genotype found there takes its ``(score, breakdown)``
+    with this call's ``episode``, and one not found runs and is stored.  The
+    key is seed, selection and topology, or the seed alone for a lampless
+    genotype, whose outputs all drive the comm channel: no update reads that
+    channel (``environment.Update``), so its rows, and its score, are the
+    seed's.  Such a hit skips the ``NonFiniteInput`` check, which only
+    weights near 1e308 could trip; a search's are finite sums of Gaussian
+    draws.  A traced call neither reads nor stores it.
     """
     require(seed >= 0, "seed must be >= 0")
     traced, trace = trace is not None, trace or EpisodeTrace()
-    if not genotype_operable(scenario, genotype):
+    shared = configure_body(list(scenario.devices), genotype.selection)
+    if not shared.is_operable():
         return EvaluationRecord(episode, math.inf, {}), trace
+    require_mirror(shared, genotype.topology)
     key = None
     if scores is not None and not traced:
         key = (seed, frozenset(genotype.selection.items()), genotype.topology)
+        if all(d.channel == COMM_CHANNEL for d in shared.enabled_outputs):
+            key = (seed,)  # a body that drives no variable leaves every row as it finds it
         if key in scores:
             score, breakdown = scores[key]
             return EvaluationRecord(episode, score, dict(breakdown)), trace
     ids = scenario.agent_ids()
     bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
-    require_mirror(bodies[ids[0]], genotype.topology)
-
     env = scenario.build_env(seed, bodies)
     _, steps, _, slots = genotype.topology.eval_plan
     n_slots = len(slots)
@@ -168,8 +174,8 @@ def run_episode(
     if traced:
         # every agent's layout in agent order, whose value lines each tick
         # fills: (position, head, slot, row column) per input, (position,
-        # head, slot, levels, tail per level) per output
-        tails, sensing, acting = [], [], []
+        # head, slot, channel, levels, tail per level) per output
+        tails, sensing, acting, emitted = [], [], [], []
         for (aid, inputs, outputs), body in zip(wired, bodies.values()):
             layout, at = pass_text(aid, body), len(tails)
             tails += layout.tails
@@ -179,8 +185,8 @@ def run_episode(
             )
             acting.append(
                 [
-                    (at + p, heads[p], slot, levels, by_level)
-                    for p, (_, slot, _, levels), by_level in zip(
+                    (at + p, heads[p], slot, channel, levels, by_level)
+                    for p, (_, slot, channel, levels), by_level in zip(
                         layout.actuated, outputs, layout.levels
                     )
                 ]
@@ -203,25 +209,26 @@ def run_episode(
                 act[slot] = value
             activate(steps, act, previous[k])
             previous[k] = act
-            for _, slot, channel, levels in outputs:
-                effects[channel].append((aid, quantize(act[slot], levels)))
-            if traced:
-                # a sensor's value is row[col], whose repr the row's text holds
-                for pos, head, slot, col in sensing[k]:
-                    tails[pos] = head + (repr(act[slot]) if col is None else texts[col])
-                for pos, head, slot, levels, by_level in acting[k]:
-                    value = quantize(act[slot], levels)
-                    tails[pos] = by_level[value] if by_level else head + repr(value)
+            if not traced:
+                for _, slot, channel, levels in outputs:
+                    effects[channel].append((aid, quantize(act[slot], levels)))
+                continue
+            # a sensor's value is row[col], whose repr the row's text holds
+            for pos, head, slot, col in sensing[k]:
+                tails[pos] = head + (repr(act[slot]) if col is None else texts[col])
+            for pos, head, slot, channel, levels, by_level in acting[k]:
+                value = quantize(act[slot], levels)
+                effects[channel].append((aid, value))
+                tails[pos] = by_level[value] if by_level else head + repr(value)
+                if channel == COMM_CHANNEL:  # the fill ends in the value's repr
+                    emitted.append(f"{t}\t{aid}\temitted\t{channel}\t{tails[pos][len(head):]}\n")
         if traced:
             trace.events.write(tick_text(t, tails))
         env.advance(effects)
         add_tick(breakdown, env.row, env.context)
         if traced:
             old_texts, texts = texts, [repr(value) for value in env.row]
-            lines = [
-                f"{t}\t{sender}\temitted\t{COMM_CHANNEL}\t{value!r}\n"
-                for sender, value in effects.get(COMM_CHANNEL, ())
-            ]
+            lines, emitted = emitted, []
             lines += [
                 f"{env.tick}\tenv\tperturbed\t{name}\t{old_texts[k]}->{texts[k]}\n"
                 for k, name in enumerate(env.names)

@@ -441,7 +441,9 @@ class TestRunEpisode:
 
 class TestScoreMemo:
     """``run_episode``'s ``scores=``: a search's memo of the operable
-    genotypes it has run, keyed by seed, selection and topology."""
+    genotypes it has run, keyed by seed, selection and topology, or by the
+    seed alone for a lampless genotype, whose outputs all drive the comm
+    channel."""
 
     def setup_method(self):
         self.scenario = small_scenario(n_lights=3, episode_ticks=12)
@@ -499,6 +501,60 @@ class TestScoreMemo:
             assert record == EvaluationRecord(episode, math.inf, {})
         assert scores == {}
 
+    def test_lampless_genotypes_share_one_entry(self):
+        # different sensors and weights, but the speaker is the only output of
+        # both: the second is a hit, and builds no environment
+        first = random_genotype(
+            self.scenario, random.Random(1), light_switch=False, motion_sensor=False
+        )
+        second = random_genotype(
+            self.scenario, random.Random(2), light_switch=False, motion_sensor=True
+        )
+        assert first.selection != second.selection
+        assert first.topology.connections != second.topology.connections
+        scores = {}
+        run_episode(self.scenario, first, 1, 3, scores=scores)
+        assert len(scores) == 1
+
+        def no_build_env(*args):
+            raise AssertionError("a hit builds no environment")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(StreetLightScenario, "build_env", no_build_env)
+            hit, trace = run_episode(self.scenario, second, 1, 8, scores=scores)
+        assert len(scores) == 1 and trace == EpisodeTrace()
+        # with this call's episode index, 8
+        assert repr(hit) == repr(run_episode(self.scenario, second, 1, 8)[0])
+
+    def test_lampless_controller_must_mirror_the_body_on_a_hit(self):
+        lampless = random_genotype(self.scenario, random.Random(1), light_switch=False)
+        scores = {}
+        run_episode(self.scenario, lampless, 1, scores=scores)
+        assert list(scores) == [(1,)]
+        # the same body without the speaker's output neuron
+        topology = lampless.topology
+        neurons = tuple(n for n in topology.neurons if n.id != "wireless_speaker")
+        broken = replace(lampless, topology=replace(topology, neurons=neurons))
+        with pytest.raises(BehaviorNotConfigured):
+            run_episode(self.scenario, broken, 1, scores=scores)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_lampless_episode_scores_the_idle_environment(self, seed):
+        # the oracle the seed-only key rests on, run without the memo: agents
+        # that only talk leave the environment as if nobody acted
+        scenario = small_scenario(n_lights=4, episode_ticks=15)
+        genotype = random_genotype(scenario, random.Random(seed), light_switch=False)
+        record, _ = run_episode(scenario, genotype, seed % 1000)
+        env = scenario.build_env(seed % 1000, {})
+        rows, contexts = [], []
+        for _ in range(scenario.episode_ticks):
+            env.step([])
+            rows.append(env.row)
+            contexts.append(env.context)
+        idle = streetlight_score(env.names, rows, contexts, scenario.rules, scenario.n_lights)
+        assert repr((record.score, record.breakdown)) == repr(idle)
+
 
 def reference_episode(scenario, genotype, seed, episode=0, trace=None):
     """The episode as the dict-level views run it: every tick, each agent's
@@ -531,13 +587,14 @@ def reference_episode(scenario, genotype, seed, episode=0, trace=None):
     return EvaluationRecord(episode, *score), ticks
 
 
-def random_genotype(scenario, rng: random.Random) -> Genotype:
-    """Both comm devices and a random rest of the body; the derived controller
-    plus hidden neurons, a self-loop and random edges (cycles among them),
-    with about one edge in five disabled."""
+def random_genotype(scenario, rng: random.Random, **fixed: bool) -> Genotype:
+    """Both comm devices, the devices ``fixed`` sets as it says, and a random
+    rest of the body; the derived controller plus hidden neurons, a
+    self-loop and random edges (cycles among them), with about one edge in
+    five disabled."""
     devices = list(scenario.devices)
     selection = {d.id: rng.random() < 0.5 for d in devices}
-    selection.update(wireless_in=True, wireless_speaker=True)
+    selection.update({"wireless_in": True, "wireless_speaker": True, **fixed})
     body = configure_body(devices, selection)
     base = derive_controller(body, rng=np.random.default_rng(rng.randrange(2**32)))
     hidden = [Neuron(f"h{k}", HIDDEN, bias=rng.gauss(0, 1)) for k in range(rng.randint(1, 3))]
@@ -599,7 +656,8 @@ class TestRunSearch:
         # differential: every history entry of a search, re-run by a plain
         # run_episode without the memo, gives the same episode, score and
         # breakdown; the seeds are ones whose RECONFIGURE generations repeat
-        # genotypes, so the memo is hit
+        # genotypes, so the memo is hit, and seeds 11 and 6 meet lampless
+        # genotypes (76 and 44 of them), seed 6's all distinct
         scenario = small_scenario()
         built = []
         build_env = StreetLightScenario.build_env
@@ -608,7 +666,8 @@ class TestRunSearch:
             built.append(args)
             return build_env(self, *args, **kwargs)
 
-        for seed in (4, 11):
+        lampless_met = lampless_served = 0
+        for seed in (4, 11, 6):
             candidates = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(StreetLightScenario, "build_env", counting_build_env)
@@ -622,7 +681,7 @@ class TestRunSearch:
                 )
             genotypes = [initial_genotype(scenario, seed)] + candidates
             assert len(genotypes) == len(result.history)
-            operable = 0
+            operable = lampless = 0
             for k, (genotype, record) in enumerate(zip(genotypes, result.history)):
                 expected, _ = run_episode(scenario, genotype, seed, episode=k)
                 assert (record.episode, record.score, record.breakdown) == (
@@ -631,9 +690,17 @@ class TestRunSearch:
                     expected.breakdown,
                 )
                 operable += math.isfinite(expected.score)
+                lampless += math.isfinite(expected.score) and not genotype.selection["light_switch"]
             # fewer episodes were built than operable entries: the memo was hit
             assert len(built) < operable
+            # the kernel ran the first lampless genotype only, or one per
+            # thread when the first ones raced
+            ran = sum(not bodies["light_0"].enabled["light_switch"] for _, bodies in built)
+            assert ran <= min(lampless, jobs)
+            lampless_met += lampless
+            lampless_served += lampless - ran
             built.clear()
+        assert lampless_met >= 2 and lampless_served >= 1
 
     def test_exhaustive_matches_brute_force_argmin(self):
         scenario = small_scenario(n_lights=2, episode_ticks=6)

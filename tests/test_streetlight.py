@@ -475,3 +475,39 @@ class TestAgainstReferenceForms:
         score, breakdown = reference_score(ticks, rules, n)
         assert bits([("score", got)]) == bits([("score", score)])
         assert bits(got_breakdown.items()) == bits(breakdown.items())
+
+
+# what agents may send: any sender, and values of any kind, levels included
+messages = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(["light_0", "light_1", "env"]), st.text()),
+        st.one_of(
+            st.floats(allow_nan=True),
+            st.integers(),
+            st.sampled_from(LEVELS),
+            st.text(),
+            st.none(),
+        ),
+    ),
+    max_size=8,
+)
+
+
+class TestUpdateContract:
+    @settings(max_examples=60, deadline=None)
+    @given(scenarios(), st.integers(0, 2**32 - 1), messages)
+    def test_update_never_reads_the_comm_channel(self, scenario, seed, sent):
+        # a search keys every lampless genotype by its seed alone, which holds
+        # only if what agents send on the comm channel never reaches a row
+        env = scenario.build_env(seed, {})
+        rng = random.Random(seed)
+        previous = env.row
+        for t in range(1, scenario.episode_ticks + 2):
+            effects = {}
+            for i in range(scenario.n_lights):
+                if rng.random() < 0.5:
+                    effects[f"light_{i}"] = [(f"light_{i}", rng.choice(LEVELS))]
+            row = env.update(t, previous, MappingProxyType(effects))
+            with_comm = env.update(t, previous, MappingProxyType({**effects, COMM_CHANNEL: sent}))
+            assert repr(with_comm) == repr(row)
+            previous = row
