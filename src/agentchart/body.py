@@ -1,14 +1,13 @@
 """Embodied-agent layer: device inventory with an enable/disable selection,
 controller derivation from the body, and the perception -> decision ->
-effector step, whose behavior statechart pass is compiled once and laid
-out as trace text to record a trace.
+effector step, whose behavior statechart pass is compiled once into the
+engine lines a traced episode writes for every agent and tick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -227,62 +226,6 @@ BEHAVIOR_START = sc.initialize(BEHAVIOR_CHART)
 BEHAVIOR_PASS = compile_pass(BEHAVIOR_CHART, BEHAVIOR_START)
 
 
-@dataclass(frozen=True)
-class PassText:
-    """One agent's tick layout: the trace.log line tails of its compiled
-    pass without the tick (agent, kind, subject and detail, separated by
-    tabs), in line order.  The tails at ``sensed`` and ``actuated``, one
-    position per enabled input and output in device order, are the heads of
-    the ``sensed:`` and ``actuated:`` lines, which wait for a value's repr;
-    ``levels`` holds each output's whole tail per level, and is empty for a
-    continuous output."""
-
-    tails: tuple[str, ...]
-    sensed: tuple[int, ...]
-    actuated: tuple[int, ...]
-    levels: tuple[dict[str, str], ...]
-
-    def filled(self, sensed: Iterable[object], actuated: Iterable[object]) -> list[str]:
-        """The tails with the value lines completed from the values read,
-        ``sensed``, and driven, ``actuated``, each in device order."""
-        tails = list(self.tails)
-        for p, value in zip(self.sensed, sensed):
-            tails[p] += repr(value)
-        for p, value, by_level in zip(self.actuated, actuated, self.levels):
-            tails[p] = by_level[value] if by_level else tails[p] + repr(value)
-        return tails
-
-
-def pass_text(agent_id: str, body: BodyConfig) -> PassText:
-    """``BEHAVIOR_PASS`` as ``agent_id``'s tick layout: the four macrosteps'
-    lines, the first followed by one ``sensed:`` line per enabled input and
-    the third by one ``actuated:`` line per enabled output of ``body``."""
-    sense, decide, act, rest = (
-        tuple(f"{agent_id}\t{kind}\t{subject}\t{detail}" for kind, subject, detail in segment)
-        for segment in BEHAVIOR_PASS
-    )
-    sensed = tuple(f"{agent_id}\tfired\tsensed:{d.id}\t" for d in body.enabled_inputs)
-    actuated = tuple(f"{agent_id}\tfired\tactuated:{d.id}\t" for d in body.enabled_outputs)
-    first_actuated = len(sense) + len(sensed) + len(decide) + len(act)
-    return PassText(
-        sense + sensed + decide + act + actuated + rest,
-        tuple(range(len(sense), len(sense) + len(sensed))),
-        tuple(range(first_actuated, first_actuated + len(actuated))),
-        tuple(
-            {level: head + repr(level) for level in d.output_levels}
-            for head, d in zip(actuated, body.enabled_outputs)
-        ),
-    )
-
-
-class TextSink(Protocol):
-    """Where trace.log text goes as it is made: an open text file, or an
-    ``io.StringIO``.  Each ``write`` gets whole lines, each ending in a
-    newline."""
-
-    def write(self, text: str, /) -> object: ...
-
-
 def tick_text(tick: int, tails: list[str]) -> str:
     """The non-empty ``tails`` as whole trace.log lines of ``tick``."""
     sep = f"\n{tick}\t"
@@ -313,18 +256,11 @@ def quantize(value: float, levels: tuple[str, ...]) -> object:
     return levels[idx]
 
 
-def step_agent(
-    agent: Agent,
-    percept: Percept,
-    tick: int = 0,
-    trace: TextSink | None = None,
-) -> ActionSet:
+def step_agent(agent: Agent, percept: Percept) -> ActionSet:
     """One sense -> decide -> act pass: the controller maps the percept to
-    the ActionSet and its state is updated in place on ``agent``.
-
-    The behavior chart's pass never changes an action; its layout is filled
-    only to write its lines to ``trace``.
-    """
+    the ActionSet and its state is updated in place on ``agent``.  The
+    behavior chart's pass never changes an action, so it is not run here;
+    a traced episode writes its lines."""
     body = agent.body
     if not body.is_operable():
         raise BehaviorNotConfigured(
@@ -336,9 +272,4 @@ def step_agent(
             f"{sorted(body.input_ids)}"
         )
     outputs, agent.controller_state = eval_net(agent.controller, agent.controller_state, percept)
-    actions = {d.id: quantize(outputs[d.id], d.output_levels) for d in body.enabled_outputs}
-    if trace is not None:
-        sensed = [percept[d.id] for d in body.enabled_inputs]
-        tails = pass_text(agent.agent_id, body).filled(sensed, actions.values())
-        trace.write(tick_text(tick, tails))
-    return actions
+    return {d.id: quantize(outputs[d.id], d.output_levels) for d in body.enabled_outputs}

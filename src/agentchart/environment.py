@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Protocol
 
-from .body import COMM_CHANNEL, BodyConfig, Percept, TextSink
+from .body import COMM_CHANNEL, BodyConfig, Percept
 from .errors import NonFiniteVariable, UnknownChannel, UnknownDevice
 
 # each agent's id and ActionSet, and the same values grouped by the channel
@@ -147,6 +147,14 @@ def comm_mean(messages: list[tuple[str, object]]) -> float:
 def snapshot_row(env: Environment) -> tuple[list[float], str]:
     """The current tick's record: its row and its context."""
     return env.row, env.context
+
+
+class TextSink(Protocol):
+    """Where a traced episode's text goes as it is made: an open text file,
+    or an ``io.StringIO``.  Each ``write`` gets whole lines, each ending in
+    a newline."""
+
+    def write(self, text: str, /) -> object: ...
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,11 @@ from typing import Callable
 import numpy as np
 
 from .body import (
+    BEHAVIOR_PASS,
     COMM_CHANNEL,
     DeviceSpec,
     configure_body,
     derive_controller,
-    pass_text,
     quantize,
     require_mirror,
     step_agent,  # noqa: F401  perfbench's layer sites wrap it at this name
@@ -118,10 +118,13 @@ def run_episode(
     environment's new row with the scenario's ``tick_score``; it keeps no row.
     Untraced, it returns ``EpisodeTrace()``.  With a ``trace`` it returns it,
     and each tick writes two text pieces to ``trace.events``: every agent's
-    pass lines, its ``pass_text`` layout with only the value lines filled in
-    again, in agent order, before the environment advances; then the comm
-    messages sent at the tick as ``emitted`` lines and each variable that
-    changed as a ``perturbed`` line of the next tick, if there are any.  Then
+    pass lines, in agent order, before the environment advances:
+    ``BEHAVIOR_PASS``'s engine lines, with a ``sensed:`` line per input after
+    the first macrostep's and an ``actuated:`` line per output after the
+    third's, laid out once per episode with only these value lines filled in
+    again; then the comm messages sent at the tick as ``emitted`` lines and
+    each variable that changed as a ``perturbed`` line of the next tick, if
+    there are any.  Then
     it writes the tick's episode.csv line, whose header it wrote first, to
     ``trace.table``: no text is kept back, and a ``write`` that raises ends
     the episode.  Each row value's repr is made once, and each output's
@@ -172,25 +175,31 @@ def run_episode(
     # the effects table's channels in the order agents first drive them
     channels = dict.fromkeys(channel for *_, outputs in wired for _, _, channel, _ in outputs)
     if traced:
-        # every agent's layout in agent order, whose value lines each tick
-        # fills: (position, head, slot, row column) per input, (position,
-        # head, slot, channel, levels, tail per level) per output
+        # every agent's pass lines without the tick, in agent order: the four
+        # macrosteps' engine lines, the first followed by a sensed: line per
+        # input, the third by an actuated: line per output.  Each tick fills
+        # the value lines: (position, head, slot, row column) per input, and
+        # (position, head, slot, channel, levels, line per level) per output
+        sense, run_network, actuate, rest = (
+            [f"\t{kind}\t{subject}\t{detail}" for kind, subject, detail in segment]
+            for segment in BEHAVIOR_PASS
+        )
         tails, sensing, acting, emitted = [], [], [], []
-        for (aid, inputs, outputs), body in zip(wired, bodies.values()):
-            layout, at = pass_text(aid, body), len(tails)
-            tails += layout.tails
-            heads = layout.tails
-            sensing.append(
-                [(at + p, heads[p], slot, col) for p, (_, slot, col) in zip(layout.sensed, inputs)]
-            )
-            acting.append(
-                [
-                    (at + p, heads[p], slot, channel, levels, by_level)
-                    for p, (_, slot, channel, levels), by_level in zip(
-                        layout.actuated, outputs, layout.levels
-                    )
-                ]
-            )
+        for aid, inputs, outputs in wired:
+            tails += [aid + line for line in sense]
+            sensing.append([])
+            for did, slot, col in inputs:
+                head = f"{aid}\tfired\tsensed:{did}\t"
+                sensing[-1].append((len(tails), head, slot, col))
+                tails.append(head)
+            tails += [aid + line for line in run_network + actuate]
+            acting.append([])
+            for did, slot, channel, levels in outputs:
+                head = f"{aid}\tfired\tactuated:{did}\t"
+                by_level = {level: head + repr(level) for level in levels}
+                acting[-1].append((len(tails), head, slot, channel, levels, by_level))
+                tails.append(head)
+            tails += [aid + line for line in rest]
         texts = [repr(value) for value in env.row]
         order = sorted(range(len(env.names)), key=env.names.__getitem__)
         trace.table.write("tick," + ",".join(env.names[k] for k in order) + ",context\n")

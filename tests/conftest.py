@@ -1,6 +1,6 @@
 """Shared helpers: random chart generation, the configuration invariant
-oracle and the name-keyed episode-record oracles used by unit and
-acceptance tests."""
+oracle, a strategy of street-light scenarios, and the interpreter walk and
+name-keyed episode-record oracles used by unit and acceptance tests."""
 
 from __future__ import annotations
 
@@ -8,16 +8,24 @@ import random
 from functools import reduce
 from operator import add
 
+from hypothesis import strategies as st
+
+from agentchart.body import BEHAVIOR_CHART, BEHAVIOR_START, PASS_EVENTS, Agent, step_agent
+from agentchart.evaluation import EvaluationRecord
 from agentchart.statechart import (
     AND,
     BASIC,
     XOR,
     Configuration,
+    Event,
     StateNode,
     Statechart,
+    TraceEvent,
     Transition,
     build_chart,
+    dispatch,
 )
+from agentchart.streetlight import AmbientProfile, PeopleProcess, StreetLightScenario
 
 EVENT_ALPHABET = ["alpha", "beta", "gamma", "delta"]
 
@@ -136,6 +144,58 @@ def history_motif_chart(rng: random.Random):
     return build_chart(nodes, transitions), kids
 
 
+# --- street-light scenarios ----------------------------------------------
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def scenarios(draw, light_ticks=360):
+    """Street-light scenarios of 1-12 lights and 1-30 ticks, with at most
+    ``light_ticks`` lights times ticks."""
+    dim = draw(unit)
+    ambient = draw(
+        st.one_of(
+            st.builds(AmbientProfile, kind=st.just("cosine"), period=st.integers(0, 50)),
+            st.builds(AmbientProfile, kind=st.just("constant"), value=unit),
+        )
+    )
+    n_lights = draw(st.integers(1, min(12, light_ticks)))
+    return StreetLightScenario(
+        n_lights=n_lights,
+        episode_ticks=draw(st.integers(1, min(30, light_ticks // n_lights))),
+        ambient=ambient,
+        people=draw(st.builds(PeopleProcess, kind=st.sampled_from(["random", "none"]), rate=unit)),
+        light_contribution={"OFF": 0.0, "DIM": dim, "ON": draw(st.floats(dim, 2.0))},
+        neighbor_radius=draw(st.integers(1, 4)),
+        spillover=draw(st.floats(0.0, 3.0)),
+    )
+
+
+# --- the behavior chart's pass, walked by the interpreter -----------------
+
+
+def reference_walk(agent, percept, actions, tick, trace, config=BEHAVIOR_START):
+    """The interpreter's walk of one pass: dispatch each of ``PASS_EVENTS``
+    from ``config``, the first followed by a ``sensed:`` line per input
+    read and the third by an ``actuated:`` line per output driven; appends
+    TraceEvents to ``trace`` and returns the configuration the pass ends in."""
+    aid = agent.agent_id
+    values = (
+        [(f"sensed:{d.id}", percept[d.id]) for d in agent.body.enabled_inputs],
+        (),
+        [(f"actuated:{did}", value) for did, value in actions.items()],
+        (),
+    )
+    for event_id, devices in zip(PASS_EVENTS, values):
+        config, _, _ = dispatch(
+            BEHAVIOR_CHART, config, Event(event_id), tick=tick, agent=aid, trace=trace
+        )
+        for subject, value in devices:
+            trace.append(TraceEvent(tick, aid, "fired", subject, repr(value)))
+    return config
+
+
 # --- name-keyed episode records ----------------------------------------
 # A tick as ``(tick, {variable name: value}, context)``: the record the
 # episode's rows and contexts are checked against, mapped through the names.
@@ -157,6 +217,47 @@ def reference_score(ticks, rules, n_lights):
         term = rules.w_energy[context] * energy + rules.w_dark[context] * deficit
         breakdown[context] = breakdown.get(context, 0.0) + term
     return reduce(add, breakdown.values(), 0), breakdown
+
+
+def reference_episode(scenario, genotype, seed, episode=0, trace=None):
+    """The episode as the dict-level views run it: every tick, each agent's
+    ``perceive`` -> ``step_agent``, then an untraced ``Environment.step`` and
+    a name-keyed tick ``(tick, values, context)``, scored by
+    ``reference_score``; for operable genotypes only.  With ``trace`` it
+    writes trace.log's text itself, each tick: every agent's pass lines, the
+    ``to_line()`` of its chart's ``reference_walk`` from where the last one
+    ended, then the ``emitted`` and ``perturbed`` lines, from the agents' comm
+    actions and the name-keyed values before and after the step."""
+    ids = scenario.agent_ids()
+    bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
+    env = scenario.build_env(seed, bodies)
+    agents = [Agent(aid, bodies[aid], genotype.topology) for aid in ids]
+    configs = {aid: BEHAVIOR_START for aid in ids}
+    channel = {(aid, d.id): d.channel for aid, body in bodies.items() for d in body.enabled_outputs}
+    ticks = []
+    for t in range(scenario.episode_ticks):
+        actions, walked = [], []
+        for agent in agents:
+            aid, percept = agent.agent_id, env.perceive(agent.agent_id)
+            action_set = step_agent(agent, percept)
+            actions.append((aid, action_set))
+            if trace is not None:
+                configs[aid] = reference_walk(agent, percept, action_set, t, walked, configs[aid])
+        before = dict(env.values)
+        env.step(actions)
+        after = dict(env.values)
+        if trace is not None:
+            trace.write("".join(f"{event.to_line()}\n" for event in walked))
+            for aid, action_set in actions:
+                for device_id, value in action_set.items():
+                    if channel[aid, device_id] == "comm":
+                        trace.write(f"{t}\t{aid}\temitted\tcomm\t{value!r}\n")
+            for name, value in after.items():
+                if value != before[name]:
+                    trace.write(f"{t + 1}\tenv\tperturbed\t{name}\t{before[name]!r}->{value!r}\n")
+        ticks.append((env.tick, after, env.context))
+    score = reference_score(ticks, scenario.rules, scenario.n_lights)
+    return EvaluationRecord(episode, *score), ticks
 
 
 def reference_csv(ticks) -> str:

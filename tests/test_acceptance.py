@@ -168,10 +168,10 @@ def test_criterion_4_embodiment_loop():
     agent = Agent("light_0", body, topology)
 
     percept_t0 = env.perceive("light_0")
-    actions_t0 = step_agent(agent, percept_t0, 0)
+    actions_t0 = step_agent(agent, percept_t0)
     env.step([("light_0", actions_t0)])
     percept_t1 = env.perceive("light_0")
-    actions_t1 = step_agent(agent, percept_t1, 1)
+    actions_t1 = step_agent(agent, percept_t1)
 
     ok = (
         percept_t0 == {"lighting_sensor": 0.0}

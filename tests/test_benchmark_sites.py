@@ -72,7 +72,7 @@ def test_search_calls_run_episode_once_per_history_entry():
 
 
 # names perfbench/worker.py reads outside the layer sites; nothing else in the
-# program reads n_agents (run_episode calls genotype_operable)
+# program reads n_agents or calls genotype_operable
 WORKER_NAMES = [
     ("agentchart.evaluation", "genotype_operable"),
     ("agentchart.streetlight:StreetLightScenario", "n_agents"),

@@ -20,16 +20,23 @@ from agentchart.body import (
     compile_pass,
     configure_body,
     derive_controller,
-    pass_text,
     quantize,
     require_mirror,
     step_agent,
-    tick_text,
 )
 from agentchart.controller import Connection, ControllerTopology, Neuron
+from agentchart.environment import EpisodeTrace
 from agentchart.errors import BehaviorNotConfigured, PassNotReplayable, UnknownDevice
-from agentchart.evaluation import all_selections
+from agentchart.evaluation import Genotype, all_selections, run_episode
 from agentchart.statechart import Event, TraceEvent, dispatch
+from agentchart.streetlight import (
+    AmbientProfile,
+    PeopleProcess,
+    StreetLightScenario,
+    device_template,
+)
+
+from conftest import reference_episode
 
 
 def street_devices():
@@ -184,14 +191,28 @@ def make_agent(selection, weights=None):
     return Agent("a0", body, ControllerTopology(neurons, connections))
 
 
-def parse_trace(sink):
-    """The trace.log lines written to the ``io.StringIO`` ``sink`` as
-    TraceEvents; every line ends in a newline and has exactly four tabs."""
-    text = sink.getvalue()
+def parse_trace(text):
+    """trace.log's ``text`` as TraceEvents; every line ends in a newline and
+    has exactly four tabs."""
     assert text.endswith("\n")
     lines = text[:-1].split("\n")
     assert all(line.count("\t") == 4 for line in lines)
     return [TraceEvent(int(tick), *rest) for tick, *rest in (line.split("\t") for line in lines)]
+
+
+def traced_light(selection, weights=None, ticks=1):
+    """trace.log of one street light run for ``ticks`` ticks under
+    ``make_agent``'s controller, in constant daylight with nobody about."""
+    scenario = StreetLightScenario(
+        n_lights=1,
+        episode_ticks=ticks,
+        ambient=AmbientProfile(kind="constant", value=0.5),
+        people=PeopleProcess(kind="none"),
+    )
+    genotype = Genotype(selection, make_agent(selection, weights).controller)
+    sinks = EpisodeTrace(io.StringIO(), io.StringIO())
+    run_episode(scenario, genotype, seed=0, trace=sinks)
+    return parse_trace(sinks.events.getvalue())
 
 
 class TestStepAgent:
@@ -245,21 +266,18 @@ class TestStepAgent:
         actions = step_agent(agent, {"lighting_sensor": 0.5})
         assert "wireless_speaker" not in actions
 
+    # the pass lines of an agent's step are written by a traced episode
     def test_perception_substate_entered_first(self):
-        agent = make_agent({"lighting_sensor": True, "light_switch": True})
-        trace = io.StringIO()
-        step_agent(agent, {"lighting_sensor": 0.5}, tick=0, trace=trace)
-        first_entered = next(t for t in parse_trace(trace) if t.kind == "entered")
+        trace = traced_light({"lighting_sensor": True, "light_switch": True})
+        first_entered = next(t for t in trace if t.kind == "entered")
         assert first_entered.subject == "processing_inputs"
 
     def test_chart_configuration_returns_to_start_each_tick(self):
-        # the same percept every tick: a pass that ends where it started
-        # gives the same block of lines each tick, bar the tick itself
-        agent = make_agent({"lighting_sensor": True, "light_switch": True})
-        sink = io.StringIO()
-        for tick in range(3):
-            step_agent(agent, {"lighting_sensor": 0.5}, tick=tick, trace=sink)
-        trace = parse_trace(sink)
+        # the same percept every tick, the lamp held OFF in constant
+        # daylight: a pass that ends where it started gives the same block
+        # of lines each tick, bar the tick itself
+        weights = [("lighting_sensor", "light_switch", -2.5)]
+        trace = traced_light({"lighting_sensor": True, "light_switch": True}, weights, ticks=3)
         blocks = [[t._replace(tick=0) for t in trace if t.tick == tick] for tick in range(3)]
         assert blocks[0] and blocks[0] == blocks[1] == blocks[2]
         assert sum(map(len, blocks)) == len(trace)
@@ -267,13 +285,9 @@ class TestStepAgent:
         assert len(transitions) == 3 * 4
 
     def test_trace_lines_follow_sense_decide_act_order(self):
-        agent = make_agent(
-            {"lighting_sensor": True, "motion_sensor": True, "light_switch": True}
-        )
-        sink = io.StringIO()
-        step_agent(agent, {"motion_sensor": 0.2, "lighting_sensor": 0.5}, tick=4, trace=sink)
-        trace = parse_trace(sink)
-        fired = [t.subject for t in trace if t.kind == "fired"]
+        selection = {"lighting_sensor": True, "motion_sensor": True, "light_switch": True}
+        trace = traced_light(selection, ticks=5)
+        fired = [t.subject for t in trace if t.kind == "fired" and t.tick == 4]
         assert fired == [
             "sense",
             "sensed:lighting_sensor",
@@ -283,7 +297,7 @@ class TestStepAgent:
             "actuated:light_switch",
             "rest",
         ]
-        assert {t.tick for t in trace} == {4}
+        assert {t.tick for t in trace if t.kind == "fired"} == set(range(5))
 
 
 class TestBehaviorChart:
@@ -298,81 +312,32 @@ class TestBehaviorChart:
         assert config == BEHAVIOR_START
 
 
-def reference_walk(agent, percept, actions, tick, trace, config=BEHAVIOR_START):
-    """The interpreter's walk of one pass: dispatch the four events from
-    ``config``, each followed by the devices it reads or drives; returns
-    the configuration the pass ends in."""
-    aid = agent.agent_id
-    events = (
-        (EV_SENSE, [(f"sensed:{d.id}", percept[d.id]) for d in agent.body.enabled_inputs]),
-        (EV_DECIDE, ()),
-        (EV_ACT, [(f"actuated:{did}", value) for did, value in actions.items()]),
-        (EV_TICK_DONE, ()),
-    )
-    for event_id, devices in events:
-        config, _, _ = dispatch(
-            BEHAVIOR_CHART, config, Event(event_id), tick=tick, agent=aid, trace=trace
-        )
-        for subject, value in devices:
-            trace.append(TraceEvent(tick, aid, "fired", subject, repr(value)))
-    return config
-
-
-def levelled_devices():
-    """Outputs with other levels than the light switch's: a single level, and
-    levels whose reprs quote, escape or are empty."""
-    return [
-        DeviceSpec("thermometer", "input", "temperature"),
-        DeviceSpec("valve", "output", "flow", ("shut",)),
-        DeviceSpec("dial", "output", "dial", ("it's", 'say "hi"', "tab\tnew\nline", "")),
-    ]
-
-
 OPERABLE = [
-    (devices, s)
-    for devices in (street_devices(), levelled_devices())
-    for s in all_selections(tuple(devices))
-    if configure_body(devices, s).is_operable()
+    s
+    for s in all_selections(device_template())
+    if configure_body(list(device_template()), s).is_operable()
 ]
-# repr-sensitive floats: signed zero, the least subnormal, inexact decimals
-# and the edges of the light levels; percepts are finite, outputs in [0, 1]
-SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 0.1, 1 / 3, 2 / 3, 1 - 2**-53, 1.0]
-percepts = st.one_of(
-    st.sampled_from(SPECIAL_FLOATS + [-5e-324, 1e16, 1.7976931348623157e308]),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
-outputs = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(min_value=0.0, max_value=1.0))
 
 
 class TestCompiledPass:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.sampled_from(OPERABLE),
-        st.text(min_size=1, max_size=6),
-        st.lists(st.integers(min_value=0, max_value=2**31), min_size=1, max_size=3),
-        st.data(),
-    )
-    def test_compiled_walk_equals_interpreter_walk(self, inventory, aid, ticks, data):
-        # byte for byte: the agent's layout, filled, against the to_line()
-        # lines of a walk that dispatches every event; a levelled output's
-        # line comes from its level's tail, a continuous one's from repr
-        devices, selection = inventory
-        body = configure_body(devices, selection)
-        agent = Agent(aid, body, ControllerTopology())
-        layout = pass_text(aid, body)
-        trace: list[str] = []
-        expected: list[TraceEvent] = []
-        config = BEHAVIOR_START
-        for tick in ticks:
-            percept = {d.id: data.draw(percepts) for d in body.enabled_inputs}
-            actions = {
-                d.id: quantize(data.draw(outputs), d.output_levels) for d in body.enabled_outputs
-            }
-            tails = layout.filled(percept.values(), actions.values())
-            trace.append(tick_text(tick, tails))
-            config = reference_walk(agent, percept, actions, tick, expected, config)
-        assert "".join(trace) == "".join(f"{t.to_line()}\n" for t in expected)
-        assert config == BEHAVIOR_START
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_compiled_walk_equals_interpreter_walk(self, seed):
+        # byte for byte, for every operable selection: trace.log's text of
+        # the episode kernel, whose pass lines come from the pass compiled at
+        # import, against the reference's, whose pass lines are the to_line()
+        # lines of an interpreter walk that dispatches every event
+        scenario = StreetLightScenario(n_lights=2, episode_ticks=4)
+        rng = np.random.default_rng(seed)
+        for selection in OPERABLE:
+            body = configure_body(list(scenario.devices), selection)
+            genotype = Genotype(selection, derive_controller(body, rng=rng))
+            sinks = EpisodeTrace(io.StringIO(), io.StringIO())
+            run_episode(scenario, genotype, seed, trace=sinks)
+            expected = io.StringIO()
+            reference_episode(scenario, genotype, seed, trace=expected)
+            text, expected_text = sinks.events.getvalue(), expected.getvalue()
+            assert text.splitlines(True) == expected_text.splitlines(True)
 
 
 def chart_variant(drop=None, guard_on=None, entry_action_on=None):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agentchart import evaluation, statechart
-from agentchart.body import Agent, configure_body, derive_controller, step_agent
+from agentchart.body import configure_body, derive_controller
 from agentchart.controller import HIDDEN, OUTPUT, Connection, ControllerTopology, Neuron
 from agentchart.environment import Environment, EpisodeTrace
 from agentchart.errors import BehaviorNotConfigured, NonFiniteVariable
@@ -38,7 +38,7 @@ from agentchart.streetlight import (
     streetlight_score,
 )
 
-from conftest import read_csv, reference_csv, reference_score
+from conftest import read_csv, reference_csv, reference_episode, scenarios
 
 
 def lights_trace(rows):
@@ -297,14 +297,14 @@ class TestRunEpisode:
         assert repr(folded) == repr((plain.score, plain.breakdown))
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_kernel_equals_dict_level_reference(self, seed):
+    @given(scenarios(light_ticks=60), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_kernel_equals_dict_level_reference(self, scenario, seed):
         # differential: the compiled tick loop and its column-indexed record
         # against the dict-level views and name-keyed ticks they replaced,
         # bit for bit: the score and its breakdown, traced and untraced, and,
         # traced, episode.csv's text, which holds every value's repr and
-        # every context, and trace.log's
-        scenario = small_scenario(n_lights=4, episode_ticks=15)
+        # every context, and trace.log's, whose pass lines the reference
+        # takes from the statechart interpreter's walk of each agent's chart
         genotype = random_genotype(scenario, random.Random(seed))
         for sinks in (None, traced()):
             expected_sink = io.StringIO() if sinks else None
@@ -556,35 +556,45 @@ class TestScoreMemo:
         assert repr((record.score, record.breakdown)) == repr(idle)
 
 
-def reference_episode(scenario, genotype, seed, episode=0, trace=None):
-    """The episode as the dict-level views run it: every tick, each agent's
-    ``perceive`` -> ``step_agent``, then an untraced ``Environment.step`` and
-    a name-keyed tick ``(tick, values, context)``, scored by
-    ``reference_score``; for operable genotypes only.  With ``trace`` it
-    writes each tick's ``emitted`` and ``perturbed`` lines itself, from the
-    agents' comm actions and the name-keyed values before and after the step."""
-    ids = scenario.agent_ids()
-    bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
-    env = scenario.build_env(seed, bodies)
-    agents = [Agent(aid, bodies[aid], genotype.topology) for aid in ids]
-    channel = {(aid, d.id): d.channel for aid, body in bodies.items() for d in body.enabled_outputs}
-    ticks = []
-    for t in range(scenario.episode_ticks):
-        actions = [(a.agent_id, step_agent(a, env.perceive(a.agent_id), t, trace)) for a in agents]
-        before = dict(env.values)
-        env.step(actions)
-        after = dict(env.values)
-        if trace is not None:
-            for aid, action_set in actions:
-                for device_id, value in action_set.items():
-                    if channel[aid, device_id] == "comm":
-                        trace.write(f"{t}\t{aid}\temitted\tcomm\t{value!r}\n")
-            for name, value in after.items():
-                if value != before[name]:
-                    trace.write(f"{t + 1}\tenv\tperturbed\t{name}\t{before[name]!r}->{value!r}\n")
-        ticks.append((env.tick, after, env.context))
-    score = reference_score(ticks, scenario.rules, scenario.n_lights)
-    return EvaluationRecord(episode, *score), ticks
+def memo_free_episodes(scenario, seed, jobs, generations, lam):
+    """Differential: every history entry of a search, re-run by a plain
+    run_episode without the memo, gives the same episode, score and
+    breakdown, and the kernel ran the first lampless genotype only, or one
+    per thread when the first ones raced.  Returns the counts of operable
+    and lampless entries, of episodes the search built and of lampless ones
+    among them."""
+    built, candidates = [], []
+    build_env = StreetLightScenario.build_env
+
+    def counting_build_env(self, *args, **kwargs):
+        built.append(args)
+        return build_env(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StreetLightScenario, "build_env", counting_build_env)
+        result = run_search(
+            scenario,
+            seed=seed,
+            generations=generations,
+            lam=lam,
+            jobs=jobs,
+            on_generation=lambda g, kind, incumbent, cands: candidates.extend(cands),
+        )
+    genotypes = [initial_genotype(scenario, seed)] + candidates
+    assert len(genotypes) == len(result.history)
+    operable = lampless = 0
+    for k, (genotype, record) in enumerate(zip(genotypes, result.history)):
+        expected, _ = run_episode(scenario, genotype, seed, episode=k)
+        assert (record.episode, record.score, record.breakdown) == (
+            expected.episode,
+            expected.score,
+            expected.breakdown,
+        )
+        operable += math.isfinite(expected.score)
+        lampless += math.isfinite(expected.score) and not genotype.selection["light_switch"]
+    ran = sum(not bodies["light_0"].enabled["light_switch"] for _, bodies in built)
+    assert ran <= min(lampless, jobs)
+    return operable, lampless, len(built), ran
 
 
 def random_genotype(scenario, rng: random.Random, **fixed: bool) -> Genotype:
@@ -653,54 +663,26 @@ class TestRunSearch:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_memo_equals_memo_free_episodes(self, jobs):
-        # differential: every history entry of a search, re-run by a plain
-        # run_episode without the memo, gives the same episode, score and
-        # breakdown; the seeds are ones whose RECONFIGURE generations repeat
-        # genotypes, so the memo is hit, and seeds 11 and 6 meet lampless
-        # genotypes (76 and 44 of them), seed 6's all distinct
-        scenario = small_scenario()
-        built = []
-        build_env = StreetLightScenario.build_env
-
-        def counting_build_env(self, *args, **kwargs):
-            built.append(args)
-            return build_env(self, *args, **kwargs)
-
+        # the seeds are ones whose RECONFIGURE generations repeat genotypes,
+        # so the memo is hit, and seeds 11 and 6 meet lampless genotypes (76
+        # and 44 of them), seed 6's all distinct
         lampless_met = lampless_served = 0
         for seed in (4, 11, 6):
-            candidates = []
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(StreetLightScenario, "build_env", counting_build_env)
-                result = run_search(
-                    scenario,
-                    seed=seed,
-                    generations=30,
-                    lam=4,
-                    jobs=jobs,
-                    on_generation=lambda g, kind, incumbent, cands: candidates.extend(cands),
-                )
-            genotypes = [initial_genotype(scenario, seed)] + candidates
-            assert len(genotypes) == len(result.history)
-            operable = lampless = 0
-            for k, (genotype, record) in enumerate(zip(genotypes, result.history)):
-                expected, _ = run_episode(scenario, genotype, seed, episode=k)
-                assert (record.episode, record.score, record.breakdown) == (
-                    expected.episode,
-                    expected.score,
-                    expected.breakdown,
-                )
-                operable += math.isfinite(expected.score)
-                lampless += math.isfinite(expected.score) and not genotype.selection["light_switch"]
+            operable, lampless, built, ran = memo_free_episodes(small_scenario(), seed, jobs, 30, 4)
             # fewer episodes were built than operable entries: the memo was hit
-            assert len(built) < operable
-            # the kernel ran the first lampless genotype only, or one per
-            # thread when the first ones raced
-            ran = sum(not bodies["light_0"].enabled["light_switch"] for _, bodies in built)
-            assert ran <= min(lampless, jobs)
+            assert built < operable
             lampless_met += lampless
             lampless_served += lampless - ran
-            built.clear()
         assert lampless_met >= 2 and lampless_served >= 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        scenarios(light_ticks=20),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([1, 2]),
+    )
+    def test_memo_equals_memo_free_episodes_on_drawn_scenarios(self, scenario, seed, jobs):
+        memo_free_episodes(scenario, seed, jobs, 10, 3)
 
     def test_exhaustive_matches_brute_force_argmin(self):
         scenario = small_scenario(n_lights=2, episode_ticks=6)

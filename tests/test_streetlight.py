@@ -24,7 +24,7 @@ from agentchart.streetlight import (
     streetlight_score,
 )
 
-from conftest import read_csv, reference_score
+from conftest import read_csv, reference_score, scenarios
 
 SCORED = ("energy", "people_flow", "brightness")
 
@@ -397,29 +397,6 @@ def reference_update(scenario, seed):
         return values
 
     return update
-
-
-unit = st.floats(0.0, 1.0)
-
-
-@st.composite
-def scenarios(draw):
-    dim = draw(unit)
-    ambient = draw(
-        st.one_of(
-            st.builds(AmbientProfile, kind=st.just("cosine"), period=st.integers(0, 50)),
-            st.builds(AmbientProfile, kind=st.just("constant"), value=unit),
-        )
-    )
-    return StreetLightScenario(
-        n_lights=draw(st.integers(1, 12)),
-        episode_ticks=draw(st.integers(1, 30)),
-        ambient=ambient,
-        people=draw(st.builds(PeopleProcess, kind=st.sampled_from(["random", "none"]), rate=unit)),
-        light_contribution={"OFF": 0.0, "DIM": dim, "ON": draw(st.floats(dim, 2.0))},
-        neighbor_radius=draw(st.integers(1, 4)),
-        spillover=draw(st.floats(0.0, 3.0)),
-    )
 
 
 class TestAgainstReferenceForms:
