@@ -24,7 +24,9 @@ Actions = Iterable[tuple[str, dict[str, object]]]
 Effects = dict[str, list[tuple[str, object]]]
 # update: (new_tick, previous row, effects) -> a new row of every variable's
 # value, in the environment's ``names`` order; it never mutates the previous row
-# and never reads effects[COMM_CHANNEL], which reach only the mailbox
+# and never reads effects[COMM_CHANNEL], which reach only the mailbox.  The
+# street-light update never reads the previous row either: run_episode's tick
+# cache keys each new row by the tick and the other effects alone
 Update = Callable[[int, list[float], Mapping[str, list[tuple[str, object]]]], list[float]]
 
 
@@ -92,13 +94,17 @@ class Environment:
         """Advance one tick under ``actions``, grouped by ``apply_effects``."""
         self.advance(self.apply_effects(actions))
 
-    def advance(self, effects: Effects) -> None:
+    def advance(self, effects: Effects, known: tuple[list[float], str] | None = None) -> None:
         """Advance one tick under ``effects``: simultaneous variable update,
-        mailbox swap, context re-selection.  The new row is checked before
-        anything of the tick is kept."""
+        context re-selection, mailbox swap.  The new row is checked before
+        anything of the tick is kept.  ``known``, the ``(row, context)`` this
+        update and context function gave these effects at this tick before,
+        is taken as it is, unchecked."""
         new_tick = self.tick + 1
-        row = self._checked(self.update(new_tick, self.row, MappingProxyType(effects)))
-        self.row = row
+        if known is None:
+            row = self._checked(self.update(new_tick, self.row, MappingProxyType(effects)))
+            known = row, self.context_of(row)
+        self.row, self.context = known
 
         # messages sent at tick t are readable at t+1 and gone at t+2
         mailbox: dict[str, list[tuple[str, object]]] = {aid: [] for aid in self.bodies}
@@ -108,7 +114,6 @@ class Environment:
                     mailbox[neighbor].append((sender, value))
         self.comm_mailbox = mailbox
         self.tick = new_tick
-        self.context = self.context_of(row)
 
     def _checked(self, row: list[float]) -> list[float]:
         """``row`` if it holds one finite value per variable."""

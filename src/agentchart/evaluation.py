@@ -6,13 +6,15 @@ term (for the street lights, ``agentchart.streetlight.tick_score``).  A
 patience-based policy picks between "adjust" (connection-only mutation)
 and "reconfigure" (structural body search), driving a (1+λ) hill climb
 over the genotype; the climb digests only the genotypes it keeps and runs
-each distinct genotype's episode once.
+each distinct genotype's episode once, and each tick under each set of
+lamp levels once as far as its bounded tick cache holds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -45,6 +47,7 @@ from .streetlight import StreetLightScenario
 
 ADJUST = "adjust"
 RECONFIGURE = "reconfigure"
+TICK_ROWS = 16  # the rows a search's tick cache holds per tick, at most
 
 
 @dataclass(frozen=True)
@@ -109,13 +112,15 @@ def run_episode(
     episode: int = 0,
     trace: EpisodeTrace | None = None,
     scores: dict | None = None,
+    ticks: dict | None = None,
 ) -> tuple[EvaluationRecord, EpisodeTrace]:
     """One fixed-length episode of every agent under one configuration.
 
     Each agent's inputs and outputs are resolved to plan slots, and its
     sensors to columns of the environment's row, once; every tick runs each
     agent's sense -> decide -> act pass over activation lists and scores the
-    environment's new row with the scenario's ``tick_score``; it keeps no row.
+    environment's new row with the scenario's ``tick_score``; it keeps no
+    row but in ``ticks``.
     Untraced, it returns ``EpisodeTrace()``.  With a ``trace`` it returns it,
     and each tick writes two text pieces to ``trace.events``: every agent's
     pass lines, in agent order, before the environment advances:
@@ -140,7 +145,14 @@ def run_episode(
     channel (``environment.Update``), so its rows, and its score, are the
     seed's.  Such a hit skips the ``NonFiniteInput`` check, which only
     weights near 1e308 could trip; a search's are finite sums of Gaussian
-    draws.  A traced call neither reads nor stores it.
+    draws.  A traced call reads and stores neither it nor ``ticks``.
+
+    ``ticks`` is a search's tick cache: one scope per seed and per
+    ``(agent, channel)`` of the outputs that drive a variable, one dict per
+    tick keyed by those outputs' values, grouped by channel, each holding at
+    most ``TICK_ROWS`` ``(row, context, term)``.  A hit skips the update,
+    the context function and the term: the street-light update never reads
+    the previous row (``environment.Update``).
     """
     require(seed >= 0, "seed must be >= 0")
     traced, trace = trace is not None, trace or EpisodeTrace()
@@ -204,8 +216,15 @@ def run_episode(
         order = sorted(range(len(env.names)), key=env.names.__getitem__)
         trace.table.write("tick," + ",".join(env.names[k] for k in order) + ",context\n")
     previous = [[0.0] * n_slots for _ in wired]
-    add_tick = scenario.tick_score(env.names)
+    term_of = scenario.tick_score(env.names)
     breakdown: dict[str, float] = {}
+    cache = None
+    if ticks is not None and not traced:
+        # the channels the update reads, whose values key each tick's new row
+        # in one scope per seed and per agent and channel of those outputs
+        keyed = [channel for channel in channels if channel != COMM_CHANNEL]
+        wiring = tuple((aid, c) for aid, _, outs in wired for _, _, c, _ in outs if c in keyed)
+        cache = ticks.setdefault((seed, wiring), [{} for _ in range(scenario.episode_ticks)])
     for t in range(scenario.episode_ticks):
         row, mailbox = env.row, env.comm_mailbox
         effects: Effects = {channel: [] for channel in channels}
@@ -233,8 +252,22 @@ def run_episode(
                     emitted.append(f"{t}\t{aid}\temitted\t{channel}\t{tails[pos][len(head):]}\n")
         if traced:
             trace.events.write(tick_text(t, tails))
-        env.advance(effects)
-        add_tick(breakdown, env.row, env.context)
+        if cache is None:
+            env.advance(effects)
+            term = term_of(env.row, env.context)
+        else:
+            rows, driven = cache[t], tuple([v for channel in keyed for _, v in effects[channel]])
+            known = rows.get(driven)
+            if known is None:
+                env.advance(effects)
+                term = term_of(env.row, env.context)
+                if len(rows) >= TICK_ROWS:
+                    rows.clear()  # a thread that races it only misses
+                rows[driven] = array("d", env.row), env.context, term
+            else:
+                env.advance(effects, (known[0].tolist(), known[1]))
+                term = known[2]
+        breakdown[env.context] = breakdown.get(env.context, 0.0) + term
         if traced:
             old_texts, texts = texts, [repr(value) for value in env.row]
             lines, emitted = emitted, []
@@ -365,11 +398,12 @@ def run_search(
     episode_seed = seed  # constant across episodes: scores stay comparable
     # one memo per search, so each distinct genotype's episode runs once: a
     # RECONFIGURE flip re-derives the incumbent's controller deterministically.
-    # Threads may race on it, which only reruns a deterministic episode.
-    scores: dict = {}
+    # Threads may race on it, which only reruns a deterministic episode; and
+    # one tick cache, which they share the same way
+    scores, ticks = {}, {}
 
     def evaluate(genotype: Genotype, episode: int) -> EvaluationRecord:
-        return run_episode(scenario, genotype, episode_seed, episode=episode, scores=scores)[0]
+        return run_episode(scenario, genotype, episode_seed, episode, scores=scores, ticks=ticks)[0]
 
     incumbent = initial_genotype(scenario, seed)
     record = best_record = evaluate(incumbent, 0)

@@ -30,7 +30,7 @@ LIGHT_SWITCH = "light_switch"
 
 DAY = "day"
 NIGHT = "night"
-TickScore = Callable[[dict[str, float], list[float], str], None]  # add_tick, below
+TickScore = Callable[[list[float], str], float]  # term, below
 
 
 @dataclass(frozen=True)
@@ -226,9 +226,10 @@ def device_template() -> tuple[DeviceSpec, ...]:
 
 
 def tick_score(names: tuple[str, ...], rules: StreetlightRules, n_lights: int) -> TickScore:
-    """The score's one rule: ``add_tick(breakdown, row, context)`` adds a
-    row's context-weighted energy plus context-weighted darkness-under-people
-    service penalty to ``breakdown[context]``; lower is better."""
+    """The score's one rule: ``term(row, context)`` is a row's
+    context-weighted energy plus context-weighted darkness-under-people
+    service penalty, which the caller adds to ``breakdown[context]``; lower
+    is better."""
     column = {name: k for k, name in enumerate(names)}
     columns = [
         (column[f"energy_{i}"], column[f"people_flow_{i}"], column[f"brightness_{i}"])
@@ -236,23 +237,22 @@ def tick_score(names: tuple[str, ...], rules: StreetlightRules, n_lights: int) -
     ]
     target = rules.target_brightness
 
-    def add_tick(breakdown: dict[str, float], row: list[float], context: str) -> None:
+    def term(row: list[float], context: str) -> float:
         energy = deficit = 0  # left to right: sum() compensates from Python 3.12
         for e, f, b in columns:
             energy += row[e]
             gap = target - row[b]
             deficit += row[f] * (gap if gap > 0.0 else 0.0)
-        term = rules.w_energy[context] * energy + rules.w_dark[context] * deficit
-        breakdown[context] = breakdown.get(context, 0.0) + term
-    return add_tick
+        return rules.w_energy[context] * energy + rules.w_dark[context] * deficit
+    return term
 
 
 def streetlight_score(
     names: tuple[str, ...], rows: list, contexts: list[str], rules: StreetlightRules, n_lights: int
 ) -> tuple[float, dict[str, float]]:
     """An episode's score and breakdown: ``tick_score`` over its rows in order."""
-    add_tick = tick_score(names, rules, n_lights)
+    term = tick_score(names, rules, n_lights)
     breakdown: dict[str, float] = {}
     for row, context in zip(rows, contexts):
-        add_tick(breakdown, row, context)
+        breakdown[context] = breakdown.get(context, 0.0) + term(row, context)
     return reduce(add, breakdown.values(), 0), breakdown

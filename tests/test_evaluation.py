@@ -7,10 +7,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agentchart import evaluation, statechart
-from agentchart.body import configure_body, derive_controller
+from agentchart.body import DeviceSpec, configure_body, derive_controller
 from agentchart.controller import HIDDEN, OUTPUT, Connection, ControllerTopology, Neuron
 from agentchart.environment import Environment, EpisodeTrace
 from agentchart.errors import BehaviorNotConfigured, NonFiniteVariable
@@ -30,6 +30,7 @@ from agentchart.evaluation import (
 from agentchart.serialize import body_digest, neuron_digest
 from agentchart.statechart import dispatch
 from agentchart.streetlight import (
+    LEVELS,
     AmbientProfile,
     PeopleProcess,
     StreetLightScenario,
@@ -741,3 +742,70 @@ class TestRunSearch:
         accepted = sum(b < a for a, b in zip(scores, scores[1:]))
         assert len(calls) == 1 + accepted
         assert len(calls) < len(result.history)
+
+
+# a second switch on every light that drives light 0's lamp: a body with it
+# and without the light switch drives as many lamp channels as one with the
+# switch alone, but not the same ones
+BEACON = DeviceSpec("beacon", "output", "light_0", LEVELS)
+
+
+def without_tick_cache(*args, ticks=None, **kwargs):
+    """``run_episode`` as a search calls it, with the tick cache dropped."""
+    return run_episode(*args, **kwargs)
+
+
+class TestTickCache:
+    """``run_episode``'s ``ticks=``: a search's cache of the rows, contexts
+    and score terms of each tick, keyed by the values of the outputs that
+    drive the update, in one scope per seed and per wiring of those
+    outputs."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scenarios(light_ticks=30),
+        st.sampled_from([(), (BEACON,)]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([1, 2]),
+    )
+    # a search whose switch-only and beacon-only bodies meet the same levels
+    @example(small_scenario(episode_ticks=15), (BEACON,), 16, 1)
+    def test_search_equals_cache_free_search(self, scenario, extra, seed, jobs):
+        # the exhaustive search runs every body, the beacon's among them
+        scenario = replace(scenario, devices=device_template() + extra)
+        for exhaustive in (False, True):
+            search = dict(generations=16, lam=3, jobs=jobs, exhaustive=exhaustive)
+            cached = run_search(scenario, seed % 1000, **search)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluation, "run_episode", without_tick_cache)
+                plain = run_search(scenario, seed % 1000, **search)
+            assert repr(cached.history) == repr(plain.history)
+            assert [r.to_csv() for r in cached.metrics] == [r.to_csv() for r in plain.metrics]
+            assert repr(cached.best_record) == repr(plain.best_record)
+            assert cached.best == plain.best
+
+    def test_bound_holds_and_threads_agree(self):
+        # 4 lights have 81 lamp levels a tick, more than the bound, so the
+        # search empties some tick's dict; after every call no tick holds more
+        scenario = small_scenario(n_lights=4, episode_ticks=10)
+        policy = SearchPolicy(budget=2000)
+        held, cleared = [], []
+
+        def spy(*args, ticks=None, **kwargs):
+            before = {id(rows): len(rows) for scope in ticks.values() for rows in scope}
+            result = run_episode(*args, ticks=ticks, **kwargs)
+            rows = [rows for scope in ticks.values() for rows in scope]
+            held.append(max(map(len, rows)))
+            cleared.extend(len(r) < before.get(id(r), 0) for r in rows)
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "run_episode", spy)
+            serial = run_search(scenario, seed=2, generations=300, lam=4, policy=policy)
+        assert len(held) == len(serial.history) == 1 + 300 * 4 - 4
+        assert max(held) == evaluation.TICK_ROWS and any(cleared)
+        threaded = run_search(scenario, seed=2, generations=300, lam=4, policy=policy, jobs=4)
+        assert repr(threaded.history) == repr(serial.history)
+        assert [r.to_csv() for r in threaded.metrics] == [r.to_csv() for r in serial.metrics]
+        assert repr(threaded.best_record) == repr(serial.best_record)
+        assert threaded.best == serial.best

@@ -19,9 +19,9 @@ def imported_names(tree):
 
 
 def test_streetlight_scores_without_the_search():
-    # the case study's one scoring term, tick_score, adds a tick to a
-    # breakdown; the kernel applies it and the search's records are built in
-    # evaluation, which imports streetlight and not the reverse
+    # the case study's one scoring term, tick_score, gives a tick's term;
+    # the kernel adds it to a breakdown and the search's records are built
+    # in evaluation, which imports streetlight and not the reverse
     tree = ast.parse((PACKAGE / "streetlight.py").read_text())
     found = [
         (module, name)

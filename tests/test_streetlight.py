@@ -488,3 +488,25 @@ class TestUpdateContract:
             with_comm = env.update(t, previous, MappingProxyType({**effects, COMM_CHANNEL: sent}))
             assert repr(with_comm) == repr(row)
             previous = row
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenarios(), st.integers(0, 2**32 - 1), st.data())
+    def test_update_never_reads_the_previous_row(self, scenario, seed, data):
+        # a search's tick cache keys each new row by the tick and the lamps'
+        # levels alone, which holds only if no row depends on the one before
+        env = scenario.build_env(seed, {})
+        previous = env.row
+        # any other previous row: of any length, with NaNs and infinities
+        rows = st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=4 * len(previous))
+        # each light sends 0, 1 or 2 switch levels
+        lamps = st.lists(st.sampled_from(LEVELS), max_size=2)
+        for t in data.draw(st.lists(st.integers(0, scenario.episode_ticks + 2), max_size=8)):
+            effects = MappingProxyType(
+                {
+                    f"light_{i}": [(f"light_{i}", level) for level in data.draw(lamps)]
+                    for i in range(scenario.n_lights)
+                }
+            )
+            row = env.update(t, previous, effects)
+            assert repr(env.update(t, data.draw(rows), effects)) == repr(row)
+            previous = row
