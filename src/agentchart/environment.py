@@ -24,9 +24,7 @@ Actions = Iterable[tuple[str, dict[str, object]]]
 Effects = dict[str, list[tuple[str, object]]]
 # update: (new_tick, previous row, effects) -> a new row of every variable's
 # value, in the environment's ``names`` order; it never mutates the previous row
-# and never reads effects[COMM_CHANNEL], which reach only the mailbox.  The
-# street-light update never reads the previous row either: run_episode's tick
-# cache keys each new row by the tick and the other effects alone
+# and never reads effects[COMM_CHANNEL], which reach only the mailbox
 Update = Callable[[int, list[float], Mapping[str, list[tuple[str, object]]]], list[float]]
 
 

@@ -7,7 +7,7 @@ patience-based policy picks between "adjust" (connection-only mutation)
 and "reconfigure" (structural body search), driving a (1+λ) hill climb
 over the genotype; the climb digests only the genotypes it keeps and runs
 each distinct genotype's episode once, and each tick under each set of
-lamp levels once as far as its bounded tick cache holds.
+lamp levels once as far as its bounded cache holds.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .streetlight import StreetLightScenario
 
 ADJUST = "adjust"
 RECONFIGURE = "reconfigure"
-TICK_ROWS = 16  # the rows a search's tick cache holds per tick, at most
+TICK_ROWS = 16  # the rows a scope of a search's cache holds per tick, at most
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,7 @@ def run_episode(
     seed: int,
     episode: int = 0,
     trace: EpisodeTrace | None = None,
-    scores: dict | None = None,
-    ticks: dict | None = None,
+    cache: dict | None = None,
 ) -> tuple[EvaluationRecord, EpisodeTrace]:
     """One fixed-length episode of every agent under one configuration.
 
@@ -120,7 +119,7 @@ def run_episode(
     sensors to columns of the environment's row, once; every tick runs each
     agent's sense -> decide -> act pass over activation lists and scores the
     environment's new row with the scenario's ``tick_score``; it keeps no
-    row but in ``ticks``.
+    row but in ``cache``.
     Untraced, it returns ``EpisodeTrace()``.  With a ``trace`` it returns it,
     and each tick writes two text pieces to ``trace.events``: every agent's
     pass lines, in agent order, before the environment advances:
@@ -137,22 +136,21 @@ def run_episode(
     no input or no output) scores +inf without writing, so that structural
     search can still enumerate it.
 
-    ``scores`` is a search's memo of the operable genotypes it has run on
-    one scenario: a genotype found there takes its ``(score, breakdown)``
-    with this call's ``episode``, and one not found runs and is stored.  The
-    key is seed, selection and topology, or the seed alone for a lampless
-    genotype, whose outputs all drive the comm channel: no update reads that
-    channel (``environment.Update``), so its rows, and its score, are the
-    seed's.  Such a hit skips the ``NonFiniteInput`` check, which only
-    weights near 1e308 could trip; a search's are finite sums of Gaussian
-    draws.  A traced call reads and stores neither it nor ``ticks``.
-
-    ``ticks`` is a search's tick cache: one scope per seed and per
-    ``(agent, channel)`` of the outputs that drive a variable, one dict per
-    tick keyed by those outputs' values, grouped by channel, each holding at
-    most ``TICK_ROWS`` ``(row, context, term)``.  A hit skips the update,
-    the context function and the term: the street-light update never reads
-    the previous row (``environment.Update``).
+    ``cache`` is a search's, for one scenario, in one scope per seed and
+    per set of enabled outputs that drive a variable rather than the comm
+    channel.  A scope holds the scores of the operable genotypes run in it,
+    keyed by selection and topology, and one dict per tick keyed by those
+    outputs' values, grouped by channel, each holding at most ``TICK_ROWS``
+    ``(row, context, term)``.  No update reads the comm channel
+    (``environment.Update``) and the street-light update never reads the
+    previous row (``StreetLightScenario.build_env``), so a tick's new row is
+    its scope's and its key's, and a lampless genotype, whose scope drives
+    nothing, scores the idle environment: its key is ``()``.  A genotype
+    found takes its ``(score, breakdown)`` with this call's ``episode``,
+    skipping the ``NonFiniteInput`` check, which only weights near 1e308
+    could trip; a search's are finite sums of Gaussian draws.  A tick found
+    skips the update, the context function and the term.  A traced call
+    neither reads nor stores the cache.
     """
     require(seed >= 0, "seed must be >= 0")
     traced, trace = trace is not None, trace or EpisodeTrace()
@@ -160,11 +158,13 @@ def run_episode(
     if not shared.is_operable():
         return EvaluationRecord(episode, math.inf, {}), trace
     require_mirror(shared, genotype.topology)
-    key = None
-    if scores is not None and not traced:
-        key = (seed, frozenset(genotype.selection.items()), genotype.topology)
-        if all(d.channel == COMM_CHANNEL for d in shared.enabled_outputs):
-            key = (seed,)  # a body that drives no variable leaves every row as it finds it
+    scores = ticks = None
+    if cache is not None and not traced:
+        drives = tuple(d.id for d in shared.enabled_outputs if d.channel != COMM_CHANNEL)
+        scores, ticks = cache.setdefault(
+            (seed, drives), ({}, [{} for _ in range(scenario.episode_ticks)])
+        )
+        key = (frozenset(genotype.selection.items()), genotype.topology) if drives else ()
         if key in scores:
             score, breakdown = scores[key]
             return EvaluationRecord(episode, score, dict(breakdown)), trace
@@ -184,8 +184,10 @@ def run_episode(
         )
         for aid, body in bodies.items()
     ]
-    # the effects table's channels in the order agents first drive them
+    # the effects table's channels in the order agents first drive them, and
+    # those the update reads, whose values key a tick's new row in the cache
     channels = dict.fromkeys(channel for *_, outputs in wired for _, _, channel, _ in outputs)
+    keyed = [channel for channel in channels if channel != COMM_CHANNEL]
     if traced:
         # every agent's pass lines without the tick, in agent order: the four
         # macrosteps' engine lines, the first followed by a sensed: line per
@@ -218,13 +220,6 @@ def run_episode(
     previous = [[0.0] * n_slots for _ in wired]
     term_of = scenario.tick_score(env.names)
     breakdown: dict[str, float] = {}
-    cache = None
-    if ticks is not None and not traced:
-        # the channels the update reads, whose values key each tick's new row
-        # in one scope per seed and per agent and channel of those outputs
-        keyed = [channel for channel in channels if channel != COMM_CHANNEL]
-        wiring = tuple((aid, c) for aid, _, outs in wired for _, _, c, _ in outs if c in keyed)
-        cache = ticks.setdefault((seed, wiring), [{} for _ in range(scenario.episode_ticks)])
     for t in range(scenario.episode_ticks):
         row, mailbox = env.row, env.comm_mailbox
         effects: Effects = {channel: [] for channel in channels}
@@ -252,11 +247,11 @@ def run_episode(
                     emitted.append(f"{t}\t{aid}\temitted\t{channel}\t{tails[pos][len(head):]}\n")
         if traced:
             trace.events.write(tick_text(t, tails))
-        if cache is None:
+        if ticks is None:
             env.advance(effects)
             term = term_of(env.row, env.context)
         else:
-            rows, driven = cache[t], tuple([v for channel in keyed for _, v in effects[channel]])
+            rows, driven = ticks[t], tuple([v for channel in keyed for _, v in effects[channel]])
             known = rows.get(driven)
             if known is None:
                 env.advance(effects)
@@ -281,7 +276,7 @@ def run_episode(
             values = ",".join([texts[k] for k in order])
             trace.table.write(f"{env.tick},{values},{env.context}\n")
     score = reduce(add, breakdown.values(), 0)
-    if key is not None:
+    if scores is not None:
         scores[key] = score, dict(breakdown)
     return EvaluationRecord(episode, score, breakdown), trace
 
@@ -396,14 +391,15 @@ def run_search(
     require(jobs >= 1, "jobs must be >= 1")
     policy = policy or SearchPolicy()
     episode_seed = seed  # constant across episodes: scores stay comparable
-    # one memo per search, so each distinct genotype's episode runs once: a
-    # RECONFIGURE flip re-derives the incumbent's controller deterministically.
-    # Threads may race on it, which only reruns a deterministic episode; and
-    # one tick cache, which they share the same way
-    scores, ticks = {}, {}
+    # one cache per search, so each distinct genotype's episode runs once (a
+    # RECONFIGURE flip re-derives the incumbent's controller deterministically)
+    # and each tick under each set of lamp levels once; none when the search
+    # can run only one episode.  Threads may race on it, which only reruns
+    # deterministic work
+    cache = None if not exhaustive and min(generations, policy.budget) == 1 else {}
 
     def evaluate(genotype: Genotype, episode: int) -> EvaluationRecord:
-        return run_episode(scenario, genotype, episode_seed, episode, scores=scores, ticks=ticks)[0]
+        return run_episode(scenario, genotype, episode_seed, episode, cache=cache)[0]
 
     incumbent = initial_genotype(scenario, seed)
     record = best_record = evaluate(incumbent, 0)

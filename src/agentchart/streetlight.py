@@ -177,6 +177,8 @@ class StreetLightScenario:
         windows = self.neighbor_windows()
         dusk = self.dusk_threshold
 
+        # it never reads the previous row: run_episode's cache keys each new
+        # row by the tick and the lamp effects alone
         def update(t, previous, effects) -> list[float]:
             daylight = float(ambient(t, ticks))
             light = []

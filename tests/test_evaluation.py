@@ -440,67 +440,74 @@ class TestRunEpisode:
         assert (peak(800) - peak(200)) / 600 < 250
 
 
+def stored(cache):
+    """Every score key of a search's cache, scope by scope."""
+    return [(scope, key) for scope, (scores, _) in cache.items() for key in scores]
+
+
 class TestScoreMemo:
-    """``run_episode``'s ``scores=``: a search's memo of the operable
-    genotypes it has run, keyed by seed, selection and topology, or by the
-    seed alone for a lampless genotype, whose outputs all drive the comm
-    channel."""
+    """``run_episode``'s ``cache=``, as a search's memo of the operable
+    genotypes it has run: one scope per seed and per set of outputs that
+    drive a variable, whose scores are keyed by selection and topology, or
+    by ``()`` in the scope of a lampless genotype, whose outputs all drive
+    the comm channel."""
 
     def setup_method(self):
         self.scenario = small_scenario(n_lights=3, episode_ticks=12)
         self.genotype = random_genotype(self.scenario, random.Random(5))
 
     def test_hit_keeps_the_callers_episode_index(self):
-        scores = {}
-        first, first_trace = run_episode(self.scenario, self.genotype, 1, 3, scores=scores)
-        assert len(scores) == 1
-        hit, hit_trace = run_episode(self.scenario, self.genotype, 1, 8, scores=scores)
+        cache = {}
+        first, first_trace = run_episode(self.scenario, self.genotype, 1, 3, cache=cache)
+        assert len(stored(cache)) == 1
+        hit, hit_trace = run_episode(self.scenario, self.genotype, 1, 8, cache=cache)
         assert hit == replace(first, episode=8)
         # an untraced episode keeps no rows, whether it ran or was a hit
         assert first_trace == hit_trace == EpisodeTrace()
-        assert len(scores) == 1
+        assert len(stored(cache)) == 1
 
     def test_mutating_a_breakdown_does_not_change_a_later_hit(self):
-        scores = {}
-        miss, _ = run_episode(self.scenario, self.genotype, 1, scores=scores)
+        cache = {}
+        miss, _ = run_episode(self.scenario, self.genotype, 1, cache=cache)
         expected = dict(miss.breakdown)
         miss.breakdown.clear()
-        hit, _ = run_episode(self.scenario, self.genotype, 1, scores=scores)
+        hit, _ = run_episode(self.scenario, self.genotype, 1, cache=cache)
         assert hit.breakdown == expected
         hit.breakdown["day"] = -1.0
-        again, _ = run_episode(self.scenario, self.genotype, 1, scores=scores)
+        again, _ = run_episode(self.scenario, self.genotype, 1, cache=cache)
         assert again.breakdown == expected
 
     def test_traced_call_neither_reads_nor_stores(self):
         plain, _ = run_episode(self.scenario, self.genotype, 1)
-        scores = {}
-        run_episode(self.scenario, self.genotype, 1, trace=traced(), scores=scores)
-        assert scores == {}
+        cache = {}
+        run_episode(self.scenario, self.genotype, 1, trace=traced(), cache=cache)
+        assert cache == {}
         # a planted entry for the same key is not read by a traced call
-        run_episode(self.scenario, self.genotype, 1, scores=scores)
-        (key,) = scores
-        scores[key] = (-1.0, {})
-        record, trace = run_episode(self.scenario, self.genotype, 1, trace=traced(), scores=scores)
+        run_episode(self.scenario, self.genotype, 1, cache=cache)
+        ((scope, key),) = stored(cache)
+        cache[scope][0][key] = (-1.0, {})
+        before = repr(cache)
+        record, trace = run_episode(self.scenario, self.genotype, 1, trace=traced(), cache=cache)
         assert record == plain and trace.table.getvalue().count("\n") == 1 + 12
-        assert scores == {key: (-1.0, {})}
+        assert repr(cache) == before
         # while an untraced call reads it
-        assert run_episode(self.scenario, self.genotype, 1, scores=scores)[0].score == -1.0
+        assert run_episode(self.scenario, self.genotype, 1, cache=cache)[0].score == -1.0
 
     def test_another_seed_misses(self):
-        scores = {}
-        run_episode(self.scenario, self.genotype, 1, scores=scores)
-        other, trace = run_episode(self.scenario, self.genotype, 2, scores=scores)
-        # it ran and stored a second entry, and kept no rows
-        assert trace == EpisodeTrace() and len(scores) == 2
+        cache = {}
+        run_episode(self.scenario, self.genotype, 1, cache=cache)
+        other, trace = run_episode(self.scenario, self.genotype, 2, cache=cache)
+        # it ran and stored a second entry, in a scope of its own, and kept no rows
+        assert trace == EpisodeTrace() and len(stored(cache)) == len(cache) == 2
         assert other == run_episode(self.scenario, self.genotype, 2)[0]
 
     def test_inoperable_genotype_is_never_stored(self):
         dead = Genotype({d.id: False for d in self.scenario.devices}, self.genotype.topology)
-        scores = {}
+        cache = {}
         for episode in range(2):
-            record, _ = run_episode(self.scenario, dead, 1, episode, scores=scores)
+            record, _ = run_episode(self.scenario, dead, 1, episode, cache=cache)
             assert record == EvaluationRecord(episode, math.inf, {})
-        assert scores == {}
+        assert cache == {}
 
     def test_lampless_genotypes_share_one_entry(self):
         # different sensors and weights, but the speaker is the only output of
@@ -513,37 +520,38 @@ class TestScoreMemo:
         )
         assert first.selection != second.selection
         assert first.topology.connections != second.topology.connections
-        scores = {}
-        run_episode(self.scenario, first, 1, 3, scores=scores)
-        assert len(scores) == 1
+        cache = {}
+        run_episode(self.scenario, first, 1, 3, cache=cache)
+        assert stored(cache) == [((1, ()), ())]
 
         def no_build_env(*args):
             raise AssertionError("a hit builds no environment")
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(StreetLightScenario, "build_env", no_build_env)
-            hit, trace = run_episode(self.scenario, second, 1, 8, scores=scores)
-        assert len(scores) == 1 and trace == EpisodeTrace()
+            hit, trace = run_episode(self.scenario, second, 1, 8, cache=cache)
+        # one scope, the empty one, whose only score key is ()
+        assert stored(cache) == [((1, ()), ())] and trace == EpisodeTrace()
         # with this call's episode index, 8
         assert repr(hit) == repr(run_episode(self.scenario, second, 1, 8)[0])
 
     def test_lampless_controller_must_mirror_the_body_on_a_hit(self):
         lampless = random_genotype(self.scenario, random.Random(1), light_switch=False)
-        scores = {}
-        run_episode(self.scenario, lampless, 1, scores=scores)
-        assert list(scores) == [(1,)]
+        cache = {}
+        run_episode(self.scenario, lampless, 1, cache=cache)
+        assert stored(cache) == [((1, ()), ())]
         # the same body without the speaker's output neuron
         topology = lampless.topology
         neurons = tuple(n for n in topology.neurons if n.id != "wireless_speaker")
         broken = replace(lampless, topology=replace(topology, neurons=neurons))
         with pytest.raises(BehaviorNotConfigured):
-            run_episode(self.scenario, broken, 1, scores=scores)
+            run_episode(self.scenario, broken, 1, cache=cache)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_lampless_episode_scores_the_idle_environment(self, seed):
-        # the oracle the seed-only key rests on, run without the memo: agents
-        # that only talk leave the environment as if nobody acted
+        # the oracle the lampless scope rests on, run without the cache:
+        # agents that only talk leave the environment as if nobody acted
         scenario = small_scenario(n_lights=4, episode_ticks=15)
         genotype = random_genotype(scenario, random.Random(seed), light_switch=False)
         record, _ = run_episode(scenario, genotype, seed % 1000)
@@ -704,6 +712,14 @@ class TestRunSearch:
             init_score = run_search(scenario, seed=seed, generations=1).best_record.score
             assert result.best_record.score == min(best, init_score)
 
+    def test_exhaustive_sweep_ignores_the_budget(self):
+        # the brute-force argmin needs every body: the sweep runs all 2^d of
+        # them however small search.budget is
+        scenario = small_scenario(n_lights=2, episode_ticks=6)
+        policy = SearchPolicy(budget=3)
+        result = run_search(scenario, seed=0, generations=1, policy=policy, exhaustive=True)
+        assert len(result.history) == 1 + 2 ** len(scenario.devices)
+
     def test_exhaustive_enumerates_all_selections(self):
         devices = device_template()
         sels = all_selections(devices)
@@ -750,16 +766,18 @@ class TestRunSearch:
 BEACON = DeviceSpec("beacon", "output", "light_0", LEVELS)
 
 
-def without_tick_cache(*args, ticks=None, **kwargs):
-    """``run_episode`` as a search calls it, with the tick cache dropped."""
+def without_cache(*args, **kwargs):
+    """``run_episode`` as a search calls it, with the search's cache
+    dropped; a call without one fails."""
+    kwargs.pop("cache")
     return run_episode(*args, **kwargs)
 
 
 class TestTickCache:
-    """``run_episode``'s ``ticks=``: a search's cache of the rows, contexts
-    and score terms of each tick, keyed by the values of the outputs that
-    drive the update, in one scope per seed and per wiring of those
-    outputs."""
+    """``run_episode``'s ``cache=``, as a search's cache of the rows,
+    contexts and score terms of each tick, keyed by the values of the
+    outputs that drive the update, in one scope per seed and per set of
+    those outputs."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -777,7 +795,7 @@ class TestTickCache:
             search = dict(generations=16, lam=3, jobs=jobs, exhaustive=exhaustive)
             cached = run_search(scenario, seed % 1000, **search)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(evaluation, "run_episode", without_tick_cache)
+                mp.setattr(evaluation, "run_episode", without_cache)
                 plain = run_search(scenario, seed % 1000, **search)
             assert repr(cached.history) == repr(plain.history)
             assert [r.to_csv() for r in cached.metrics] == [r.to_csv() for r in plain.metrics]
@@ -791,10 +809,10 @@ class TestTickCache:
         policy = SearchPolicy(budget=2000)
         held, cleared = [], []
 
-        def spy(*args, ticks=None, **kwargs):
-            before = {id(rows): len(rows) for scope in ticks.values() for rows in scope}
-            result = run_episode(*args, ticks=ticks, **kwargs)
-            rows = [rows for scope in ticks.values() for rows in scope]
+        def spy(*args, cache, **kwargs):
+            before = {id(rows): len(rows) for scope in cache.values() for rows in scope[1]}
+            result = run_episode(*args, cache=cache, **kwargs)
+            rows = [rows for scope in cache.values() for rows in scope[1]]
             held.append(max(map(len, rows)))
             cleared.extend(len(r) < before.get(id(r), 0) for r in rows)
             return result
@@ -809,3 +827,35 @@ class TestTickCache:
         assert [r.to_csv() for r in threaded.metrics] == [r.to_csv() for r in serial.metrics]
         assert repr(threaded.best_record) == repr(serial.best_record)
         assert threaded.best == serial.best
+
+    def test_switch_and_beacon_bodies_get_two_scopes(self):
+        # as many driven outputs, not the same ones: each light's switch
+        # drives its own lamp, and every light's beacon light 0's
+        scenario = small_scenario(n_lights=3, devices=device_template() + (BEACON,))
+        switch = random_genotype(scenario, random.Random(1), light_switch=True, beacon=False)
+        beacon = random_genotype(scenario, random.Random(1), light_switch=False, beacon=True)
+        cache = {}
+        for genotype in (switch, beacon):
+            run_episode(scenario, genotype, 16, cache=cache)
+        assert list(cache) == [(16, ("light_switch",)), (16, ("beacon",))]
+        assert [len(scores) for scores, _ in cache.values()] == [1, 1]
+
+    @pytest.mark.parametrize(
+        "generations, budget, exhaustive, cached",
+        [(1, 200, False, False), (2, 1, False, False), (2, 200, False, True), (1, 200, True, True)],
+    )
+    def test_a_one_episode_search_has_no_cache(self, generations, budget, exhaustive, cached):
+        # a search that can run only its initial genotype would fill a cache
+        # that nothing reads; every call of one search gets the same cache
+        seen = []
+
+        def spy(*args, cache, **kwargs):
+            seen.append(cache)
+            return run_episode(*args, cache=cache, **kwargs)
+
+        policy = SearchPolicy(budget=budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "run_episode", spy)
+            run_search(small_scenario(), 4, generations, policy=policy, exhaustive=exhaustive)
+        assert seen and all(cache is seen[0] for cache in seen)
+        assert isinstance(seen[0], dict) if cached else seen[0] is None

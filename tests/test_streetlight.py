@@ -474,7 +474,7 @@ class TestUpdateContract:
     @settings(max_examples=60, deadline=None)
     @given(scenarios(), st.integers(0, 2**32 - 1), messages)
     def test_update_never_reads_the_comm_channel(self, scenario, seed, sent):
-        # a search keys every lampless genotype by its seed alone, which holds
+        # a search scores every lampless genotype once per seed, which holds
         # only if what agents send on the comm channel never reaches a row
         env = scenario.build_env(seed, {})
         rng = random.Random(seed)
@@ -492,7 +492,7 @@ class TestUpdateContract:
     @settings(max_examples=60, deadline=None)
     @given(scenarios(), st.integers(0, 2**32 - 1), st.data())
     def test_update_never_reads_the_previous_row(self, scenario, seed, data):
-        # a search's tick cache keys each new row by the tick and the lamps'
+        # a search's cache keys each new row by the tick and the lamps'
         # levels alone, which holds only if no row depends on the one before
         env = scenario.build_env(seed, {})
         previous = env.row
