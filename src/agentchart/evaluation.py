@@ -6,8 +6,9 @@ term (for the street lights, ``agentchart.streetlight.tick_score``).  A
 patience-based policy picks between "adjust" (connection-only mutation)
 and "reconfigure" (structural body search), driving a (1+λ) hill climb
 over the genotype; the climb digests only the genotypes it keeps and runs
-each distinct genotype's episode once, and each tick under each set of
-lamp levels once as far as its bounded cache holds.
+each distinct genotype's episode once, and each set of provably fixed lamp
+levels once, and each tick under each set of lamp levels once as far as
+its bounded cache holds.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from .body import (
     BEHAVIOR_PASS,
     COMM_CHANNEL,
+    BodyConfig,
     DeviceSpec,
     configure_body,
     derive_controller,
@@ -34,7 +36,13 @@ from .body import (
     step_agent,  # noqa: F401  perfbench's layer sites wrap it at this name
     tick_text,
 )
-from .controller import ControllerTopology, MutationPolicy, activate, mutate_connections
+from .controller import (
+    ControllerTopology,
+    MutationPolicy,
+    activate,
+    mutate_connections,
+    sigmoid,
+)
 from .environment import (
     Effects,
     EpisodeTrace,
@@ -43,7 +51,7 @@ from .environment import (
 )
 from .errors import NonFiniteInput, require
 from .serialize import config_digest
-from .streetlight import StreetLightScenario
+from .streetlight import UNIT_CHANNELS, StreetLightScenario
 
 ADJUST = "adjust"
 RECONFIGURE = "reconfigure"
@@ -105,6 +113,53 @@ def genotype_operable(scenario: StreetLightScenario, genotype: Genotype) -> bool
     return configure_body(list(scenario.devices), genotype.selection).is_operable()
 
 
+def fixed_levels(body: BodyConfig, topology: ControllerTopology) -> tuple | None:
+    """The levels of ``body``'s enabled outputs that drive a variable, in
+    their order, if each is provably one level whatever its inputs and
+    state, else None; ``()`` for a body whose outputs all drive the comm
+    channel.
+
+    An output is fixed when every enabled input reads a channel of
+    ``UNIT_CHANNELS``, it has levels, the spread ``|bias| + sum |w|`` over
+    its effective incoming edges is finite, and the sigmoid of its least
+    sum ``lo`` less ``m`` and of its greatest sum ``hi`` plus ``m``, with
+    ``m = 1e-9 * (1 + spread)``, quantize alike.  This is exact: every value
+    a neuron sums, an input, a sigmoid or a previous tick's, lies in
+    [0, 1], so every sum lies in [lo, hi]; a finite spread bounds every
+    partial sum, so none is NaN; rounding moves a sum far less than ``m``,
+    and ``m`` moves the sigmoid by more than 2e-10 at the level edges
+    (+-ln 2 for three levels), far more than its own rounding; and the
+    street-light update reads only the lamps' effects.  It reads
+    ``topology.connections``, not ``eval_plan``, which a memo hit never
+    builds.
+    """
+    unit = all(d.channel in UNIT_CHANNELS for d in body.enabled_inputs)
+    bias = {n.id: n.bias for n in topology.neurons if n.enabled}
+    levels = []
+    for d in body.enabled_outputs:
+        if d.channel == COMM_CHANNEL:
+            continue
+        if not (unit and d.output_levels):
+            return None
+        lo = hi = bias[d.id]
+        spread = abs(lo)
+        for c in topology.connections:
+            if c.to_id == d.id and c.enabled and c.from_id in bias:
+                spread += abs(c.weight)
+                if c.weight < 0:
+                    lo += c.weight
+                else:
+                    hi += c.weight
+        if not math.isfinite(spread):
+            return None
+        m = 1e-9 * (1 + spread)
+        level = quantize(sigmoid(lo - m), d.output_levels)
+        if level != quantize(sigmoid(hi + m), d.output_levels):
+            return None
+        levels.append(level)
+    return tuple(levels)
+
+
 def run_episode(
     scenario: StreetLightScenario,
     genotype: Genotype,
@@ -139,18 +194,21 @@ def run_episode(
     ``cache`` is a search's, for one scenario, in one scope per seed and
     per set of enabled outputs that drive a variable rather than the comm
     channel.  A scope holds the scores of the operable genotypes run in it,
-    keyed by selection and topology, and one dict per tick keyed by those
-    outputs' values, grouped by channel, each holding at most ``TICK_ROWS``
-    ``(row, context, term)``.  No update reads the comm channel
-    (``environment.Update``) and the street-light update never reads the
-    previous row (``StreetLightScenario.build_env``), so a tick's new row is
-    its scope's and its key's, and a lampless genotype, whose scope drives
-    nothing, scores the idle environment: its key is ``()``.  A genotype
-    found takes its ``(score, breakdown)`` with this call's ``episode``,
-    skipping the ``NonFiniteInput`` check, which only weights near 1e308
-    could trip; a search's are finite sums of Gaussian draws.  A tick found
-    skips the update, the context function and the term.  A traced call
-    neither reads nor stores the cache.
+    and one dict per tick keyed by those outputs' values, grouped by
+    channel, each holding at most ``TICK_ROWS`` ``(row, context, term)``.
+    No update reads the comm channel (``environment.Update``) and the
+    street-light update never reads the previous row
+    (``StreetLightScenario.build_env``), so a tick's new row is its scope's
+    and its key's, and a genotype whose driven outputs each keep one level
+    scores as any other with those levels: a score's key is the levels
+    ``fixed_levels`` proves, ``()`` for a lampless genotype, whose scope
+    drives nothing, and else the selection and topology.  A genotype found
+    takes its ``(score, breakdown)`` with this call's ``episode``, skipping
+    the ``NonFiniteInput`` check, which finite weights never trip: with
+    inputs in [0, 1] a neuron's sum is finite or +-inf, which ``sigmoid``
+    clamps, so no comm input is ever non-finite.  A tick found skips the
+    update, the context function and the term.  A traced call neither
+    reads nor stores the cache.
     """
     require(seed >= 0, "seed must be >= 0")
     traced, trace = trace is not None, trace or EpisodeTrace()
@@ -161,10 +219,13 @@ def run_episode(
     scores = ticks = None
     if cache is not None and not traced:
         drives = tuple(d.id for d in shared.enabled_outputs if d.channel != COMM_CHANNEL)
-        scores, ticks = cache.setdefault(
-            (seed, drives), ({}, [{} for _ in range(scenario.episode_ticks)])
+        scope = (seed, drives)  # a scope's default is built only when it is missing
+        scores, ticks = cache.get(scope) or cache.setdefault(
+            scope, ({}, [{} for _ in range(scenario.episode_ticks)])
         )
-        key = (frozenset(genotype.selection.items()), genotype.topology) if drives else ()
+        key = fixed_levels(shared, genotype.topology)
+        if key is None:
+            key = frozenset(genotype.selection.items()), genotype.topology
         if key in scores:
             score, breakdown = scores[key]
             return EvaluationRecord(episode, score, dict(breakdown)), trace

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .body import BodyConfig, DeviceSpec, configure_body
+from .body import COMM_CHANNEL, BodyConfig, DeviceSpec, configure_body
 from .environment import Environment
 from .errors import require
 
@@ -27,6 +27,11 @@ MOTION_SENSOR = "motion_sensor"
 WIRELESS_IN = "wireless_in"
 WIRELESS_SPEAKER = "wireless_speaker"
 LIGHT_SWITCH = "light_switch"
+
+# the input channels whose every value lies in [0, 1]: the brightness is
+# clamped to 1, the flows are draws in [0, 1), and a comm input reads the mean
+# of what speakers send, controller outputs in (0, 1)
+UNIT_CHANNELS = frozenset({"brightness@self", "people_flow@self", COMM_CHANNEL})
 
 DAY = "day"
 NIGHT = "night"

@@ -1,7 +1,9 @@
 import io
 import math
 import random
+import threading
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -11,7 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from agentchart import evaluation, statechart
 from agentchart.body import DeviceSpec, configure_body, derive_controller
-from agentchart.controller import HIDDEN, OUTPUT, Connection, ControllerTopology, Neuron
+from agentchart.controller import (
+    HIDDEN,
+    INPUT,
+    OUTPUT,
+    Connection,
+    ControllerTopology,
+    Neuron,
+)
 from agentchart.environment import Environment, EpisodeTrace
 from agentchart.errors import BehaviorNotConfigured, NonFiniteVariable
 from agentchart.evaluation import (
@@ -22,6 +31,7 @@ from agentchart.evaluation import (
     SearchPolicy,
     all_selections,
     decide,
+    fixed_levels,
     genotype_digest,
     initial_genotype,
     run_episode,
@@ -555,32 +565,158 @@ class TestScoreMemo:
         scenario = small_scenario(n_lights=4, episode_ticks=15)
         genotype = random_genotype(scenario, random.Random(seed), light_switch=False)
         record, _ = run_episode(scenario, genotype, seed % 1000)
-        env = scenario.build_env(seed % 1000, {})
-        rows, contexts = [], []
-        for _ in range(scenario.episode_ticks):
-            env.step([])
-            rows.append(env.row)
-            contexts.append(env.context)
-        idle = streetlight_score(env.names, rows, contexts, scenario.rules, scenario.n_lights)
-        assert repr((record.score, record.breakdown)) == repr(idle)
+        assert repr((record.score, record.breakdown)) == repr(steady_score(scenario, seed % 1000))
 
 
-def memo_free_episodes(scenario, seed, jobs, generations, lam):
-    """Differential: every history entry of a search, re-run by a plain
-    run_episode without the memo, gives the same episode, score and
-    breakdown, and the kernel ran the first lampless genotype only, or one
-    per thread when the first ones raced.  Returns the counts of operable
-    and lampless entries, of episodes the search built and of lampless ones
-    among them."""
-    built, candidates = [], []
+def steady_score(scenario, seed, level=None):
+    """The score and breakdown of an environment stepped with every lamp at
+    ``level``, or with nobody acting."""
+    ids = scenario.agent_ids()
+    bodies = {aid: scenario.body_for(i, {"light_switch": True}) for i, aid in enumerate(ids)}
+    env = scenario.build_env(seed, bodies)
+    actions = [] if level is None else [(aid, {"light_switch": level}) for aid in ids]
+    rows, contexts = [], []
+    for _ in range(scenario.episode_ticks):
+        env.step(actions)
+        rows.append(env.row)
+        contexts.append(env.context)
+    return streetlight_score(env.names, rows, contexts, scenario.rules, scenario.n_lights)
+
+
+# a sensor of each light's own lamp, whose value may exceed 1
+LAMP_METER = DeviceSpec("lamp_meter", "input", "light@self")
+LN2 = math.log(2)  # a three-level output's sigmoid edges 1/3 and 2/3 lie at -ln 2 and ln 2
+
+
+class TestFixedLevels:
+    """``fixed_levels``: a genotype whose lamps provably hold one level, for
+    every input in [0, 1] and every state, is keyed by those levels, from
+    bounds ``lo`` and ``hi`` on each lamp output's sum widened by
+    ``m = 1e-9 * (1 + spread)``."""
+
+    scenario = small_scenario(n_lights=3, devices=device_template() + (LAMP_METER,))
+
+    def genotype(self, bias=0.0, outputs=("light_switch",), **inputs):
+        """The ``inputs`` and ``outputs``, an edge of each input's weight to
+        each output, and the outputs' ``bias``."""
+        selection = {d.id: d.id in inputs or d.id in outputs for d in self.scenario.devices}
+        neurons = tuple(Neuron(i, INPUT) for i in inputs)
+        neurons += tuple(Neuron(o, OUTPUT, bias=bias) for o in outputs)
+        connections = tuple(
+            Connection(f"{i}-{o}", i, o, weight) for i, weight in inputs.items() for o in outputs
+        )
+        return Genotype(selection, ControllerTopology(neurons, connections))
+
+    def levels(self, genotype):
+        body = configure_body(list(self.scenario.devices), genotype.selection)
+        return fixed_levels(body, genotype.topology)
+
+    def test_bounds_inside_the_middle_level_give_dim(self):
+        # lo = 0.2 - 0.4, hi = 0.2 + 0.3
+        genotype = self.genotype(0.2, lighting_sensor=0.3, motion_sensor=-0.4)
+        assert self.levels(genotype) == ("DIM",)
+        cache = {}
+        run_episode(self.scenario, genotype, 1, cache=cache)
+        assert stored(cache) == [((1, ("light_switch",)), ("DIM",))]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_bounds_within_the_margin_of_an_edge_keep_the_full_key(self, sign):
+        # m is about 1.7e-9 here: a bound 1e-10 inside an edge may cross it
+        assert self.levels(self.genotype(lighting_sensor=sign * (LN2 - 1e-10))) is None
+        # while one 1e-8 inside it may not, and the brightness reaches 1, so
+        # the sum reaches the bound itself
+        near = self.genotype(lighting_sensor=sign * (LN2 - 1e-8))
+        assert self.levels(near) == ("DIM",)
+        record, _ = run_episode(self.scenario, near, 2)
+        assert repr((record.score, record.breakdown)) == repr(steady_score(self.scenario, 2, "DIM"))
+
+    @pytest.mark.parametrize(
+        "bias, weight",
+        [(1.7e308, 1e308), (1.7e308, math.inf), (-1.7e308, -math.inf), (0.0, math.nan)],
+    )
+    def test_a_non_finite_spread_keeps_the_full_key(self, bias, weight):
+        # the first three bound the lamp at ON or OFF, but an infinite spread
+        # proves nothing: an infinite weight times an input of 0 is NaN
+        assert self.levels(self.genotype(bias, lighting_sensor=weight)) is None
+
+    def test_an_input_outside_the_unit_channels_keeps_the_full_key(self):
+        assert self.levels(self.genotype(lighting_sensor=0.1)) == ("DIM",)
+        assert self.levels(self.genotype(lamp_meter=0.1)) is None
+        assert self.levels(self.genotype(lighting_sensor=0.1, lamp_meter=0.1)) is None
+
+    def test_a_lampless_body_keeps_the_empty_key(self):
+        speaker = ("wireless_speaker",)
+        assert self.levels(self.genotype(lamp_meter=1e308, outputs=speaker)) == ()
+
+    def test_genotypes_with_one_fixed_level_share_one_entry(self):
+        # different bodies and weights, both lamps DIM: the second is a hit,
+        # which builds no environment and no evaluation plan
+        fixed = dict(light_switch=True, lamp_meter=False)
+        first = random_genotype(self.scenario, random.Random(1), 0.01, **fixed)
+        second = random_genotype(self.scenario, random.Random(2), 0.01, **fixed)
+        assert first.selection != second.selection
+        cache = {}
+        run_episode(self.scenario, first, 1, 3, cache=cache)
+        assert stored(cache) == [((1, ("light_switch",)), ("DIM",))]
+
+        def no_build_env(*args):
+            raise AssertionError("a hit builds no environment")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(StreetLightScenario, "build_env", no_build_env)
+            hit, trace = run_episode(self.scenario, second, 1, 8, cache=cache)
+        assert "eval_plan" not in vars(second.topology)
+        assert stored(cache) == [((1, ("light_switch",)), ("DIM",))] and trace == EpisodeTrace()
+        assert repr(hit) == repr(run_episode(self.scenario, second, 1, 8)[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_fixed_dim_episode_scores_the_all_dim_environment(self, seed):
+        # the oracle the fixed-level key rests on, run without the cache:
+        # lamps that stay DIM, whatever else the agents sense, say or hold
+        scenario = small_scenario(n_lights=4, episode_ticks=15)
+        genotype = random_genotype(scenario, random.Random(seed), 0.01, light_switch=True)
+        body = configure_body(list(scenario.devices), genotype.selection)
+        assert fixed_levels(body, genotype.topology) == ("DIM",)
+        record, _ = run_episode(scenario, genotype, seed % 1000)
+        dim = steady_score(scenario, seed % 1000, "DIM")
+        assert repr((record.score, record.breakdown)) == repr(dim)
+
+
+def fixed_key(scenario, genotype):
+    """The driven outputs and the levels ``fixed_levels`` proves of an
+    operable genotype, ``((), ())`` for a lampless one, or None."""
+    body = configure_body(list(scenario.devices), genotype.selection)
+    levels = fixed_levels(body, genotype.topology) if body.is_operable() else None
+    drives = tuple(d.id for d in body.enabled_outputs if d.channel != "comm")
+    return None if levels is None else (drives, levels)
+
+
+def memo_free_episodes(scenario, seed, jobs, generations, lam, start=None):
+    """Differential: every history entry of a search from the initial
+    genotype, or from ``start``, re-run by a plain run_episode without the
+    memo, gives the same episode, score and breakdown, and the kernel ran at
+    most one genotype per set of fixed levels (``fixed_key``) per thread,
+    more than one only when the first ones raced.  Returns the counts of
+    operable entries and of episodes the search built, and the ``fixed_key``
+    counts of the entries and of the episodes built."""
+    ran, candidates = [], []
+    running = threading.local()
     build_env = StreetLightScenario.build_env
 
+    def spy(scenario, genotype, *args, **kwargs):
+        running.genotype = genotype
+        return run_episode(scenario, genotype, *args, **kwargs)
+
     def counting_build_env(self, *args, **kwargs):
-        built.append(args)
+        ran.append(running.genotype)
         return build_env(self, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(StreetLightScenario, "build_env", counting_build_env)
+        mp.setattr(evaluation, "run_episode", spy)
+        if start is not None:
+            mp.setattr(evaluation, "initial_genotype", lambda scenario, seed: start)
         result = run_search(
             scenario,
             seed=seed,
@@ -589,9 +725,9 @@ def memo_free_episodes(scenario, seed, jobs, generations, lam):
             jobs=jobs,
             on_generation=lambda g, kind, incumbent, cands: candidates.extend(cands),
         )
-    genotypes = [initial_genotype(scenario, seed)] + candidates
+    genotypes = [start or initial_genotype(scenario, seed)] + candidates
     assert len(genotypes) == len(result.history)
-    operable = lampless = 0
+    operable = 0
     for k, (genotype, record) in enumerate(zip(genotypes, result.history)):
         expected, _ = run_episode(scenario, genotype, seed, episode=k)
         assert (record.episode, record.score, record.breakdown) == (
@@ -600,23 +736,28 @@ def memo_free_episodes(scenario, seed, jobs, generations, lam):
             expected.breakdown,
         )
         operable += math.isfinite(expected.score)
-        lampless += math.isfinite(expected.score) and not genotype.selection["light_switch"]
-    ran = sum(not bodies["light_0"].enabled["light_switch"] for _, bodies in built)
-    assert ran <= min(lampless, jobs)
-    return operable, lampless, len(built), ran
+
+    def fixed_keys(genotypes):
+        return Counter(key for key in (fixed_key(scenario, g) for g in genotypes) if key)
+
+    runs = fixed_keys(ran)
+    assert all(n <= jobs for n in runs.values()), runs
+    return operable, len(ran), fixed_keys(genotypes), runs
 
 
-def random_genotype(scenario, rng: random.Random, **fixed: bool) -> Genotype:
+def random_genotype(scenario, rng: random.Random, scale: float = 1.0, **fixed: bool) -> Genotype:
     """Both comm devices, the devices ``fixed`` sets as it says, and a random
     rest of the body; the derived controller plus hidden neurons, a
     self-loop and random edges (cycles among them), with about one edge in
-    five disabled."""
+    five disabled, and every weight and bias times ``scale``."""
     devices = list(scenario.devices)
     selection = {d.id: rng.random() < 0.5 for d in devices}
     selection.update({"wireless_in": True, "wireless_speaker": True, **fixed})
     body = configure_body(devices, selection)
     base = derive_controller(body, rng=np.random.default_rng(rng.randrange(2**32)))
-    hidden = [Neuron(f"h{k}", HIDDEN, bias=rng.gauss(0, 1)) for k in range(rng.randint(1, 3))]
+    hidden = [
+        Neuron(f"h{k}", HIDDEN, bias=rng.gauss(0, 1) * scale) for k in range(rng.randint(1, 3))
+    ]
     neurons = base.neurons + tuple(hidden)
     ids = [n.id for n in neurons]
     # the self-loop reaches every output, so the previous tick's state counts
@@ -628,7 +769,8 @@ def random_genotype(scenario, rng: random.Random, **fixed: bool) -> Genotype:
         for k in range(rng.randint(2, 8))
     ]
     connections = tuple(
-        replace(c, enabled=rng.random() < 0.8) for c in base.connections + tuple(edges)
+        replace(c, weight=c.weight * scale, enabled=rng.random() < 0.8)
+        for c in base.connections + tuple(edges)
     )
     return Genotype(selection, ControllerTopology(neurons, connections))
 
@@ -673,25 +815,30 @@ class TestRunSearch:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_memo_equals_memo_free_episodes(self, jobs):
         # the seeds are ones whose RECONFIGURE generations repeat genotypes,
-        # so the memo is hit, and seeds 11 and 6 meet lampless genotypes (76
-        # and 44 of them), seed 6's all distinct
-        lampless_met = lampless_served = 0
+        # so the memo is hit, and seeds 11 and 6 meet genotypes with fixed
+        # levels: 76 and 44 lampless ones, and 3 and 9 whose lamps stay DIM
+        served = Counter()
         for seed in (4, 11, 6):
-            operable, lampless, built, ran = memo_free_episodes(small_scenario(), seed, jobs, 30, 4)
+            operable, built, fixed, runs = memo_free_episodes(small_scenario(), seed, jobs, 30, 4)
             # fewer episodes were built than operable entries: the memo was hit
             assert built < operable
-            lampless_met += lampless
-            lampless_served += lampless - ran
-        assert lampless_met >= 2 and lampless_served >= 1
+            served += fixed - runs
+        assert served[(), ()] >= 2 and served[("light_switch",), ("DIM",)] >= 2
 
     @settings(max_examples=20, deadline=None)
     @given(
         scenarios(light_ticks=20),
         st.integers(min_value=0, max_value=2**32 - 1),
         st.sampled_from([1, 2]),
+        st.sampled_from([None, 0.05]),
     )
-    def test_memo_equals_memo_free_episodes_on_drawn_scenarios(self, scenario, seed, jobs):
-        memo_free_episodes(scenario, seed, jobs, 10, 3)
+    def test_memo_equals_memo_free_episodes_on_drawn_scenarios(self, scenario, seed, jobs, scale):
+        # from a small-weighted random start with a lamp, a search meets
+        # genotypes with fixed lamp levels, hidden neurons and cycles
+        start = None if scale is None else random_genotype(
+            scenario, random.Random(seed), scale, light_switch=True
+        )
+        memo_free_episodes(scenario, seed, jobs, 10, 3, start)
 
     def test_exhaustive_matches_brute_force_argmin(self):
         scenario = small_scenario(n_lights=2, episode_ticks=6)

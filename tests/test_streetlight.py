@@ -2,12 +2,15 @@ import io
 import math
 import random
 import struct
+import sys
+from dataclasses import replace
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from agentchart.body import Agent, derive_controller, step_agent
 from agentchart.controller import Connection, ControllerTopology, Neuron
 from agentchart.environment import COMM_CHANNEL, EpisodeTrace
 from agentchart.errors import InvalidParams
@@ -16,6 +19,7 @@ from agentchart.streetlight import (
     DAY,
     LEVELS,
     NIGHT,
+    UNIT_CHANNELS,
     AmbientProfile,
     PeopleProcess,
     StreetLightScenario,
@@ -510,3 +514,33 @@ class TestUpdateContract:
             row = env.update(t, previous, effects)
             assert repr(env.update(t, data.draw(rows), effects)) == repr(row)
             previous = row
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenarios(), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e3, 1e308]))
+    def test_every_input_reads_a_value_in_the_unit_interval(self, scenario, seed, scale):
+        # a search keys every genotype whose lamps hold one level by those
+        # levels, which holds only if no input reads outside [0, 1]: the
+        # brightness, the people flow and the comm mean, here under weights
+        # up to the largest float, whose sums overflow to +-inf
+        inputs = [d for d in scenario.devices if d.direction == "input"]
+        assert {d.channel for d in inputs} == UNIT_CHANNELS
+        selection = {d.id: True for d in scenario.devices}
+        bodies = {
+            aid: scenario.body_for(i, selection) for i, aid in enumerate(scenario.agent_ids())
+        }
+        base = derive_controller(bodies["light_0"], rng=np.random.default_rng(seed))
+        big = sys.float_info.max
+        connections = tuple(
+            replace(c, weight=max(-big, min(big, c.weight * scale))) for c in base.connections
+        )
+        topology = replace(base, connections=connections)
+        agents = [Agent(aid, body, topology) for aid, body in bodies.items()]
+        env = scenario.build_env(seed % 1000, bodies)
+        for _ in range(scenario.episode_ticks):
+            actions = []
+            for agent in agents:
+                percept = env.perceive(agent.agent_id)
+                assert len(percept) == len(inputs)
+                assert all(0.0 <= value <= 1.0 for value in percept.values()), percept
+                actions.append((agent.agent_id, step_agent(agent, percept)))
+            env.step(actions)
