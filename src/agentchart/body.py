@@ -22,7 +22,7 @@ from .controller import (
     eval_net,
     fresh_connection_id,
 )
-from .errors import BehaviorNotConfigured, PassNotReplayable, UnknownDevice
+from .errors import BehaviorNotConfigured, NonFiniteInput, PassNotReplayable, UnknownDevice
 
 COMM_CHANNEL = "comm"
 NEW_WEIGHT_SIGMA = 1.0  # std of a new input/output pair's Gaussian weight
@@ -244,11 +244,15 @@ class Agent:
 
 def quantize(value: float, levels: tuple[str, ...]) -> object:
     """Equal-width thresholds over [0, 1] onto the ordered level list; an
-    output without levels is continuous and drives ``value`` itself."""
+    output without levels is continuous and drives ``value`` itself.  A NaN
+    ``value`` (from a NaN weight) raises ``NonFiniteInput``."""
     if not levels:
         return value
     k = len(levels)
-    idx = int(value * k)
+    try:
+        idx = int(value * k)
+    except ValueError:  # only int(nan) raises it; a check per call would cost every tick
+        raise NonFiniteInput(f"output value is not finite: {value}") from None
     if idx >= k:
         idx = k - 1
     if idx < 0:

@@ -85,7 +85,8 @@ def cmd_run(args) -> int:
 def write_outputs(out: Path, args, loaded: LoadedScenario, result: SearchResult) -> None:
     """Write the run's artifacts to ``out``; with ``--trace``, trace.log and
     episode.csv are written as their episode runs, so a failure partway
-    leaves them partial."""
+    leaves them partial.  That episode re-runs the best genotype on the seed
+    the search scored it on, taking its ticks' rows from the search's cache."""
     digest = genotype_digest(loaded.scenario, result.best)
     header = f"# seed={args.seed} config_digest={digest}\n"
 
@@ -121,7 +122,8 @@ def write_outputs(out: Path, args, loaded: LoadedScenario, result: SearchResult)
     if args.trace:
         with _Output(out / "trace.log") as events, _Output(out / "episode.csv") as table:
             events.write(header)
-            run_episode(loaded.scenario, result.best, args.seed, trace=EpisodeTrace(events, table))
+            trace = EpisodeTrace(events, table)
+            run_episode(loaded.scenario, result.best, args.seed, trace=trace, cache=result.cache)
 
 
 class _Output:

@@ -207,8 +207,10 @@ def run_episode(
     the ``NonFiniteInput`` check, which finite weights never trip: with
     inputs in [0, 1] a neuron's sum is finite or +-inf, which ``sigmoid``
     clamps, so no comm input is ever non-finite.  A tick found skips the
-    update, the context function and the term.  A traced call neither
-    reads nor stores the cache.
+    update, the context function and the term.  A traced call takes the
+    ticks of its scope if the scope exists, serving and storing rows as an
+    untraced call does, but never creates a scope and never reads or stores
+    a score, so its record is always a fresh sum.
     """
     require(seed >= 0, "seed must be >= 0")
     traced, trace = trace is not None, trace or EpisodeTrace()
@@ -217,18 +219,21 @@ def run_episode(
         return EvaluationRecord(episode, math.inf, {}), trace
     require_mirror(shared, genotype.topology)
     scores = ticks = None
-    if cache is not None and not traced:
+    if cache is not None:
         drives = tuple(d.id for d in shared.enabled_outputs if d.channel != COMM_CHANNEL)
-        scope = (seed, drives)  # a scope's default is built only when it is missing
-        scores, ticks = cache.get(scope) or cache.setdefault(
-            scope, ({}, [{} for _ in range(scenario.episode_ticks)])
-        )
-        key = fixed_levels(shared, genotype.topology)
-        if key is None:
-            key = frozenset(genotype.selection.items()), genotype.topology
-        if key in scores:
-            score, breakdown = scores[key]
-            return EvaluationRecord(episode, score, dict(breakdown)), trace
+        scope = (seed, drives)
+        if traced:  # the rows of a scope that exists, and never a score
+            ticks = cache.get(scope, (None, None))[1]
+        else:  # a scope's default is built only when it is missing
+            scores, ticks = cache.get(scope) or cache.setdefault(
+                scope, ({}, [{} for _ in range(scenario.episode_ticks)])
+            )
+            key = fixed_levels(shared, genotype.topology)
+            if key is None:
+                key = frozenset(genotype.selection.items()), genotype.topology
+            if key in scores:
+                score, breakdown = scores[key]
+                return EvaluationRecord(episode, score, dict(breakdown)), trace
     ids = scenario.agent_ids()
     bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
     env = scenario.build_env(seed, bodies)
@@ -366,6 +371,7 @@ class SearchResult:
     best_record: EvaluationRecord
     history: list[EvaluationRecord]
     metrics: list[MetricsRow]
+    cache: dict | None = None  # the search's, which a traced re-run of its seed reads
 
 
 def _candidate_rng(seed: int, generation: int, k: int) -> np.random.Generator:
@@ -444,7 +450,8 @@ def run_search(
     the last only as many as the episode budget has left, and replaces the
     incumbent on strict improvement.  With ``exhaustive`` the single search
     generation instead sweeps every enabled-set, deriving each controller
-    from the incumbent's weights.
+    from the incumbent's weights.  The result holds the search's cache,
+    whose rows of ``seed`` serve a traced re-run of its best genotype.
     """
     require(seed >= 0, "seed must be >= 0")
     require(generations >= 1, "generations must be >= 1")
@@ -454,10 +461,9 @@ def run_search(
     episode_seed = seed  # constant across episodes: scores stay comparable
     # one cache per search, so each distinct genotype's episode runs once (a
     # RECONFIGURE flip re-derives the incumbent's controller deterministically)
-    # and each tick under each set of lamp levels once; none when the search
-    # can run only one episode.  Threads may race on it, which only reruns
-    # deterministic work
-    cache = None if not exhaustive and min(generations, policy.budget) == 1 else {}
+    # and each tick under each set of lamp levels once.  Threads may race on
+    # it, which only reruns deterministic work
+    cache: dict = {}
 
     def evaluate(genotype: Genotype, episode: int) -> EvaluationRecord:
         return run_episode(scenario, genotype, episode_seed, episode, cache=cache)[0]
@@ -496,4 +502,4 @@ def run_search(
             incumbent, best_record = candidates[best_k], records[best_k]
             digest = genotype_digest(scenario, incumbent)
         metrics.append(MetricsRow(generation, best_record.score, mean, kind, digest))
-    return SearchResult(incumbent, best_record, history, metrics)
+    return SearchResult(incumbent, best_record, history, metrics, cache)

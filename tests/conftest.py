@@ -272,6 +272,28 @@ def reference_csv(ticks) -> str:
     return "\n".join(lines) + "\n"
 
 
+def count_updates(mp) -> list[int]:
+    """With the monkeypatch ``mp``, wrap the update of every environment
+    that ``StreetLightScenario.build_env`` builds; the returned list gets
+    the tick of each of their calls."""
+    calls: list[int] = []
+    build_env = StreetLightScenario.build_env
+
+    def counting_build_env(self, *args):
+        env = build_env(self, *args)
+        update = env.update
+
+        def counted(t, previous, effects):
+            calls.append(t)
+            return update(t, previous, effects)
+
+        env.update = counted
+        return env
+
+    mp.setattr(StreetLightScenario, "build_env", counting_build_env)
+    return calls
+
+
 def read_csv(text):
     """episode.csv's text as ``streetlight_score`` takes it: the names, the
     rows of floats in the names' order and the contexts."""

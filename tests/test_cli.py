@@ -17,7 +17,7 @@ from agentchart.errors import ConfigError, RangeError, UnknownKey
 from agentchart.evaluation import Genotype, SearchResult, initial_genotype, run_episode, run_search
 from agentchart.streetlight import streetlight_score
 
-from conftest import read_csv
+from conftest import count_updates, read_csv
 
 SMALL = {
     "n_lights": 2,
@@ -310,6 +310,27 @@ class TestRunCommand:
         code = run_cli("replay", "--agent", agent, "--scenario", scenario_file, "--seed", 5)
         assert code == EXIT_OK
         assert f"score={score!r}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [1000, 1001])
+    def test_traced_rerun_takes_every_row_from_the_search(self, tmp_path, monkeypatch, seed):
+        # the default scenario's search ran every tick of its best genotype,
+        # so the traced re-run makes no street-light update of its own
+        updates = count_updates(monkeypatch)
+        traced_updates = []
+
+        def spy(*args, trace=None, **kwargs):
+            before = len(updates)
+            result = run_episode(*args, trace=trace, **kwargs)
+            if trace is not None:
+                traced_updates.append(len(updates) - before)
+            return result
+
+        monkeypatch.setattr(cli, "run_episode", spy)
+        path = tmp_path / "scenario.json"
+        path.write_text("{}")
+        argv = ["--scenario", path, "--seed", seed, "--out", tmp_path / "out", "--trace"]
+        assert run_cli("run", *argv) == EXIT_OK
+        assert updates and traced_updates == [0]
 
     def test_jobs_do_not_change_results(self, scenario_file, tmp_path):
         out_a, out_b = tmp_path / "serial", tmp_path / "parallel"

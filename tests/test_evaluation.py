@@ -22,7 +22,7 @@ from agentchart.controller import (
     Neuron,
 )
 from agentchart.environment import Environment, EpisodeTrace
-from agentchart.errors import BehaviorNotConfigured, NonFiniteVariable
+from agentchart.errors import BehaviorNotConfigured, NonFiniteInput, NonFiniteVariable
 from agentchart.evaluation import (
     ADJUST,
     RECONFIGURE,
@@ -49,7 +49,7 @@ from agentchart.streetlight import (
     streetlight_score,
 )
 
-from conftest import read_csv, reference_csv, reference_episode, scenarios
+from conftest import count_updates, read_csv, reference_csv, reference_episode, scenarios
 
 
 def lights_trace(rows):
@@ -409,6 +409,22 @@ class TestRunEpisode:
         ticks = [line.split(",")[0] for line in sinks.table.getvalue().splitlines()]
         assert ticks == ["tick", *map(str, range(1, k))]
 
+    def test_nan_weight_raises_non_finite_input(self):
+        # a NaN weight makes the lamp output's sum NaN, which quantize
+        # cannot place on a level, traced or not
+        scenario = small_scenario()
+        genotype = random_genotype(scenario, random.Random(4), light_switch=True)
+        topology = genotype.topology
+        connections = tuple(
+            replace(c, weight=math.nan, enabled=True) if c.to_id == "light_switch" else c
+            for c in topology.connections
+        )
+        assert any(c.to_id == "light_switch" for c in connections)
+        nan = replace(genotype, topology=replace(topology, connections=connections))
+        for sinks in (None, traced()):
+            with pytest.raises(NonFiniteInput, match="output value is not finite: nan"):
+                run_episode(scenario, nan, 1, trace=sinks)
+
     def test_traced_episode_holds_no_trace_text(self):
         # the heap peak of a traced episode stays under a quarter of the
         # trace.log characters it writes (a twentieth here: it keeps no
@@ -487,17 +503,24 @@ class TestScoreMemo:
         again, _ = run_episode(self.scenario, self.genotype, 1, cache=cache)
         assert again.breakdown == expected
 
-    def test_traced_call_neither_reads_nor_stores(self):
+    def test_traced_call_reads_rows_but_never_a_score(self):
         plain, _ = run_episode(self.scenario, self.genotype, 1)
         cache = {}
         run_episode(self.scenario, self.genotype, 1, trace=traced(), cache=cache)
+        # it creates no scope
         assert cache == {}
-        # a planted entry for the same key is not read by a traced call
+        # a planted entry for the same key is not read by a traced call, but
+        # the scope's rows are: it makes no update
         run_episode(self.scenario, self.genotype, 1, cache=cache)
         ((scope, key),) = stored(cache)
         cache[scope][0][key] = (-1.0, {})
         before = repr(cache)
-        record, trace = run_episode(self.scenario, self.genotype, 1, trace=traced(), cache=cache)
+        with pytest.MonkeyPatch.context() as mp:
+            updates = count_updates(mp)
+            record, trace = run_episode(
+                self.scenario, self.genotype, 1, trace=traced(), cache=cache
+            )
+        assert updates == []
         assert record == plain and trace.table.getvalue().count("\n") == 1 + 12
         assert repr(cache) == before
         # while an untraced call reads it
@@ -988,12 +1011,12 @@ class TestTickCache:
         assert [len(scores) for scores, _ in cache.values()] == [1, 1]
 
     @pytest.mark.parametrize(
-        "generations, budget, exhaustive, cached",
-        [(1, 200, False, False), (2, 1, False, False), (2, 200, False, True), (1, 200, True, True)],
+        "generations, budget, exhaustive",
+        [(1, 200, False), (2, 1, False), (2, 200, False), (1, 200, True)],
     )
-    def test_a_one_episode_search_has_no_cache(self, generations, budget, exhaustive, cached):
-        # a search that can run only its initial genotype would fill a cache
-        # that nothing reads; every call of one search gets the same cache
+    def test_every_search_passes_one_cache_and_returns_it(self, generations, budget, exhaustive):
+        # one-episode searches included: a traced re-run of the best genotype
+        # reads the rows its search stored
         seen = []
 
         def spy(*args, cache, **kwargs):
@@ -1003,6 +1026,27 @@ class TestTickCache:
         policy = SearchPolicy(budget=budget)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluation, "run_episode", spy)
-            run_search(small_scenario(), 4, generations, policy=policy, exhaustive=exhaustive)
-        assert seen and all(cache is seen[0] for cache in seen)
-        assert isinstance(seen[0], dict) if cached else seen[0] is None
+            result = run_search(
+                small_scenario(), 4, generations, policy=policy, exhaustive=exhaustive
+            )
+        assert seen and all(cache is result.cache for cache in seen)
+        assert isinstance(result.cache, dict) and result.cache
+
+    @settings(max_examples=30, deadline=None)
+    @given(scenarios(light_ticks=30), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_traced_episode_with_a_search_cache_equals_one_without(self, scenario, seed):
+        # differential: the best genotype, and a genotype with both comm
+        # devices, traced with the search's cache and without any: the same
+        # text of trace.log and episode.csv and the same record.  Where the
+        # search made the speaker genotype's scope, its first traced call
+        # stores the rows it misses there, and its second reads them
+        seed %= 1000
+        result = run_search(scenario, seed, generations=6, lam=3)
+        speaker = random_genotype(scenario, random.Random(seed), light_switch=True)
+        for genotype in (result.best, speaker, speaker):
+            plain, plain_sinks = run_episode(scenario, genotype, seed, 2, traced())
+            record, sinks = run_episode(scenario, genotype, seed, 2, traced(), result.cache)
+            assert repr(record) == repr(plain)
+            for name in ("events", "table"):
+                text, expected = getattr(sinks, name).getvalue(), getattr(plain_sinks, name)
+                assert text.splitlines(True) == expected.getvalue().splitlines(True)

@@ -18,14 +18,15 @@ tree:
 - in a fresh interpreter, with the side's own copy of this script, so that
   each side calls the program the way its own tree does, on the default
   street-light scenario (10 lights, 200 ticks) and the initial genotype,
-  what perfbench cannot give:
+  the best of a one-generation ``run_search``, what perfbench cannot give:
   - ``episode_s``: the median of ``EPISODE_REPEATS`` untraced
     ``run_episode`` calls, after one untimed call;
   - ``traced_episode_s``: the median of ``TRACED_REPEATS`` traced
     ``run_episode`` calls, writing trace.log's and episode.csv's text to
     two sinks that discard it;
   - ``traced_run_heap_mb``: the ``tracemalloc`` peak of one
-    ``cli.write_outputs`` call with ``--trace``, as ``run --trace`` ends;
+    ``cli.write_outputs`` call with ``--trace`` on that search's result,
+    its cache included, as ``run --trace`` ends;
 - ``big_run_maxrss_mb``: the peak RSS (``ru_maxrss``) of one
   ``agentchart run --trace --generations 1 --lambda 1`` of 64 lights x
   1,000 ticks in a fresh interpreter of its own.
@@ -83,12 +84,12 @@ def measure(seed: int) -> dict:
     from agentchart.cli import build_parser, write_outputs
     from agentchart.config import build_scenario
     from agentchart.environment import EpisodeTrace
-    from agentchart.evaluation import SearchResult, initial_genotype, run_episode
+    from agentchart.evaluation import run_episode, run_search
 
     loaded = build_scenario({})
     scenario = loaded.scenario
-    genotype = initial_genotype(scenario, seed)
-    record, _ = run_episode(scenario, genotype, seed)
+    search = run_search(scenario, seed, generations=1)
+    genotype, record = search.best, search.best_record
     times = []
     for _ in range(EPISODE_REPEATS):
         start = time.perf_counter()
@@ -104,10 +105,9 @@ def measure(seed: int) -> dict:
         args = build_parser().parse_args(
             ["run", "--scenario", "{}", "--seed", str(seed), "--out", out, "--trace"]
         )
-        best = SearchResult(genotype, record, [record], [])
         tracemalloc.start()
         try:
-            write_outputs(Path(out), args, loaded, best)
+            write_outputs(Path(out), args, loaded, search)
             heap_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
