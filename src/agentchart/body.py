@@ -6,6 +6,7 @@ engine lines a traced episode writes for every agent and tick.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -245,9 +246,12 @@ class Agent:
 def quantize(value: float, levels: tuple[str, ...]) -> object:
     """Equal-width thresholds over [0, 1] onto the ordered level list; an
     output without levels is continuous and drives ``value`` itself.  A NaN
-    ``value`` (from a NaN weight) raises ``NonFiniteInput``."""
+    ``value`` (from a NaN weight), or a non-finite one without levels,
+    raises ``NonFiniteInput``."""
     if not levels:
-        return value
+        if math.isfinite(value):
+            return value
+        raise NonFiniteInput(f"output value is not finite: {value}")
     k = len(levels)
     try:
         idx = int(value * k)

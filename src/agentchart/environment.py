@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Protocol
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .body import COMM_CHANNEL, BodyConfig, Percept
 from .errors import NonFiniteVariable, UnknownChannel, UnknownDevice
@@ -24,8 +24,8 @@ Actions = Iterable[tuple[str, dict[str, object]]]
 Effects = dict[str, list[tuple[str, object]]]
 # update: (new_tick, previous row, effects) -> a new row of every variable's
 # value, in the environment's ``names`` order; it never mutates the previous row
-# and never reads effects[COMM_CHANNEL], which reach only the mailbox
-Update = Callable[[int, list[float], Mapping[str, list[tuple[str, object]]]], list[float]]
+# and never reads effects[COMM_CHANNEL], which reach only comm inputs
+Update = Callable[[int, Sequence[float], Mapping[str, list[tuple[str, object]]]], list[float]]
 
 
 class Environment:
@@ -48,8 +48,7 @@ class Environment:
         self.effect_channels: dict[str, dict[str, str]] = {}
         self.tick = 0
         self.comm_mailbox: dict[str, list[tuple[str, object]]] = {}
-        # current values; advance() replaces this row and never mutates it, so
-        # an episode's tick loop and the update function may hold on to it
+        # current values; advance() replaces this row and never mutates it
         self.row: list[float] = self._checked(list(initial.values()))
         self.context = context(self.row)
 
@@ -92,18 +91,10 @@ class Environment:
         """Advance one tick under ``actions``, grouped by ``apply_effects``."""
         self.advance(self.apply_effects(actions))
 
-    def advance(self, effects: Effects, known: tuple[list[float], str] | None = None) -> None:
-        """Advance one tick under ``effects``: simultaneous variable update,
-        context re-selection, mailbox swap.  The new row is checked before
-        anything of the tick is kept.  ``known``, the ``(row, context)`` this
-        update and context function gave these effects at this tick before,
-        is taken as it is, unchecked."""
-        new_tick = self.tick + 1
-        if known is None:
-            row = self._checked(self.update(new_tick, self.row, MappingProxyType(effects)))
-            known = row, self.context_of(row)
-        self.row, self.context = known
-
+    def advance(self, effects: Effects) -> None:
+        """Advance one tick under ``effects``: ``next_row``, then the mailbox
+        swap.  Nothing of the tick is kept unless its row is."""
+        self.row, self.context = self.next_row(self.tick + 1, self.row, effects)
         # messages sent at tick t are readable at t+1 and gone at t+2
         mailbox: dict[str, list[tuple[str, object]]] = {aid: [] for aid in self.bodies}
         for sender, value in effects.get(COMM_CHANNEL, ()):
@@ -111,7 +102,13 @@ class Environment:
                 if neighbor in mailbox:
                     mailbox[neighbor].append((sender, value))
         self.comm_mailbox = mailbox
-        self.tick = new_tick
+        self.tick += 1
+
+    def next_row(self, tick: int, row: Sequence[float], effects: Effects) -> tuple[list, str]:
+        """The row that ``row`` becomes at ``tick`` under ``effects``,
+        checked, and its context; it changes nothing of the environment."""
+        row = self._checked(self.update(tick, row, MappingProxyType(effects)))
+        return row, self.context_of(row)
 
     def _checked(self, row: list[float]) -> list[float]:
         """``row`` if it holds one finite value per variable."""

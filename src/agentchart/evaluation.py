@@ -46,10 +46,9 @@ from .controller import (
 from .environment import (
     Effects,
     EpisodeTrace,
-    comm_mean,
     snapshot_row,  # noqa: F401  perfbench's layer sites wrap it at this name
 )
-from .errors import NonFiniteInput, require
+from .errors import require
 from .serialize import config_digest
 from .streetlight import UNIT_CHANNELS, StreetLightScenario
 
@@ -170,11 +169,16 @@ def run_episode(
 ) -> tuple[EvaluationRecord, EpisodeTrace]:
     """One fixed-length episode of every agent under one configuration.
 
-    Each agent's inputs and outputs are resolved to plan slots, and its
-    sensors to columns of the environment's row, once; every tick runs each
-    agent's sense -> decide -> act pass over activation lists and scores the
-    environment's new row with the scenario's ``tick_score``; it keeps no
-    row but in ``cache``.
+    Each agent's inputs and outputs are resolved to plan slots once, its
+    sensors to columns of the row, its comm inputs to an inbox of positions
+    of the previous tick's output values, and its outputs to positions of
+    one flat list of this tick's; every tick runs each agent's sense ->
+    decide -> act pass over activation lists and scores the new row with
+    the scenario's ``tick_score``.  Only when the update runs does it build
+    the effects table, for ``Environment.next_row``, which checks the row;
+    it keeps no row but in ``cache``.  No input is checked as it is read:
+    rows are checked when made, and ``quantize`` raises ``NonFiniteInput``
+    on a NaN output before the tick's update, so no comm input reads one.
     Untraced, it returns ``EpisodeTrace()``.  With a ``trace`` it returns it,
     and each tick writes two text pieces to ``trace.events``: every agent's
     pass lines, in agent order, before the environment advances:
@@ -194,8 +198,8 @@ def run_episode(
     ``cache`` is a search's, for one scenario, in one scope per seed and
     per set of enabled outputs that drive a variable rather than the comm
     channel.  A scope holds the scores of the operable genotypes run in it,
-    and one dict per tick keyed by those outputs' values, grouped by
-    channel, each holding at most ``TICK_ROWS`` ``(row, context, term)``.
+    and one dict per tick keyed by those outputs' levels in the effects
+    table's order, each holding at most ``TICK_ROWS`` ``(row, context, term)``.
     No update reads the comm channel (``environment.Update``) and the
     street-light update never reads the previous row
     (``StreetLightScenario.build_env``), so a tick's new row is its scope's
@@ -204,13 +208,13 @@ def run_episode(
     ``fixed_levels`` proves, ``()`` for a lampless genotype, whose scope
     drives nothing, and else the selection and topology.  A genotype found
     takes its ``(score, breakdown)`` with this call's ``episode``, skipping
-    the ``NonFiniteInput`` check, which finite weights never trip: with
-    inputs in [0, 1] a neuron's sum is finite or +-inf, which ``sigmoid``
-    clamps, so no comm input is ever non-finite.  A tick found skips the
-    update, the context function and the term.  A traced call takes the
-    ticks of its scope if the scope exists, serving and storing rows as an
-    untraced call does, but never creates a scope and never reads or stores
-    a score, so its record is always a fresh sum.
+    ``quantize``'s ``NonFiniteInput`` check, which finite weights never
+    trip: with inputs in [0, 1] a neuron's sum is finite or +-inf, which
+    ``sigmoid`` clamps, so no output is NaN.  A tick found takes its row,
+    context and term and calls nothing on the environment.  A traced call
+    takes the ticks of its scope if the scope exists, serving and storing
+    rows as an untraced call does, but never creates a scope and never reads
+    or stores a score, so its record is always a fresh sum.
     """
     require(seed >= 0, "seed must be >= 0")
     traced, trace = trace is not None, trace or EpisodeTrace()
@@ -237,29 +241,50 @@ def run_episode(
     ids = scenario.agent_ids()
     bodies = {aid: scenario.body_for(i, genotype.selection) for i, aid in enumerate(ids)}
     env = scenario.build_env(seed, bodies)
+    names, row, context = env.names, env.row, env.context
     _, steps, _, slots = genotype.topology.eval_plan
     n_slots = len(slots)
-    column = {name: k for k, name in enumerate(env.names)}
-    column[COMM_CHANNEL] = None  # a comm input reads the mailbox
-    # per agent: inputs (id, slot, row column) and outputs (id, slot, channel, levels)
+    # each output's value goes to one position of ``acted``, in the effects
+    # table's order but with the comm channel last: channels as agents
+    # first drive them, then agents.  The first ``n_driven``, the levels of
+    # the outputs that drive a variable, key a tick's new row in the cache.
+    # An agent's inbox holds the positions of the comm values that advance()
+    # would deliver to it, in its delivery order; its comm inputs read them
+    # from ``heard``, the previous tick's values, all 0.0 at tick 0
+    outs = [(aid, d) for aid, body in bodies.items() for d in body.enabled_outputs]
+    channels = dict.fromkeys(d.channel for _, d in outs)
+    at, emits, inbox = {}, [], {aid: [] for aid in bodies}
+    for channel in sorted(channels, key=COMM_CHANNEL.__eq__):
+        for aid, d in outs:
+            if d.channel == channel:
+                for neighbor in env.neighbors[aid] if channel == COMM_CHANNEL else ():
+                    inbox[neighbor].append(len(emits))
+                at[aid, d.id] = len(emits)
+                emits.append((channel, aid))
+    acted, n_driven = [0.0] * len(emits), sum(c != COMM_CHANNEL for c, _ in emits)
+    heard = acted.copy()
+    column = {name: k for k, name in enumerate(names)}
+    column[COMM_CHANNEL] = None  # a comm input reads its inbox
+    # per agent: inputs (id, slot, row column, inbox) and outputs (id, slot,
+    # channel, levels, position in acted)
     wired = [
         (
             aid,
-            [(d.id, slots[d.id], column[d.channel]) for d in body.enabled_inputs],
-            [(d.id, slots[d.id], d.channel, d.output_levels) for d in body.enabled_outputs],
+            [(d.id, slots[d.id], column[d.channel], inbox[aid]) for d in body.enabled_inputs],
+            [
+                (d.id, slots[d.id], d.channel, d.output_levels, at[aid, d.id])
+                for d in body.enabled_outputs
+            ],
         )
         for aid, body in bodies.items()
     ]
-    # the effects table's channels in the order agents first drive them, and
-    # those the update reads, whose values key a tick's new row in the cache
-    channels = dict.fromkeys(channel for *_, outputs in wired for _, _, channel, _ in outputs)
-    keyed = [channel for channel in channels if channel != COMM_CHANNEL]
     if traced:
         # every agent's pass lines without the tick, in agent order: the four
         # macrosteps' engine lines, the first followed by a sensed: line per
         # input, the third by an actuated: line per output.  Each tick fills
         # the value lines: (position, head, slot, row column) per input, and
-        # (position, head, slot, channel, levels, line per level) per output
+        # (position, head, slot, channel, levels, line per level, position in
+        # acted) per output
         sense, run_network, actuate, rest = (
             [f"\t{kind}\t{subject}\t{detail}" for kind, subject, detail in segment]
             for segment in BEHAVIOR_PASS
@@ -268,79 +293,80 @@ def run_episode(
         for aid, inputs, outputs in wired:
             tails += [aid + line for line in sense]
             sensing.append([])
-            for did, slot, col in inputs:
+            for did, slot, col, _ in inputs:
                 head = f"{aid}\tfired\tsensed:{did}\t"
                 sensing[-1].append((len(tails), head, slot, col))
                 tails.append(head)
             tails += [aid + line for line in run_network + actuate]
             acting.append([])
-            for did, slot, channel, levels in outputs:
+            for did, slot, channel, levels, j in outputs:
                 head = f"{aid}\tfired\tactuated:{did}\t"
                 by_level = {level: head + repr(level) for level in levels}
-                acting[-1].append((len(tails), head, slot, channel, levels, by_level))
+                acting[-1].append((len(tails), head, slot, channel, levels, by_level, j))
                 tails.append(head)
             tails += [aid + line for line in rest]
-        texts = [repr(value) for value in env.row]
-        order = sorted(range(len(env.names)), key=env.names.__getitem__)
-        trace.table.write("tick," + ",".join(env.names[k] for k in order) + ",context\n")
+        texts = [repr(value) for value in row]
+        order = sorted(range(len(names)), key=names.__getitem__)
+        trace.table.write("tick," + ",".join(names[k] for k in order) + ",context\n")
     previous = [[0.0] * n_slots for _ in wired]
-    term_of = scenario.tick_score(env.names)
+    term_of = scenario.tick_score(names)
     breakdown: dict[str, float] = {}
     for t in range(scenario.episode_ticks):
-        row, mailbox = env.row, env.comm_mailbox
-        effects: Effects = {channel: [] for channel in channels}
+        heard[:] = acted
         for k, (aid, inputs, outputs) in enumerate(wired):
             act = [0.0] * n_slots
-            for did, slot, col in inputs:
-                value = comm_mean(mailbox[aid]) if col is None else row[col]
-                if not math.isfinite(value):
-                    raise NonFiniteInput(f"input for neuron {did!r} is not finite: {value}")
-                act[slot] = value
+            for _, slot, col, senders in inputs:
+                if col is not None:
+                    act[slot] = row[col]
+                    continue
+                total = 0  # from the int 0 in delivery order, as comm_mean adds
+                for j in senders:
+                    total += heard[j]
+                act[slot] = total / len(senders) if senders else 0.0
             activate(steps, act, previous[k])
             previous[k] = act
             if not traced:
-                for _, slot, channel, levels in outputs:
-                    effects[channel].append((aid, quantize(act[slot], levels)))
+                for _, slot, _, levels, j in outputs:
+                    acted[j] = quantize(act[slot], levels)
                 continue
             # a sensor's value is row[col], whose repr the row's text holds
             for pos, head, slot, col in sensing[k]:
                 tails[pos] = head + (repr(act[slot]) if col is None else texts[col])
-            for pos, head, slot, channel, levels, by_level in acting[k]:
-                value = quantize(act[slot], levels)
-                effects[channel].append((aid, value))
+            for pos, head, slot, channel, levels, by_level, j in acting[k]:
+                acted[j] = value = quantize(act[slot], levels)
                 tails[pos] = by_level[value] if by_level else head + repr(value)
                 if channel == COMM_CHANNEL:  # the fill ends in the value's repr
                     emitted.append(f"{t}\t{aid}\temitted\t{channel}\t{tails[pos][len(head):]}\n")
         if traced:
             trace.events.write(tick_text(t, tails))
-        if ticks is None:
-            env.advance(effects)
-            term = term_of(env.row, env.context)
-        else:
-            rows, driven = ticks[t], tuple([v for channel in keyed for _, v in effects[channel]])
-            known = rows.get(driven)
-            if known is None:
-                env.advance(effects)
-                term = term_of(env.row, env.context)
+        rows = None if ticks is None else ticks[t]
+        found = None if rows is None else rows.get(tuple(acted[:n_driven]))
+        if found is None:  # the update runs, on the effects table
+            effects: Effects = {channel: [] for channel in channels}
+            for (channel, aid), value in zip(emits, acted):
+                effects[channel].append((aid, value))
+            new_row, context = env.next_row(t + 1, row, effects)
+            term = term_of(new_row, context)
+            if rows is not None:
                 if len(rows) >= TICK_ROWS:
                     rows.clear()  # a thread that races it only misses
-                rows[driven] = array("d", env.row), env.context, term
-            else:
-                env.advance(effects, (known[0].tolist(), known[1]))
-                term = known[2]
-        breakdown[env.context] = breakdown.get(env.context, 0.0) + term
+                rows[tuple(acted[:n_driven])] = array("d", new_row), context, term
+        else:
+            new_row, context, term = found
+        breakdown[context] = breakdown.get(context, 0.0) + term
         if traced:
-            old_texts, texts = texts, [repr(value) for value in env.row]
+            old_texts, texts = texts, [repr(value) for value in new_row]
             lines, emitted = emitted, []
             lines += [
-                f"{env.tick}\tenv\tperturbed\t{name}\t{old_texts[k]}->{texts[k]}\n"
-                for k, name in enumerate(env.names)
-                if env.row[k] != row[k]
+                f"{t + 1}\tenv\tperturbed\t{name}\t{old_texts[k]}->{texts[k]}\n"
+                for k, name in enumerate(names)
+                if new_row[k] != row[k]
             ]
             if lines:
                 trace.events.write("".join(lines))
             values = ",".join([texts[k] for k in order])
-            trace.table.write(f"{env.tick},{values},{env.context}\n")
+            trace.table.write(f"{t + 1},{values},{context}\n")
+        row = new_row
     score = reduce(add, breakdown.values(), 0)
     if scores is not None:
         scores[key] = score, dict(breakdown)

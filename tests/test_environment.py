@@ -197,13 +197,14 @@ class TestStepEnv:
     )
     def test_update_must_return_every_variable(self, update, traced):
         # a row longer or shorter than the names; traced, the tick runs as a
-        # traced episode runs it, through advance(), whose perturbed lines are
-        # written only once it returns, so none is
+        # traced episode runs it, through next_row(), and its perturbed lines
+        # are written only once the tick's new row is made and checked, so
+        # none is
         env = Environment({"x": 0.0, "y": 1.0}, update, CATCH_ALL)
         sink = io.StringIO()
         with pytest.raises(UnknownChannel, match=r"\['x', 'y'\]"):
             if traced:
-                env.advance({})
+                env.next_row(1, env.row, {})
                 sink.write("".join(f"{env.tick}\tenv\tperturbed\t{n}\n" for n in env.names))
             else:
                 env.step([])
@@ -220,7 +221,8 @@ class TestStepEnv:
     def test_bad_row_raises_before_its_tick_reaches_the_trace(self, bad_row):
         # tick 2's row is bad: the environment keeps nothing of the tick and
         # stays at tick 1, so a traced episode, which writes a tick's emitted
-        # and perturbed lines once advance() returns, writes none of them
+        # and perturbed lines once its new row is made and checked, writes
+        # none of them
         # (test_evaluation's test_bad_row_writes_nothing_of_its_tick)
         def update(t, r, e):
             row = [r[0] + 1.0, r[1]]

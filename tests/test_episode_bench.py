@@ -29,3 +29,16 @@ def test_measure_gives_the_in_process_metrics():
     untraced, traced = sample["scores"]
     assert traced == untraced
     assert sample["trace_events"] > 0
+
+
+def test_work_counts_count_and_unwrap():
+    from agentchart import evaluation
+    from agentchart.streetlight import StreetLightScenario
+
+    run_episode, build_env = evaluation.run_episode, StreetLightScenario.build_env
+    counts = TOOL["work_counts"](range(1000, 1001))
+    assert (evaluation.run_episode, StreetLightScenario.build_env) == (run_episode, build_env)
+    # every candidate is one call; a memo hit runs no kernel, a tick hit no update
+    assert counts["run_episode_calls"] == 1 + 4 * (TOOL["COUNT_GENERATIONS"] - 1)
+    assert 0 < counts["kernel_runs"] < counts["run_episode_calls"]
+    assert 0 < counts["update_calls"] < counts["kernel_runs"] * StreetLightScenario().episode_ticks

@@ -308,15 +308,25 @@ class TestRunEpisode:
         assert repr(folded) == repr((plain.score, plain.breakdown))
 
     @settings(max_examples=50, deadline=None)
-    @given(scenarios(light_ticks=60), st.integers(min_value=0, max_value=2**32 - 1))
-    def test_kernel_equals_dict_level_reference(self, scenario, seed):
+    # drawn genotypes enable both comm devices (``fixed`` is {}), so the
+    # mailbox and perceive are the oracle of the kernel's inbox
+    @given(
+        scenarios(light_ticks=60), st.integers(min_value=0, max_value=2**32 - 1), st.just({})
+    )
+    # one light: a speaker and a listener with no neighbour, which hears 0.0
+    @example(small_scenario(n_lights=1, episode_ticks=12), 5, {})
+    # every light is every other light's neighbour
+    @example(small_scenario(n_lights=4, neighbor_radius=4), 6, {})
+    # speakers that nobody hears
+    @example(small_scenario(n_lights=3), 7, {"wireless_in": False, "lighting_sensor": True})
+    def test_kernel_equals_dict_level_reference(self, scenario, seed, fixed):
         # differential: the compiled tick loop and its column-indexed record
         # against the dict-level views and name-keyed ticks they replaced,
         # bit for bit: the score and its breakdown, traced and untraced, and,
         # traced, episode.csv's text, which holds every value's repr and
         # every context, and trace.log's, whose pass lines the reference
         # takes from the statechart interpreter's walk of each agent's chart
-        genotype = random_genotype(scenario, random.Random(seed))
+        genotype = random_genotype(scenario, random.Random(seed), **fixed)
         for sinks in (None, traced()):
             expected_sink = io.StringIO() if sinks else None
             record, trace = run_episode(scenario, genotype, seed % 1000, 3, sinks)
@@ -343,26 +353,21 @@ class TestRunEpisode:
         # and no line of episode.csv, waits for the end of the episode
         scenario = small_scenario(n_lights=3, episode_ticks=12)
         genotype = random_genotype(scenario, random.Random(7))
-        advance = Environment.advance
         for failing in ("events", "table"):
             full: list[str] = []
             run_episode(scenario, genotype, 1, trace=traced(**{failing: sink(full.append)}))
             assert len(full) >= scenario.episode_ticks
             for k in range(1, len(full) + 1):
                 received: list[str] = []
-                ticks_run: list[int] = []
 
                 def write(text):
                     if len(received) == k - 1:
                         raise OSError("sink full")
                     received.append(text)
 
-                def counted_advance(env, effects):
-                    advance(env, effects)
-                    ticks_run.append(env.tick)
-
+                # without a cache, each tick that advanced made one update
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(Environment, "advance", counted_advance)
+                    ticks_run = count_updates(mp)
                     with pytest.raises(OSError, match="sink full"):
                         run_episode(scenario, genotype, 1, trace=traced(**{failing: sink(write)}))
                 assert received == full[: k - 1]
@@ -410,20 +415,27 @@ class TestRunEpisode:
         assert ticks == ["tick", *map(str, range(1, k))]
 
     def test_nan_weight_raises_non_finite_input(self):
-        # a NaN weight makes the lamp output's sum NaN, which quantize
-        # cannot place on a level, traced or not
-        scenario = small_scenario()
-        genotype = random_genotype(scenario, random.Random(4), light_switch=True)
-        topology = genotype.topology
-        connections = tuple(
-            replace(c, weight=math.nan, enabled=True) if c.to_id == "light_switch" else c
-            for c in topology.connections
-        )
-        assert any(c.to_id == "light_switch" for c in connections)
-        nan = replace(genotype, topology=replace(topology, connections=connections))
-        for sinks in (None, traced()):
-            with pytest.raises(NonFiniteInput, match="output value is not finite: nan"):
-                run_episode(scenario, nan, 1, trace=sinks)
+        # a NaN weight makes the output's sum NaN, which quantize neither
+        # places on a level nor passes on, traced or not: a lamp's, and a
+        # speaker's, whose value is continuous, whether or not a comm input
+        # listens to it
+        scenario = small_scenario(n_lights=3, episode_ticks=5)
+        for output, fixed in (
+            ("light_switch", {"light_switch": True}),
+            ("wireless_speaker", {"lighting_sensor": True, "wireless_in": False}),
+            ("wireless_speaker", {"lighting_sensor": True}),
+        ):
+            genotype = random_genotype(scenario, random.Random(4), **fixed)
+            topology = genotype.topology
+            connections = tuple(
+                replace(c, weight=math.nan, enabled=True) if c.to_id == output else c
+                for c in topology.connections
+            )
+            assert any(c.to_id == output for c in connections)
+            nan = replace(genotype, topology=replace(topology, connections=connections))
+            for sinks in (None, traced()):
+                with pytest.raises(NonFiniteInput, match="output value is not finite: nan"):
+                    run_episode(scenario, nan, 1, trace=sinks)
 
     def test_traced_episode_holds_no_trace_text(self):
         # the heap peak of a traced episode stays under a quarter of the
@@ -1031,6 +1043,34 @@ class TestTickCache:
             )
         assert seen and all(cache is result.cache for cache in seen)
         assert isinstance(result.cache, dict) and result.cache
+
+    def test_a_cached_tick_calls_nothing_on_the_environment(self):
+        # a default 30-generation search: no advance() at all, and one
+        # next_row() per tick-cache miss, that is, per update; the other
+        # ticks of its kernel runs (build_env calls) are hits
+        scenario = StreetLightScenario()
+        next_row, made, built = Environment.next_row, [], []
+        build_env = StreetLightScenario.build_env
+
+        def counted_next_row(env, tick, row, effects):
+            made.append(tick)
+            return next_row(env, tick, row, effects)
+
+        def counted_build_env(*args):
+            built.append(args)
+            return build_env(*args)
+
+        def advance(env, effects):
+            raise AssertionError("the kernel called Environment.advance")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(StreetLightScenario, "build_env", counted_build_env)
+            updates = count_updates(mp)
+            mp.setattr(Environment, "next_row", counted_next_row)
+            mp.setattr(Environment, "advance", advance)
+            run_search(scenario, 1000, generations=30)
+        assert made == updates
+        assert 0 < len(made) < len(built) * scenario.episode_ticks
 
     @settings(max_examples=30, deadline=None)
     @given(scenarios(light_ticks=30), st.integers(min_value=0, max_value=2**32 - 1))

@@ -22,8 +22,9 @@ tree:
   - ``episode_s``: the median of ``EPISODE_REPEATS`` untraced
     ``run_episode`` calls, after one untimed call;
   - ``traced_episode_s``: the median of ``TRACED_REPEATS`` traced
-    ``run_episode`` calls, writing trace.log's and episode.csv's text to
-    two sinks that discard it;
+    ``run_episode`` calls with that search's cache, as ``run --trace``
+    makes its traced episode, writing trace.log's and episode.csv's text
+    to two sinks that discard it;
   - ``traced_run_heap_mb``: the ``tracemalloc`` peak of one
     ``cli.write_outputs`` call with ``--trace`` on that search's result,
     its cache included, as ``run --trace`` ends;
@@ -31,15 +32,21 @@ tree:
   ``agentchart run --trace --generations 1 --lambda 1`` of 64 lights x
   1,000 ticks in a fresh interpreter of its own.
 
+Once per side, in a fresh interpreter, this script counts the work of
+default 30-generation searches on ``COUNT_SEEDS``, which is deterministic:
+``run_episode`` calls, kernel runs (``build_env`` calls) and street-light
+update calls after the initial row, that is, tick-cache misses.
+
 The report gives each side's median and quartiles, the change's median
 over the base's, and how many pairs the change won, and each side's count
 of perfbench operations and of those that failed their checks.  The two
 sides must agree on every episode's score, the bytes of ``trace.log`` and
 perfbench's exact counts (``det``: the best score's repr, the episode count
-and others) of every operation seed both ran, and no perfbench operation
-may fail, or the script exits 1.  ``trace_events`` is the number of event
-lines in the change's ``trace.log``.  With ``--tier1`` it also times the
-tier-1 suite once per side.
+and others) of every operation seed both ran, and on these work counts,
+and no perfbench operation may fail, or the script exits 1.
+``trace_events`` is the number of event lines in the change's
+``trace.log``.  With ``--tier1`` it also times the tier-1 suite once per
+side.
 """
 
 from __future__ import annotations
@@ -77,6 +84,8 @@ METRICS = {  # name -> better
     "big_run_maxrss_mb": "lower",
 }
 BIG_SCENARIO = {"n_lights": 64, "episode_ticks": 1000}
+COUNT_SEEDS = range(1000, 1010)
+COUNT_GENERATIONS = 30
 
 
 def measure(seed: int) -> dict:
@@ -99,7 +108,8 @@ def measure(seed: int) -> dict:
     with open(os.devnull, "w") as events, open(os.devnull, "w") as table:
         for _ in range(TRACED_REPEATS):
             start = time.perf_counter()
-            traced, _ = run_episode(scenario, genotype, seed, trace=EpisodeTrace(events, table))
+            sinks = EpisodeTrace(events, table)
+            traced, _ = run_episode(scenario, genotype, seed, trace=sinks, cache=search.cache)
             traced_times.append(time.perf_counter() - start)
     with tempfile.TemporaryDirectory() as out:
         args = build_parser().parse_args(
@@ -120,6 +130,42 @@ def measure(seed: int) -> dict:
         "trace_events": trace_log.count(b"\n") - 1,  # the lines after the header
         "trace_log_sha256": hashlib.sha256(trace_log).hexdigest(),
     }
+
+
+def work_counts(seeds=COUNT_SEEDS) -> dict:
+    """The exact work of default ``COUNT_GENERATIONS``-generation searches
+    on ``seeds``, counted through wrappers that this call removes again."""
+    from agentchart import evaluation
+    from agentchart.config import build_scenario
+    from agentchart.streetlight import StreetLightScenario
+
+    counts = dict.fromkeys(("run_episode_calls", "kernel_runs", "update_calls"), 0)
+    run_episode, build_env = evaluation.run_episode, StreetLightScenario.build_env
+
+    def counted_run_episode(*args, **kwargs):
+        counts["run_episode_calls"] += 1
+        return run_episode(*args, **kwargs)
+
+    def counted_build_env(self, *args):
+        counts["kernel_runs"] += 1
+        env = build_env(self, *args)  # its initial row's update is not counted
+        update = env.update
+
+        def counted_update(*update_args):
+            counts["update_calls"] += 1
+            return update(*update_args)
+
+        env.update = counted_update
+        return env
+
+    scenario = build_scenario({}).scenario
+    evaluation.run_episode, StreetLightScenario.build_env = counted_run_episode, counted_build_env
+    try:
+        for seed in seeds:
+            evaluation.run_search(scenario, seed, COUNT_GENERATIONS)
+    finally:
+        evaluation.run_episode, StreetLightScenario.build_env = run_episode, build_env
+    return counts
 
 
 def big_run_maxrss_mb(seed: int) -> float:
@@ -240,9 +286,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="write the report as JSON here")
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--big-run", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--counts", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
         print(json.dumps(measure(SEED)))
+        return 0
+    if args.counts:
+        print(json.dumps(work_counts()))
         return 0
     if args.big_run:
         print(json.dumps({"big_run_maxrss_mb": big_run_maxrss_mb(SEED)}))
@@ -253,8 +303,20 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         change = working_tree()
         trees = {"base": extract(args.base, Path(tmp)), "change": extract(change, Path(tmp))}
+        # the change's copy of this script counts each side's work, which
+        # a base older than the counts could not
+        counts = {
+            side: json.loads(subprocess.run(
+                [sys.executable, str(trees["change"] / "tools" / "episode_bench.py"), "--counts"],
+                env=dict(os.environ, PYTHONPATH=str(tree / "src")), cwd=tree,
+                capture_output=True, text=True, check=True,
+            ).stdout)
+            for side, tree in trees.items()
+        }
         samples: dict[str, list[dict]] = {"base": [], "change": []}
         mismatches = []
+        if counts["base"] != counts["change"]:
+            mismatches.append({"what": "work_counts", **counts})
         for k in range(args.pairs):
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
             pair = {side: run_side(trees[side]) for side in order}
@@ -292,6 +354,11 @@ def main(argv: list[str] | None = None) -> int:
         "scores_and_trace_logs_identical": not mismatches,
         "mismatches": mismatches,
         "trace_events": samples["change"][0]["trace_events"],
+        "work_counts": {
+            "searches": f"default scenario, {COUNT_GENERATIONS} generations, seeds "
+            f"{COUNT_SEEDS.start}-{COUNT_SEEDS.stop - 1}",
+            **counts,
+        },
     }
     for name, better in METRICS.items():
         base = [s[name] for s in samples["base"]]
