@@ -245,9 +245,9 @@ class Agent:
 
 def quantize(value: float, levels: tuple[str, ...]) -> object:
     """Equal-width thresholds over [0, 1] onto the ordered level list; an
-    output without levels is continuous and drives ``value`` itself.  A NaN
-    ``value`` (from a NaN weight), or a non-finite one without levels,
-    raises ``NonFiniteInput``."""
+    output without levels is continuous and drives ``value`` itself.  A
+    non-finite ``value``, such as a NaN from a NaN weight, raises
+    ``NonFiniteInput``."""
     if not levels:
         if math.isfinite(value):
             return value
@@ -255,7 +255,7 @@ def quantize(value: float, levels: tuple[str, ...]) -> object:
     k = len(levels)
     try:
         idx = int(value * k)
-    except ValueError:  # only int(nan) raises it; a check per call would cost every tick
+    except (ValueError, OverflowError):  # int(nan), int(+-inf): no check costs a tick
         raise NonFiniteInput(f"output value is not finite: {value}") from None
     if idx >= k:
         idx = k - 1

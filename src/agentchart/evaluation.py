@@ -169,16 +169,18 @@ def run_episode(
 ) -> tuple[EvaluationRecord, EpisodeTrace]:
     """One fixed-length episode of every agent under one configuration.
 
-    Each agent's inputs and outputs are resolved to plan slots once, its
-    sensors to columns of the row, its comm inputs to an inbox of positions
-    of the previous tick's output values, and its outputs to positions of
-    one flat list of this tick's; every tick runs each agent's sense ->
-    decide -> act pass over activation lists and scores the new row with
-    the scenario's ``tick_score``.  Only when the update runs does it build
-    the effects table, for ``Environment.next_row``, which checks the row;
-    it keeps no row but in ``cache``.  No input is checked as it is read:
-    rows are checked when made, and ``quantize`` raises ``NonFiniteInput``
-    on a NaN output before the tick's update, so no comm input reads one.
+    Every agent's plan lies end to end in one activation list, agent k's
+    slots and the sources of its steps shifted by ``k * n_slots``; once per
+    episode its sensors are resolved to columns of the row, its comm inputs
+    to an inbox of positions of the previous tick's output values, and its
+    outputs to positions of one flat list of this tick's.  Every tick fills
+    the list, steps every agent with one ``activate`` call, quantizes every
+    output, and scores the new row with the scenario's ``tick_score``.  Only
+    when the update runs does it build the effects table, for
+    ``Environment.next_row``, which checks the row; it keeps no row but in
+    ``cache``.  No input is checked as it is read: rows are checked when
+    made, and ``quantize`` raises ``NonFiniteInput`` on a NaN output before
+    the tick's text and update, so no comm input reads one.
     Untraced, it returns ``EpisodeTrace()``.  With a ``trace`` it returns it,
     and each tick writes two text pieces to ``trace.events``: every agent's
     pass lines, in agent order, before the environment advances:
@@ -265,79 +267,84 @@ def run_episode(
     heard = acted.copy()
     column = {name: k for k, name in enumerate(names)}
     column[COMM_CHANNEL] = None  # a comm input reads its inbox
+    # every agent's plan end to end in one activation list: agent k's slots,
+    # and the sources of each of its steps, start at k * n_slots
+    bases = range(0, len(bodies) * n_slots, n_slots)
+    plan = tuple(
+        (slot + b, bias, *(tuple((src + b, w) for src, w in edges) for edges in (fwd, rec)))
+        for b in bases
+        for slot, bias, fwd, rec in steps
+    )
     # per agent: inputs (id, slot, row column, inbox) and outputs (id, slot,
-    # channel, levels, position in acted)
+    # channel, levels, position in acted), at their slots in that list
     wired = [
         (
             aid,
-            [(d.id, slots[d.id], column[d.channel], inbox[aid]) for d in body.enabled_inputs],
+            [(d.id, b + slots[d.id], column[d.channel], inbox[aid]) for d in body.enabled_inputs],
             [
-                (d.id, slots[d.id], d.channel, d.output_levels, at[aid, d.id])
+                (d.id, b + slots[d.id], d.channel, d.output_levels, at[aid, d.id])
                 for d in body.enabled_outputs
             ],
         )
-        for aid, body in bodies.items()
+        for b, (aid, body) in zip(bases, bodies.items())
     ]
+    inputs = [i for _, agent_in, _ in wired for i in agent_in]
+    sensors = [(slot, col) for _, slot, col, _ in inputs if col is not None]
+    comms = [(slot, senders) for _, slot, col, senders in inputs if col is None]
+    outputs = [(slot, levels, j) for *_, agent_out in wired for _, slot, _, levels, j in agent_out]
     if traced:
         # every agent's pass lines without the tick, in agent order: the four
         # macrosteps' engine lines, the first followed by a sensed: line per
         # input, the third by an actuated: line per output.  Each tick fills
         # the value lines: (position, head, slot, row column) per input, and
-        # (position, head, slot, channel, levels, line per level, position in
-        # acted) per output
+        # (position, head, agent, channel, line per level, position in acted)
+        # per output
         sense, run_network, actuate, rest = (
             [f"\t{kind}\t{subject}\t{detail}" for kind, subject, detail in segment]
             for segment in BEHAVIOR_PASS
         )
         tails, sensing, acting, emitted = [], [], [], []
-        for aid, inputs, outputs in wired:
+        for aid, agent_in, agent_out in wired:
             tails += [aid + line for line in sense]
-            sensing.append([])
-            for did, slot, col, _ in inputs:
+            for did, slot, col, _ in agent_in:
                 head = f"{aid}\tfired\tsensed:{did}\t"
-                sensing[-1].append((len(tails), head, slot, col))
+                sensing.append((len(tails), head, slot, col))
                 tails.append(head)
             tails += [aid + line for line in run_network + actuate]
-            acting.append([])
-            for did, slot, channel, levels, j in outputs:
+            for did, _, channel, levels, j in agent_out:
                 head = f"{aid}\tfired\tactuated:{did}\t"
                 by_level = {level: head + repr(level) for level in levels}
-                acting[-1].append((len(tails), head, slot, channel, levels, by_level, j))
+                acting.append((len(tails), head, aid, channel, by_level, j))
                 tails.append(head)
             tails += [aid + line for line in rest]
         texts = [repr(value) for value in row]
         order = sorted(range(len(names)), key=names.__getitem__)
         trace.table.write("tick," + ",".join(names[k] for k in order) + ",context\n")
-    previous = [[0.0] * n_slots for _ in wired]
+    previous = [0.0] * (len(bodies) * n_slots)
     term_of = scenario.tick_score(names)
     breakdown: dict[str, float] = {}
     for t in range(scenario.episode_ticks):
         heard[:] = acted
-        for k, (aid, inputs, outputs) in enumerate(wired):
-            act = [0.0] * n_slots
-            for _, slot, col, senders in inputs:
-                if col is not None:
-                    act[slot] = row[col]
-                    continue
-                total = 0  # from the int 0 in delivery order, as comm_mean adds
-                for j in senders:
-                    total += heard[j]
-                act[slot] = total / len(senders) if senders else 0.0
-            activate(steps, act, previous[k])
-            previous[k] = act
-            if not traced:
-                for _, slot, _, levels, j in outputs:
-                    acted[j] = quantize(act[slot], levels)
-                continue
+        act = [0.0] * len(previous)
+        for slot, col in sensors:
+            act[slot] = row[col]
+        for slot, senders in comms:
+            total = 0  # from the int 0 in delivery order, as comm_mean adds
+            for j in senders:
+                total += heard[j]
+            act[slot] = total / len(senders) if senders else 0.0
+        activate(plan, act, previous)
+        previous = act
+        for slot, levels, j in outputs:
+            acted[j] = quantize(act[slot], levels)
+        if traced:
             # a sensor's value is row[col], whose repr the row's text holds
-            for pos, head, slot, col in sensing[k]:
+            for pos, head, slot, col in sensing:
                 tails[pos] = head + (repr(act[slot]) if col is None else texts[col])
-            for pos, head, slot, channel, levels, by_level, j in acting[k]:
-                acted[j] = value = quantize(act[slot], levels)
-                tails[pos] = by_level[value] if by_level else head + repr(value)
+            for pos, head, aid, channel, by_level, j in acting:
+                tails[pos] = by_level[acted[j]] if by_level else head + repr(acted[j])
                 if channel == COMM_CHANNEL:  # the fill ends in the value's repr
                     emitted.append(f"{t}\t{aid}\temitted\t{channel}\t{tails[pos][len(head):]}\n")
-        if traced:
             trace.events.write(tick_text(t, tails))
         rows = None if ticks is None else ticks[t]
         found = None if rows is None else rows.get(tuple(acted[:n_driven]))

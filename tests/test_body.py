@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from dataclasses import replace
 
@@ -26,7 +27,12 @@ from agentchart.body import (
 )
 from agentchart.controller import Connection, ControllerTopology, Neuron
 from agentchart.environment import EpisodeTrace
-from agentchart.errors import BehaviorNotConfigured, PassNotReplayable, UnknownDevice
+from agentchart.errors import (
+    BehaviorNotConfigured,
+    NonFiniteInput,
+    PassNotReplayable,
+    UnknownDevice,
+)
 from agentchart.evaluation import Genotype, all_selections, run_episode
 from agentchart.statechart import Event, TraceEvent, dispatch
 from agentchart.streetlight import (
@@ -166,6 +172,14 @@ class TestQuantizer:
     )
     def test_three_level_thresholds(self, value, expected):
         assert quantize(value, ("OFF", "DIM", "ON")) == expected
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("levels", [("OFF", "DIM", "ON"), ()])
+    def test_non_finite_value_raises_non_finite_input(self, value, levels):
+        # int(+-inf) raises OverflowError and int(nan) ValueError; both, and
+        # a continuous output's non-finite value, become NonFiniteInput
+        with pytest.raises(NonFiniteInput, match="output value is not finite"):
+            quantize(value, levels)
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),

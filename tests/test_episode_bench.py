@@ -42,3 +42,8 @@ def test_work_counts_count_and_unwrap():
     assert counts["run_episode_calls"] == 1 + 4 * (TOOL["COUNT_GENERATIONS"] - 1)
     assert 0 < counts["kernel_runs"] < counts["run_episode_calls"]
     assert 0 < counts["update_calls"] < counts["kernel_runs"] * StreetLightScenario().episode_ticks
+    # every call is of one class: inoperable, served without a kernel run, or run
+    classes = counts["inoperable_calls"] + counts["served_calls"] + counts["kernel_runs"]
+    assert classes == counts["run_episode_calls"] and counts["served_calls"] > 0
+    # each kernel run of the default scenario steps 10 lights x 200 ticks
+    assert counts["kernel_agent_ticks"] == counts["kernel_runs"] * 2_000

@@ -436,6 +436,57 @@ class TestRunEpisode:
             for sinks in (None, traced()):
                 with pytest.raises(NonFiniteInput, match="output value is not finite: nan"):
                     run_episode(scenario, nan, 1, trace=sinks)
+            # every light's output is NaN from tick 0: the sinks hold the header
+            assert (sinks.events.getvalue(), sinks.table.getvalue().count("\n")) == ("", 1)
+        # only a later light's output goes NaN: an infinite weight from the
+        # motion sensor gives a light with people +inf, which sigmoid clamps,
+        # and one without inf * 0.  Every agent of a tick is stepped before
+        # any output is quantized, and the sinks hold the ticks before the one
+        # that raised, whole, and no line of it: the start of the run under a
+        # finite weight that puts these lights alike
+        scenario = small_scenario(n_lights=3, people=PeopleProcess(kind="random", rate=0.8))
+        lamp = {d.id: d.id in ("motion_sensor", "light_switch") for d in scenario.devices}
+        base = derive_controller(
+            configure_body(list(scenario.devices), lamp), rng=np.random.default_rng(0)
+        )
+
+        def weighted(weight):
+            connections = tuple(replace(c, weight=weight) for c in base.connections)
+            return Genotype(lamp, replace(base, connections=connections))
+
+        full, sinks = traced(), traced()
+        run_episode(scenario, weighted(1e300), 18, trace=full)
+        with pytest.raises(NonFiniteInput, match="output value is not finite: nan"):
+            run_episode(scenario, weighted(math.inf), 18, trace=sinks)
+        table = sinks.table.getvalue().splitlines()
+        k = len(table) - 1  # the ticks that advanced; tick k raised
+        assert table == full.table.getvalue().splitlines()[: k + 1]
+        header, row = table[0].split(","), table[-1].split(",")
+        flows = [float(row[header.index(f"people_flow_{i}")]) for i in range(3)]
+        assert k >= 1 and flows[0] > 0 and 0.0 in flows[1:]
+        lines = full.events.getvalue().splitlines()
+        # tick k's first agent line; the env's perturbed lines stamped k are tick k-1's
+        stamps = [line.split("\t")[:2] for line in lines]
+        first = next(n for n, (tick, who) in enumerate(stamps) if tick == str(k) and who != "env")
+        assert sinks.events.getvalue().splitlines() == lines[:first]
+
+    @pytest.mark.parametrize("n_lights", [1, 3, 12])
+    def test_one_activate_call_steps_every_agent_of_a_tick(self, n_lights, monkeypatch):
+        # the agents' plans lie end to end in one activation list, so a tick
+        # makes one call, traced or not; the spy sits where the kernel looks
+        scenario = small_scenario(n_lights=n_lights)
+        genotype = random_genotype(scenario, random.Random(n_lights))
+        calls, activate = [], evaluation.activate
+
+        def spy(*args):
+            calls.append(args)
+            return activate(*args)
+
+        monkeypatch.setattr(evaluation, "activate", spy)
+        for sinks in (None, traced()):
+            calls.clear()
+            run_episode(scenario, genotype, 0, trace=sinks)
+            assert len(calls) == scenario.episode_ticks
 
     def test_traced_episode_holds_no_trace_text(self):
         # the heap peak of a traced episode stays under a quarter of the

@@ -34,8 +34,11 @@ tree:
 
 Once per side, in a fresh interpreter, this script counts the work of
 default 30-generation searches on ``COUNT_SEEDS``, which is deterministic:
-``run_episode`` calls, kernel runs (``build_env`` calls) and street-light
-update calls after the initial row, that is, tick-cache misses.
+``run_episode`` calls, split into those of inoperable genotypes, those
+served from the cache without a kernel run, and kernel runs (``build_env``
+calls); the agent-ticks those kernel runs step (lights x episode ticks per
+run); and street-light update calls after the initial row, that is,
+tick-cache misses.
 
 The report gives each side's median and quartiles, the change's median
 over the base's, and how many pairs the change won, and each side's count
@@ -139,15 +142,24 @@ def work_counts(seeds=COUNT_SEEDS) -> dict:
     from agentchart.config import build_scenario
     from agentchart.streetlight import StreetLightScenario
 
-    counts = dict.fromkeys(("run_episode_calls", "kernel_runs", "update_calls"), 0)
+    counts = dict.fromkeys(
+        ("run_episode_calls", "inoperable_calls", "served_calls", "kernel_runs",
+         "kernel_agent_ticks", "update_calls"), 0
+    )
     run_episode, build_env = evaluation.run_episode, StreetLightScenario.build_env
 
-    def counted_run_episode(*args, **kwargs):
+    def counted_run_episode(scenario, genotype, *args, **kwargs):
         counts["run_episode_calls"] += 1
-        return run_episode(*args, **kwargs)
+        runs = counts["kernel_runs"]
+        result = run_episode(scenario, genotype, *args, **kwargs)
+        if counts["kernel_runs"] == runs:  # no kernel ran: inoperable or served
+            operable = evaluation.genotype_operable(scenario, genotype)
+            counts["served_calls" if operable else "inoperable_calls"] += 1
+        return result
 
     def counted_build_env(self, *args):
         counts["kernel_runs"] += 1
+        counts["kernel_agent_ticks"] += self.n_lights * self.episode_ticks
         env = build_env(self, *args)  # its initial row's update is not counted
         update = env.update
 
