@@ -6,7 +6,6 @@ engine lines a traced episode writes for every agent and tick.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,8 +21,9 @@ from .controller import (
     Neuron,
     eval_net,
     fresh_connection_id,
+    quantize,
 )
-from .errors import BehaviorNotConfigured, NonFiniteInput, PassNotReplayable, UnknownDevice
+from .errors import BehaviorNotConfigured, PassNotReplayable, UnknownDevice
 
 COMM_CHANNEL = "comm"
 NEW_WEIGHT_SIGMA = 1.0  # std of a new input/output pair's Gaussian weight
@@ -241,27 +241,6 @@ class Agent:
     body: BodyConfig
     controller: ControllerTopology
     controller_state: dict[str, float] = field(default_factory=dict)
-
-
-def quantize(value: float, levels: tuple[str, ...]) -> object:
-    """Equal-width thresholds over [0, 1] onto the ordered level list; an
-    output without levels is continuous and drives ``value`` itself.  A
-    non-finite ``value``, such as a NaN from a NaN weight, raises
-    ``NonFiniteInput``."""
-    if not levels:
-        if math.isfinite(value):
-            return value
-        raise NonFiniteInput(f"output value is not finite: {value}")
-    k = len(levels)
-    try:
-        idx = int(value * k)
-    except (ValueError, OverflowError):  # int(nan), int(+-inf): no check costs a tick
-        raise NonFiniteInput(f"output value is not finite: {value}") from None
-    if idx >= k:
-        idx = k - 1
-    if idx < 0:
-        idx = 0
-    return levels[idx]
 
 
 def step_agent(agent: Agent, percept: Percept) -> ActionSet:

@@ -6,6 +6,7 @@ mutation surface used by the "adjust" reconfiguration path.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -49,9 +50,9 @@ class ControllerTopology:
     def eval_plan(self):
         """``(input_ids, steps, output_ids, slots)``, built once per topology.
         ``slots`` numbers the enabled neurons: the inputs, then one step
-        ``(slot, bias, forward, recurrent)`` per other neuron in a topological
-        order of the forward edges, with its incoming ``(slot, weight)`` pairs
-        of each kind in declaration order."""
+        ``(slot, bias, forward, recurrent, None)`` per other neuron in a
+        topological order of the forward edges, with its incoming ``(slot,
+        weight)`` pairs of each kind in declaration order, and no output."""
         forward, recurrent = split_edges(self)
         enabled = {n.id: n for n in self.neurons if n.enabled}
         fwd_in: dict[str, list[tuple[str, float]]] = {nid: [] for nid in enabled}
@@ -71,7 +72,7 @@ class ControllerTopology:
             return tuple((slots[frm], weight) for frm, weight in edges)
 
         steps = tuple(
-            (slots[nid], enabled[nid].bias, indexed(fwd_in[nid]), indexed(rec_in[nid]))
+            (slots[nid], enabled[nid].bias, indexed(fwd_in[nid]), indexed(rec_in[nid]), None)
             for nid in ordered
         )
         outputs = tuple(nid for nid, n in enabled.items() if n.layer == OUTPUT)
@@ -142,17 +143,65 @@ def split_edges(topology: ControllerTopology) -> tuple[list[Connection], list[Co
     return forward, recurrent
 
 
-def activate(steps, act: list[float], prev: list[float]) -> None:
-    """The neuron update over ``eval_plan``'s steps, with the inputs in
-    ``act``: each step's slot gets sigmoid(bias + sum of weight*value), the
-    forward terms first, read from ``act``, then the recurrent ones, read
-    from the previous tick's ``prev``."""
-    for slot, total, forward, recurrent in steps:
+def quantize(value: float, levels: tuple[str, ...]) -> object:
+    """Equal-width thresholds over [0, 1] onto the ordered level list; an
+    output without levels is continuous and drives ``value`` itself.  A
+    non-finite ``value``, such as a NaN from a NaN weight, raises
+    ``NonFiniteInput``.  Of ``sigmoid(total)``, it is what ``cuts`` decides."""
+    if not levels:
+        if math.isfinite(value):
+            return value
+        raise NonFiniteInput(f"output value is not finite: {value}")
+    k = len(levels)
+    try:
+        idx = int(value * k)
+    except (ValueError, OverflowError):  # int(nan), int(+-inf): no check costs a tick
+        raise NonFiniteInput(f"output value is not finite: {value}") from None
+    if idx >= k:
+        idx = k - 1
+    if idx < 0:
+        idx = 0
+    return levels[idx]
+
+
+def cuts(k: int) -> tuple[float, ...]:
+    """The ends of a window ``(c - m, c + m)`` around each sum ``c =
+    ln(i/(k-i))``, ``0 < i < k``, whose sigmoid is ``i/k``, with ``m = 1e-9 *
+    (1 + |c|)``, in ascending order, then +inf.  A sum whose ``bisect_right``
+    into them is even, ``b``, quantizes to ``k`` levels as level ``b >> 1``;
+    an odd one lies in a window, or is +inf or NaN.  This is exact: outside a
+    window the true sigmoid lies more than ``sigmoid'(c) * m`` from every
+    ``i/k``, 2.5e-10 for two levels and about 3.8e-10 for three, far beyond
+    the rounding of ``c``, of ``sigmoid`` and of ``quantize``'s ``value * k``;
+    and ``sigmoid`` clamps -inf to its least value, of level 0."""
+    ends = [math.log(i / (k - i)) for i in range(1, k)]
+    return (*(c + s * 1e-9 * (1 + abs(c)) for c in ends for s in (-1, 1)), math.inf)
+
+
+def activate(steps, act: list[float], prev: list[float], acted: list | None = None) -> None:
+    """The neuron update over steps shaped as ``eval_plan``'s, with the
+    inputs in ``act``: each step's slot gets sigmoid(bias + sum of
+    weight*value), the forward terms first, read from ``act``, then the
+    recurrent ones, read from the previous tick's ``prev``.  A step whose
+    last field is an output ``(cuts, levels, j)`` also sets ``acted[j]`` to
+    the ``quantize`` of that value, which raises ``NonFiniteInput`` on a NaN;
+    but with ``cuts``, given for a levelled output whose slot no edge reads,
+    a sum outside every window decides the level alone, by ``cuts``' rule,
+    and the slot keeps what it held."""
+    for slot, total, forward, recurrent, out in steps:
         for src, weight in forward:
             total += weight * act[src]
         for src, weight in recurrent:
             total += weight * prev[src]
-        act[slot] = sigmoid(total)
+        if out is None:
+            act[slot] = sigmoid(total)
+            continue
+        cut, levels, j = out
+        if cut and not (b := bisect_right(cut, total)) & 1:
+            acted[j] = levels[b >> 1]
+        else:
+            act[slot] = value = sigmoid(total)
+            acted[j] = quantize(value, levels)
 
 
 def eval_net(

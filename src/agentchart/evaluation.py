@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -31,7 +32,6 @@ from .body import (
     DeviceSpec,
     configure_body,
     derive_controller,
-    quantize,
     require_mirror,
     step_agent,  # noqa: F401  perfbench's layer sites wrap it at this name
     tick_text,
@@ -40,8 +40,8 @@ from .controller import (
     ControllerTopology,
     MutationPolicy,
     activate,
+    cuts,
     mutate_connections,
-    sigmoid,
 )
 from .environment import (
     Effects,
@@ -120,17 +120,16 @@ def fixed_levels(body: BodyConfig, topology: ControllerTopology) -> tuple | None
 
     An output is fixed when every enabled input reads a channel of
     ``UNIT_CHANNELS``, it has levels, the spread ``|bias| + sum |w|`` over
-    its effective incoming edges is finite, and the sigmoid of its least
-    sum ``lo`` less ``m`` and of its greatest sum ``hi`` plus ``m``, with
-    ``m = 1e-9 * (1 + spread)``, quantize alike.  This is exact: every value
-    a neuron sums, an input, a sigmoid or a previous tick's, lies in
-    [0, 1], so every sum lies in [lo, hi]; a finite spread bounds every
-    partial sum, so none is NaN; rounding moves a sum far less than ``m``,
-    and ``m`` moves the sigmoid by more than 2e-10 at the level edges
-    (+-ln 2 for three levels), far more than its own rounding; and the
-    street-light update reads only the lamps' effects.  It reads
-    ``topology.connections``, not ``eval_plan``, which a memo hit never
-    builds.
+    its effective incoming edges is finite, and its least sum ``lo`` less
+    ``m`` and its greatest sum ``hi`` plus ``m``, with ``m = 1e-9 * (1 +
+    spread)``, lie between the same two windows of its ``cuts``.  This is
+    exact: every value a neuron sums, an input, a sigmoid or a previous
+    tick's, lies in [0, 1], so every sum lies in [lo, hi]; a finite spread
+    bounds every partial sum, so none is NaN; rounding moves a sum far less
+    than ``m``, so all lie between those windows, where ``cuts`` proves one
+    level; and the street-light update reads only the lamps' effects.  It
+    reads ``topology.connections``, not ``eval_plan``, which a memo hit
+    never builds.
     """
     unit = all(d.channel in UNIT_CHANNELS for d in body.enabled_inputs)
     bias = {n.id: n.bias for n in topology.neurons if n.enabled}
@@ -152,10 +151,11 @@ def fixed_levels(body: BodyConfig, topology: ControllerTopology) -> tuple | None
         if not math.isfinite(spread):
             return None
         m = 1e-9 * (1 + spread)
-        level = quantize(sigmoid(lo - m), d.output_levels)
-        if level != quantize(sigmoid(hi + m), d.output_levels):
+        cut = cuts(len(d.output_levels))
+        b = bisect_right(cut, lo - m)
+        if b & 1 or b != bisect_right(cut, hi + m):
             return None
-        levels.append(level)
+        levels.append(d.output_levels[b >> 1])
     return tuple(levels)
 
 
@@ -172,24 +172,25 @@ def run_episode(
     Every agent's plan lies end to end in one activation list, agent k's
     slots and the sources of its steps shifted by ``k * n_slots``; once per
     episode its sensors are resolved to columns of the row, its comm inputs
-    to an inbox of positions of the previous tick's output values, and its
-    outputs to positions of one flat list of this tick's.  Every tick fills
-    the list, steps every agent with one ``activate`` call, quantizes every
-    output, and scores the new row with the scenario's ``tick_score``.  Only
-    when the update runs does it build the effects table, for
-    ``Environment.next_row``, which checks the row; it keeps no row but in
-    ``cache``.  No input is checked as it is read: rows are checked when
-    made, and ``quantize`` raises ``NonFiniteInput`` on a NaN output before
-    the tick's text and update, so no comm input reads one.
-    Untraced, it returns ``EpisodeTrace()``.  With a ``trace`` it returns it,
-    and each tick writes two text pieces to ``trace.events``: every agent's
-    pass lines, in agent order, before the environment advances:
-    ``BEHAVIOR_PASS``'s engine lines, with a ``sensed:`` line per input after
-    the first macrostep's and an ``actuated:`` line per output after the
-    third's, laid out once per episode with only these value lines filled in
-    again; then the comm messages sent at the tick as ``emitted`` lines and
-    each variable that changed as a ``perturbed`` line of the next tick, if
-    there are any.  Then
+    to an inbox of positions of the previous tick's output values, and each
+    output's step gets its levels, its position in one flat list of this
+    tick's and, if it has levels and no edge reads its slot, the ``cuts`` of
+    its level count.  Every tick fills the list, steps every agent and sets
+    every output's value with one ``activate`` call, and scores the new row
+    with the scenario's ``tick_score``.  Only when the update runs does it
+    build the effects table, for ``Environment.next_row``, which checks the
+    row; it keeps no row but in ``cache``.  No input is checked as it is
+    read: rows are checked when made, and ``activate`` raises
+    ``NonFiniteInput`` on a NaN output before the tick's text and update, so
+    no comm input reads one.  Untraced, it returns ``EpisodeTrace()``.  With
+    a ``trace`` it returns it, and each tick writes two text pieces to
+    ``trace.events``: every agent's pass lines, in agent order, before the
+    environment advances: ``BEHAVIOR_PASS``'s engine lines, with a
+    ``sensed:`` line per input after the first macrostep's and an
+    ``actuated:`` line per output after the third's, laid out once per
+    episode with only these value lines filled in again; then the comm
+    messages sent at the tick as ``emitted`` lines and each variable that
+    changed as a ``perturbed`` line of the next tick, if there are any.  Then
     it writes the tick's episode.csv line, whose header it wrote first, to
     ``trace.table``: no text is kept back, and a ``write`` that raises ends
     the episode.  Each row value's repr is made once, and each output's
@@ -210,7 +211,7 @@ def run_episode(
     ``fixed_levels`` proves, ``()`` for a lampless genotype, whose scope
     drives nothing, and else the selection and topology.  A genotype found
     takes its ``(score, breakdown)`` with this call's ``episode``, skipping
-    ``quantize``'s ``NonFiniteInput`` check, which finite weights never
+    ``activate``'s ``NonFiniteInput`` check, which finite weights never
     trip: with inputs in [0, 1] a neuron's sum is finite or +-inf, which
     ``sigmoid`` clamps, so no output is NaN.  A tick found takes its row,
     context and term and calls nothing on the environment.  A traced call
@@ -267,16 +268,9 @@ def run_episode(
     heard = acted.copy()
     column = {name: k for k, name in enumerate(names)}
     column[COMM_CHANNEL] = None  # a comm input reads its inbox
-    # every agent's plan end to end in one activation list: agent k's slots,
-    # and the sources of each of its steps, start at k * n_slots
+    # per agent k, whose slots start at k * n_slots: inputs (id, slot, row
+    # column, inbox) and outputs (id, slot, channel, levels, position in acted)
     bases = range(0, len(bodies) * n_slots, n_slots)
-    plan = tuple(
-        (slot + b, bias, *(tuple((src + b, w) for src, w in edges) for edges in (fwd, rec)))
-        for b in bases
-        for slot, bias, fwd, rec in steps
-    )
-    # per agent: inputs (id, slot, row column, inbox) and outputs (id, slot,
-    # channel, levels, position in acted), at their slots in that list
     wired = [
         (
             aid,
@@ -288,10 +282,24 @@ def run_episode(
         )
         for b, (aid, body) in zip(bases, bodies.items())
     ]
+    # every agent's plan end to end in one activation list, the sources of
+    # agent k's steps shifted as its slots, an output's step with (cuts,
+    # levels, position in acted): cuts if it has levels and no edge reads it
+    read = {src for *_, fwd, rec, _ in steps for src, _ in fwd + rec}
+    cut = {k: cuts(k) for k in {len(d.output_levels) for _, d in outs} if k}
+    out = {
+        slot: (cut[len(levels)] if levels and slot % n_slots not in read else None, levels, j)
+        for *_, agent_out in wired
+        for _, slot, _, levels, j in agent_out
+    }
+    plan = tuple(
+        (slot + b, bias, *(tuple((src + b, w) for src, w in e) for e in edges), out.get(slot + b))
+        for b in bases
+        for slot, bias, *edges, _ in steps
+    )
     inputs = [i for _, agent_in, _ in wired for i in agent_in]
     sensors = [(slot, col) for _, slot, col, _ in inputs if col is not None]
     comms = [(slot, senders) for _, slot, col, senders in inputs if col is None]
-    outputs = [(slot, levels, j) for *_, agent_out in wired for _, slot, _, levels, j in agent_out]
     if traced:
         # every agent's pass lines without the tick, in agent order: the four
         # macrosteps' engine lines, the first followed by a sensed: line per
@@ -333,10 +341,8 @@ def run_episode(
             for j in senders:
                 total += heard[j]
             act[slot] = total / len(senders) if senders else 0.0
-        activate(plan, act, previous)
+        activate(plan, act, previous, acted)
         previous = act
-        for slot, levels, j in outputs:
-            acted[j] = quantize(act[slot], levels)
         if traced:
             # a sensor's value is row[col], whose repr the row's text holds
             for pos, head, slot, col in sensing:

@@ -14,8 +14,11 @@ from agentchart.controller import (
     ControllerTopology,
     MutationPolicy,
     Neuron,
+    activate,
+    cuts,
     eval_net,
     mutate_connections,
+    quantize,
     sigmoid,
 )
 from agentchart.errors import NonFiniteInput
@@ -278,3 +281,79 @@ def test_sigmoid_matches_two_sided_clamp_bit_for_bit(x):
     assert (math.isnan(got) and math.isnan(want)) or (
         struct.pack("<d", got) == struct.pack("<d", want)
     )
+
+
+LEVEL_COUNTS = range(2, 7)
+
+
+def level_names(k):
+    return tuple(f"L{i}" for i in range(k))
+
+
+def cut_rule(totals, k, cut=True):
+    """The level of each of ``totals`` among ``k``, from one ``activate`` call
+    over outputs with no edges and those biases, with ``cuts(k)``, as for
+    outputs that no edge reads, or without; and the slots it left."""
+    levels = level_names(k)
+    out = cuts(k) if cut else None
+    steps = tuple((j, total, (), (), (out, levels, j)) for j, total in enumerate(totals))
+    act, acted = [-1.0] * len(totals), [None] * len(totals)
+    activate(steps, act, [0.0] * len(totals), acted)
+    return acted, act
+
+
+@pytest.mark.parametrize("k", LEVEL_COUNTS)
+def test_cuts_bracket_each_logit_in_a_window(k):
+    ends = cuts(k)
+    assert list(ends) == sorted(ends) and len(ends) == 2 * k - 1 and ends[-1] == math.inf
+    for i in range(1, k):
+        c = math.log(i / (k - i))
+        assert ends[2 * i - 2] < c < ends[2 * i - 1]
+        assert ends[2 * i - 1] - ends[2 * i - 2] == pytest.approx(2e-9 * (1 + abs(c)))
+
+
+@pytest.mark.parametrize("k", LEVEL_COUNTS)
+def test_cut_rule_equals_quantized_sigmoid_near_every_edge(k):
+    # every float within 4,096 steps of each window end and each logit: a
+    # sum outside every window is decided by the cut, one in a window takes
+    # the sigmoid, and the two must meet without a seam
+    logits = [math.log(i / (k - i)) for i in range(1, k)]
+    totals = []
+    for point in (*cuts(k)[:-1], *logits):
+        below = above = point
+        totals.append(point)
+        for _ in range(4096):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            totals += (below, above)
+    acted, act = cut_rule(totals, k)
+    assert acted == [quantize(sigmoid(x), level_names(k)) for x in totals]
+    # a decided sum leaves its slot as it was, a windowed one writes its
+    # sigmoid: both paths are taken
+    assert 0 < act.count(-1.0) < len(totals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16),
+    st.sampled_from(LEVEL_COUNTS),
+)
+@example([1e308, -1e308, math.inf, -math.inf, 0.0, -0.0, 5e-324], 2)
+@example([1e308, -1e308, math.inf, -math.inf, 0.0, -0.0, 5e-324], 3)
+@example([1e308, -1e308, math.inf, -math.inf, 0.0, -0.0, 5e-324], 6)
+def test_cut_rule_equals_quantized_sigmoid(totals, k):
+    expected = [quantize(sigmoid(x), level_names(k)) for x in totals]
+    assert cut_rule(totals, k)[0] == expected
+    # without cuts, as for an output that an edge reads, every slot gets its sigmoid
+    acted, act = cut_rule(totals, k, cut=False)
+    assert acted == expected and act == [sigmoid(x) for x in totals]
+
+
+@pytest.mark.parametrize("k", LEVEL_COUNTS)
+@pytest.mark.parametrize("cut", [True, False])
+def test_nan_sum_raises_non_finite_input_through_activate(k, cut):
+    with pytest.raises(NonFiniteInput, match="output value is not finite: nan"):
+        cut_rule([0.0, math.nan], k, cut)
+    # a NaN weight on a finite input gives the same NaN sum
+    steps = ((1, 0.0, ((0, math.nan),), (), (cuts(k) if cut else None, level_names(k), 0)),)
+    with pytest.raises(NonFiniteInput):
+        activate(steps, [0.5, 0.0], [0.0, 0.0], [None])

@@ -32,12 +32,12 @@ def test_measure_gives_the_in_process_metrics():
 
 
 def test_work_counts_count_and_unwrap():
-    from agentchart import evaluation
+    from agentchart import controller, evaluation
     from agentchart.streetlight import StreetLightScenario
 
-    run_episode, build_env = evaluation.run_episode, StreetLightScenario.build_env
+    wrapped = (evaluation.run_episode, StreetLightScenario.build_env, controller.sigmoid)
     counts = TOOL["work_counts"](range(1000, 1001))
-    assert (evaluation.run_episode, StreetLightScenario.build_env) == (run_episode, build_env)
+    assert (evaluation.run_episode, StreetLightScenario.build_env, controller.sigmoid) == wrapped
     # every candidate is one call; a memo hit runs no kernel, a tick hit no update
     assert counts["run_episode_calls"] == 1 + 4 * (TOOL["COUNT_GENERATIONS"] - 1)
     assert 0 < counts["kernel_runs"] < counts["run_episode_calls"]
@@ -47,3 +47,11 @@ def test_work_counts_count_and_unwrap():
     assert classes == counts["run_episode_calls"] and counts["served_calls"] > 0
     # each kernel run of the default scenario steps 10 lights x 200 ticks
     assert counts["kernel_agent_ticks"] == counts["kernel_runs"] * 2_000
+    # a served call is served by one score key: (), fixed levels or a repeat
+    served = ("lampless", "fixed_levels", "repeat")
+    assert sum(counts[f"served_{kind}_calls"] for kind in served) == counts["served_calls"]
+    assert counts["served_lampless_calls"] > 0 and counts["served_repeat_calls"] > 0
+    # the kernel decides most lamps from their sums, with no sigmoid: fewer
+    # sigmoids than agent-ticks, in each of which a lamp stepped took one
+    assert 0 < counts["kernel_sigmoid_calls"] < counts["kernel_agent_ticks"]
+    assert TOOL["UNGATED"] == {"kernel_sigmoid_calls"} and TOOL["UNGATED"] < set(counts)

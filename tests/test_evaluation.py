@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agentchart import evaluation, statechart
+from agentchart import controller, evaluation, statechart
 from agentchart.body import DeviceSpec, configure_body, derive_controller
 from agentchart.controller import (
     HIDDEN,
@@ -346,6 +346,79 @@ class TestRunEpisode:
             text, expected_text = sinks.events.getvalue(), expected_sink.getvalue()
             assert text.splitlines(True) == expected_text.splitlines(True)
 
+    # one hand-built genotype per path of a lamp's step: its bias, its edges
+    # (from, to, weight, enabled) and the sigmoids each agent-tick takes
+    LAMP_PATHS = {
+        # its sums stay in [0.1, 0.3], between the windows: no sigmoid
+        "decided": (0.1, [("lighting_sensor", "light_switch", 0.2, True)], 0),
+        # its edges are disabled and its sum is -ln 2, inside the window of
+        # the edge between OFF and DIM: every decision takes the sigmoid
+        "windowed": (
+            -math.log(2),
+            [
+                ("lighting_sensor", "light_switch", 3.0, False),
+                ("motion_sensor", "light_switch", -3.0, False),
+            ],
+            1,
+        ),
+        # a forward edge into the speaker and its own self-loop read it, so
+        # its step keeps its sigmoid, as the speaker's does
+        "read": (
+            -1.0,
+            [
+                ("motion_sensor", "light_switch", 4.0, True),
+                ("wireless_in", "light_switch", -3.0, True),
+                ("light_switch", "light_switch", 1.5, True),
+                ("light_switch", "wireless_speaker", 2.0, True),
+            ],
+            2,
+        ),
+        # only its self-loop reads it, on the next tick
+        "looped": (
+            -1.0,
+            [
+                ("motion_sensor", "light_switch", 4.0, True),
+                ("light_switch", "light_switch", -2.5, True),
+            ],
+            1,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", LAMP_PATHS)
+    def test_kernel_equals_reference_on_each_lamp_path(self, case):
+        # against the dict-level views as in the test above, traced and
+        # untraced, with a spy at the sigmoid that activate looks up
+        scenario = small_scenario(n_lights=3, episode_ticks=20)
+        bias, edges, sigmoids_per_agent_tick = self.LAMP_PATHS[case]
+        ids = dict.fromkeys(i for e in edges for i in e[:2])
+        layer = {d.id: d.direction for d in scenario.devices}
+        neurons = tuple(
+            Neuron(i, layer[i], bias=bias if i == "light_switch" else 0.0) for i in ids
+        )
+        connections = tuple(Connection(f"c{k}", *e) for k, e in enumerate(edges))
+        selection = {d.id: d.id in ids for d in scenario.devices}
+        genotype = Genotype(selection, ControllerTopology(neurons, connections))
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return sigmoid(x)
+
+        sigmoid = controller.sigmoid
+        for sinks in (None, traced()):
+            expected_sink = io.StringIO() if sinks else None
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(controller, "sigmoid", spy)
+                calls.clear()
+                record, _ = run_episode(scenario, genotype, 5, 3, sinks)
+            assert len(calls) == sigmoids_per_agent_tick * 3 * scenario.episode_ticks
+            expected, expected_ticks = reference_episode(scenario, genotype, 5, 3, expected_sink)
+            assert repr(record) == repr(expected)
+            if sinks is not None:
+                csv, text = sinks.table.getvalue(), sinks.events.getvalue()
+                assert csv.splitlines(True) == reference_csv(expected_ticks).splitlines(True)
+                assert text.splitlines(True) == expected_sink.getvalue().splitlines(True)
+
     def test_trace_is_written_as_the_episode_runs(self):
         # a sink whose k-th write raises ends the episode there, having had
         # the first k-1 pieces of the full run; every tick writes to both
@@ -440,10 +513,11 @@ class TestRunEpisode:
             assert (sinks.events.getvalue(), sinks.table.getvalue().count("\n")) == ("", 1)
         # only a later light's output goes NaN: an infinite weight from the
         # motion sensor gives a light with people +inf, which sigmoid clamps,
-        # and one without inf * 0.  Every agent of a tick is stepped before
-        # any output is quantized, and the sinks hold the ticks before the one
-        # that raised, whole, and no line of it: the start of the run under a
-        # finite weight that puts these lights alike
+        # and one without inf * 0.  Every agent of a tick is stepped, and its
+        # outputs quantized, by one activate call before the tick writes any
+        # text, and the sinks hold the ticks before the one that raised,
+        # whole, and no line of it: the start of the run under a finite
+        # weight that puts these lights alike
         scenario = small_scenario(n_lights=3, people=PeopleProcess(kind="random", rate=0.8))
         lamp = {d.id: d.id in ("motion_sensor", "light_switch") for d in scenario.devices}
         base = derive_controller(

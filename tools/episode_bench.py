@@ -36,17 +36,20 @@ Once per side, in a fresh interpreter, this script counts the work of
 default 30-generation searches on ``COUNT_SEEDS``, which is deterministic:
 ``run_episode`` calls, split into those of inoperable genotypes, those
 served from the cache without a kernel run, and kernel runs (``build_env``
-calls); the agent-ticks those kernel runs step (lights x episode ticks per
-run); and street-light update calls after the initial row, that is,
-tick-cache misses.
+calls), and the served ones split by the score key that served them:
+lampless (``()``), fixed levels, and repeats of a selection and topology;
+the agent-ticks those kernel runs step (lights x episode ticks per run);
+street-light update calls after the initial row, that is, tick-cache
+misses; and the kernel's ``controller.sigmoid`` calls.
 
 The report gives each side's median and quartiles, the change's median
 over the base's, and how many pairs the change won, and each side's count
 of perfbench operations and of those that failed their checks.  The two
 sides must agree on every episode's score, the bytes of ``trace.log`` and
 perfbench's exact counts (``det``: the best score's repr, the episode count
-and others) of every operation seed both ran, and on these work counts,
-and no perfbench operation may fail, or the script exits 1.
+and others) of every operation seed both ran, and on these work counts
+but those of ``UNGATED``, and no perfbench operation may fail, or the
+script exits 1.
 ``trace_events`` is the number of event lines in the change's
 ``trace.log``.  With ``--tier1`` it also times the tier-1 suite once per
 side.
@@ -89,6 +92,7 @@ METRICS = {  # name -> better
 BIG_SCENARIO = {"n_lights": 64, "episode_ticks": 1000}
 COUNT_SEEDS = range(1000, 1010)
 COUNT_GENERATIONS = 30
+UNGATED = {"kernel_sigmoid_calls"}  # work counts that a change may lower on purpose
 
 
 def measure(seed: int) -> dict:
@@ -138,23 +142,33 @@ def measure(seed: int) -> dict:
 def work_counts(seeds=COUNT_SEEDS) -> dict:
     """The exact work of default ``COUNT_GENERATIONS``-generation searches
     on ``seeds``, counted through wrappers that this call removes again."""
-    from agentchart import evaluation
+    from agentchart import controller, evaluation
+    from agentchart.body import configure_body
     from agentchart.config import build_scenario
     from agentchart.streetlight import StreetLightScenario
 
     counts = dict.fromkeys(
-        ("run_episode_calls", "inoperable_calls", "served_calls", "kernel_runs",
-         "kernel_agent_ticks", "update_calls"), 0
+        ("run_episode_calls", "inoperable_calls", "served_calls", "served_lampless_calls",
+         "served_fixed_levels_calls", "served_repeat_calls", "kernel_runs",
+         "kernel_agent_ticks", "update_calls", "kernel_sigmoid_calls"), 0
     )
     run_episode, build_env = evaluation.run_episode, StreetLightScenario.build_env
+    sigmoid = controller.sigmoid
 
     def counted_run_episode(scenario, genotype, *args, **kwargs):
         counts["run_episode_calls"] += 1
         runs = counts["kernel_runs"]
         result = run_episode(scenario, genotype, *args, **kwargs)
         if counts["kernel_runs"] == runs:  # no kernel ran: inoperable or served
-            operable = evaluation.genotype_operable(scenario, genotype)
-            counts["served_calls" if operable else "inoperable_calls"] += 1
+            body = configure_body(list(scenario.devices), genotype.selection)
+            if not body.is_operable():
+                counts["inoperable_calls"] += 1
+                return result
+            counts["served_calls"] += 1
+            # served by the score key it was stored under: (), levels or neither
+            key = evaluation.fixed_levels(body, genotype.topology)
+            kind = "repeat" if key is None else "fixed_levels" if key else "lampless"
+            counts[f"served_{kind}_calls"] += 1
         return result
 
     def counted_build_env(self, *args):
@@ -170,13 +184,19 @@ def work_counts(seeds=COUNT_SEEDS) -> dict:
         env.update = counted_update
         return env
 
+    def counted_sigmoid(x):  # the kernel's, at the name activate looks up
+        counts["kernel_sigmoid_calls"] += 1
+        return sigmoid(x)
+
     scenario = build_scenario({}).scenario
     evaluation.run_episode, StreetLightScenario.build_env = counted_run_episode, counted_build_env
+    controller.sigmoid = counted_sigmoid
     try:
         for seed in seeds:
             evaluation.run_search(scenario, seed, COUNT_GENERATIONS)
     finally:
         evaluation.run_episode, StreetLightScenario.build_env = run_episode, build_env
+        controller.sigmoid = sigmoid
     return counts
 
 
@@ -327,7 +347,8 @@ def main(argv: list[str] | None = None) -> int:
         }
         samples: dict[str, list[dict]] = {"base": [], "change": []}
         mismatches = []
-        if counts["base"] != counts["change"]:
+        gated = [{k: v for k, v in c.items() if k not in UNGATED} for c in counts.values()]
+        if gated[0] != gated[1]:
             mismatches.append({"what": "work_counts", **counts})
         for k in range(args.pairs):
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
